@@ -15,8 +15,6 @@ output, so reruns are byte-identical.  The naive-baseline mode count is
 the padded register size 2^(3 qubits_per_axis) that the qubit encoding
 addresses (the odd per-plane-wave count is also reported); this is what
 makes the baseline scale exactly with L^3 across doublings.
-
-TTPREP_THREADS (default 1) sizes the worker pool used for sweep points.
 """
 
 from __future__ import annotations
@@ -24,9 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 from pathlib import Path
@@ -40,8 +36,9 @@ from .gauss_pw import PlaneWaveGrid, PrimitiveGaussian
 from .orbital_builder import MolecularOrbital
 from .resource_model import BondProfile, ResourceParams
 
-THREADS_ENV = "TTPREP_THREADS"
-SWEEP_AXES = ("L_bohr", "K_inv_bohr", "E_cut_hartree", "svd_cutoff")
+# sweep axis (config key, in run order) -> run_pipeline keyword
+SWEEP_AXES = {"L_bohr": "L", "K_inv_bohr": "K", "E_cut_hartree": "e_cut",
+              "svd_cutoff": "svd_cutoff"}
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +132,6 @@ def load_config(path) -> dict:
     oracle.setdefault("max_points_per_axis", 32)
     oracle.setdefault("tolerance", 1e-6)
     oracle.setdefault("dump_tt", False)
-    res = cfg["resources"]
-    res.setdefault("lambda_policy", "optimal_mu")
     cfg.setdefault("sweep", {})
     return cfg
 
@@ -298,9 +293,7 @@ def run_pipeline(cfg: dict, fx: Fixture, *, L=None, K=None, e_cut=None,
     for r in records:
         profiles.extend([r.profile] * r.occupation)
     params = ResourceParams(
-        b=b, eta=eta, n_system=n_system, N=2 ** n_system, n_mo=n_orb,
-        lambda_policy=res_cfg["lambda_policy"],
-        fixed_lambda=res_cfg.get("fixed_lambda"))
+        b=b, eta=eta, n_system=n_system, N=2 ** n_system, n_mo=n_orb)
     report = resource_model.estimate_resources(params, profiles, eps1=eps1)
     return PipelineResult(grid=grid, fixture=fx, config=cfg, svd_cutoff=svd,
                           prim_tts=prim_tts, overlap=overlap,
@@ -359,10 +352,7 @@ def _axis_window_overlaps(g: PrimitiveGaussian, grid: PlaneWaveGrid,
     idx = sgrid.index_values()
     vals = gauss_pw.pw_overlap(g.gamma, g.ang[axis], g.center[axis],
                                idx * grid.dk, grid.L)
-    dense = np.zeros(2 ** sgrid.n_sites, dtype=complex)
-    for pos, i in enumerate(idx):
-        dense[sgrid.dense_index(int(i))] = vals[pos]
-    return dense
+    return sgrid.embed(vals)
 
 
 def _dense_exact_primitive(g: PrimitiveGaussian,
@@ -437,8 +427,8 @@ def _within_cap(result: PipelineResult) -> bool:
 def _sweep_error(result: PipelineResult, record: OrbitalRecord) -> tuple:
     if result.config["oracle"]["enabled"] and _within_cap(result):
         exact = _dense_exact_orbital(record, result.fixture, result.grid)
-        tt_dense = np.asarray(tt_core.to_dense(record.mps.tt))
-        return _trace_distance(exact, tt_dense), "dense_window"
+        return (_trace_distance(exact, tt_core.to_dense(record.mps.tt)),
+                "dense_window")
     return (orbital_builder.infidelity_estimate(record.mps), "norm_drift")
 
 
@@ -568,7 +558,6 @@ def _report_dict(result: PipelineResult) -> dict:
             "eta": params.eta,
             "n_system": params.n_system,
             "n_mo": params.n_mo,
-            "lambda_policy": params.lambda_policy,
         },
         "eps1": rep.eps1,
         "eps2": rep.eps2,
@@ -599,22 +588,10 @@ def cmd_sweep(config_path, fixture_path, out):
             f"(any of {', '.join(SWEEP_AXES)})")
     jobs = [(axis, value) for axis, values in axes for value in values]
 
-    def run_one(job):
-        axis, value = job
-        kwargs = {"L_bohr": {"L": value}, "K_inv_bohr": {"K": value},
-                  "E_cut_hartree": {"e_cut": value},
-                  "svd_cutoff": {"svd_cutoff": value}}[axis]
-        return _run_guarded(run_pipeline, cfg, fx, **kwargs)
-
-    threads = max(1, int(os.environ.get(THREADS_ENV, "1")))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(job) for job in jobs]
-
     rows = []
-    for (axis, value), result in zip(jobs, results):
+    for axis, value in jobs:
+        result = _run_guarded(run_pipeline, cfg, fx,
+                              **{SWEEP_AXES[axis]: value})
         for r in result.orbitals:
             err, err_kind = _sweep_error(result, r)
             rows.append((
@@ -693,8 +670,10 @@ def _run_oracle_checks(result: PipelineResult, out_dir: Path) -> list:
                 f"grid K = {grid.K:.3g} below the certified cutoff "
                 f"{lemma_k:.3g}; bound not applicable"))
             continue
+        # exact is unit over the whole line but truncated to the window;
+        # the missing tail only lowers the overlap, exactly as the bound wants.
         exact = _dense_exact_primitive(g, grid)
-        d = _trace_distance_nonunit(exact, np.asarray(tt_core.to_dense(tt)))
+        d = _trace_distance(exact, tt_core.to_dense(tt))
         checks.append(_check(
             f"primitive_trace_distance[{gi}]",
             "PASS" if d <= eps_p else "FAIL",
@@ -709,10 +688,9 @@ def _run_oracle_checks(result: PipelineResult, out_dir: Path) -> list:
             continue
         target = np.zeros(2 ** result.n_system, dtype=complex)
         for c, j in zip(r.coeffs, r.indices):
-            target += c * np.asarray(tt_core.to_dense(result.prim_tts[j]))
+            target += c * tt_core.to_dense(result.prim_tts[j])
         target /= np.linalg.norm(target)
-        diff = float(np.linalg.norm(
-            target - np.asarray(tt_core.to_dense(r.mps.tt))))
+        diff = float(np.linalg.norm(target - tt_core.to_dense(r.mps.tt)))
         tol_eff = max(tol, 20.0 * (len(r.indices) * eps_s + result.svd_cutoff))
         checks.append(_check(
             f"tt_vs_dense_orbital[{r.index}]",
@@ -723,9 +701,9 @@ def _run_oracle_checks(result: PipelineResult, out_dir: Path) -> list:
         S = result.overlap.S
         worst = 0.0
         for i in range(len(fx.primitives)):
-            di = np.asarray(tt_core.to_dense(result.prim_tts[i]))
+            di = tt_core.to_dense(result.prim_tts[i])
             for j in range(i, len(fx.primitives)):
-                dj = np.asarray(tt_core.to_dense(result.prim_tts[j]))
+                dj = tt_core.to_dense(result.prim_tts[j])
                 worst = max(worst, abs(complex(np.vdot(di, dj)) - S[i, j]))
         checks.append(_check(
             "gram_vs_dense", "PASS" if worst <= tol else "FAIL",
@@ -749,8 +727,7 @@ def _run_oracle_checks(result: PipelineResult, out_dir: Path) -> list:
             loaded = tt_core.from_debug_json(
                 json.loads(dump.read_text(encoding="utf-8")))
             diff = float(np.linalg.norm(
-                np.asarray(tt_core.to_dense(loaded))
-                - np.asarray(tt_core.to_dense(r.mps.tt))))
+                tt_core.to_dense(loaded) - tt_core.to_dense(r.mps.tt)))
         except (ValueError, KeyError, tt_core.ShapeError) as e:
             checks.append(_check(name, "FAIL", f"unreadable dump: {e}"))
             continue
@@ -758,12 +735,6 @@ def _run_oracle_checks(result: PipelineResult, out_dir: Path) -> list:
             name, "PASS" if diff <= 1e-12 else "FAIL",
             f"|dumped - rebuilt| = {diff:.3e} (tol 1e-12)"))
     return checks
-
-
-def _trace_distance_nonunit(reference: np.ndarray, tt_dense: np.ndarray) -> float:
-    # reference is unit over the whole line but truncated to the window;
-    # the missing tail only lowers the overlap, exactly as the bound wants.
-    return math.sqrt(max(0.0, 1.0 - abs(np.vdot(reference, tt_dense)) ** 2))
 
 
 if __name__ == "__main__":

@@ -109,6 +109,15 @@ class SignedGrid1D:
         sign = 1 if i < 0 else 0
         return sign * 2 ** (self.n_sites - 1) + abs(i)
 
+    def embed(self, values) -> np.ndarray:
+        """Dense length-2^n vector with values[k] at the position of
+        index_values()[k]; codewords outside the index set stay zero."""
+        idx = self.index_values()
+        sign_offset = np.where(idx < 0, 2 ** (self.n_sites - 1), 0)
+        dense = np.zeros(2 ** self.n_sites, dtype=complex)
+        dense[sign_offset + np.abs(idx)] = values
+        return dense
+
     def point(self, i) -> float:
         return self.spacing * np.asarray(i, dtype=float)
 

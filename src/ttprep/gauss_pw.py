@@ -497,10 +497,7 @@ def primitive_1d_mps(gamma: float, l: int, a: float, grid: PlaneWaveGrid,
         raise ProjectionError("all polynomial coefficients vanished")
     coeffs = coeffs / nrm
 
-    dense = np.zeros(2 ** sgrid.n_sites, dtype=complex)
-    for pos, i in enumerate(idx):
-        dense[sgrid.dense_index(int(i))] = coeffs[pos]
-    tt = tt_core.from_dense(dense, tol=1e-14)
+    tt = tt_core.from_dense(sgrid.embed(coeffs), tol=1e-14)
 
     w_below = _lattice_weight(gamma, l, grid.L, -i_cut, i_cut)
     n_t = math.sqrt(w_below) / n_tilde

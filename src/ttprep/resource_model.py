@@ -368,19 +368,13 @@ def antisym_estimate(eta: int, N: int) -> int:
 
 @dataclass(frozen=True)
 class ResourceParams:
-    """Validated knobs for a resource estimate.
-
-    lambda_policy "optimal_mu" derives lookup fan-outs from b; "fixed"
-    uses fixed_lambda everywhere (must be a power of two).
-    """
+    """Validated knobs for a resource estimate."""
 
     b: int
     eta: int
     n_system: int
     N: int
     n_mo: int = 1
-    lambda_policy: str = "optimal_mu"
-    fixed_lambda: int | None = None
 
     def __post_init__(self):
         _check_b_min5(self.b)
@@ -392,15 +386,6 @@ class ResourceParams:
             raise ValueError("N must be at least 1")
         if self.n_mo < 1:
             raise ValueError("n_mo must be at least 1")
-        if self.lambda_policy not in ("optimal_mu", "fixed"):
-            raise ValueError(f"unknown lambda policy {self.lambda_policy!r}")
-        if self.lambda_policy == "fixed":
-            if self.fixed_lambda is None:
-                raise ValueError("fixed policy needs fixed_lambda")
-            if self.fixed_lambda < 1 or self.fixed_lambda & (self.fixed_lambda - 1):
-                raise ValueError("fixed_lambda must be a power of two")
-        elif self.fixed_lambda is not None:
-            raise ValueError("fixed_lambda only applies to the fixed policy")
 
 
 @dataclass(frozen=True)

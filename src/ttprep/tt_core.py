@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "DEFAULT_DENSE_CAP",
     "CapacityError",
-    "DenseVector",
     "ShapeError",
     "TensorTrain",
     "add",
@@ -49,39 +48,6 @@ class ShapeError(ValueError):
 
 class CapacityError(RuntimeError):
     """A dense expansion would exceed the configured site cap."""
-
-
-class DenseVector:
-    """Explicit length-2^n complex vector; the brute-force oracle carrier."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        e = np.ascontiguousarray(entries, dtype=complex)
-        if e.ndim != 1:
-            raise ShapeError(f"expected a 1-d array, got shape {e.shape}")
-        n = e.size
-        if n < 2 or (n & (n - 1)) != 0:
-            raise ShapeError(f"length must be a power of two >= 2, got {n}")
-        self.entries = e
-
-    @property
-    def n_sites(self) -> int:
-        return int(self.entries.size).bit_length() - 1
-
-    def __len__(self) -> int:
-        return int(self.entries.size)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.entries
-        return self.entries.astype(dtype)
-
-    def __repr__(self) -> str:
-        return f"DenseVector(n_sites={self.n_sites})"
 
 
 class TensorTrain:
@@ -145,18 +111,12 @@ class TensorTrain:
                 f"form={self.canonical_form})")
 
 
-def _as_entries(v) -> np.ndarray:
-    if isinstance(v, DenseVector):
-        return v.entries
-    return DenseVector(np.asarray(v)).entries
-
-
 def from_dense(v, tol: float = 0.0) -> TensorTrain:
     """Factor a dense vector into a tensor train by sequential SVD.
 
     Parameters
     ----------
-    v : DenseVector or array_like
+    v : array_like
         Complex vector of length 2^n, n >= 1.
     tol : float
         Relative accuracy target.  Each unfolding is truncated at
@@ -170,10 +130,15 @@ def from_dense(v, tol: float = 0.0) -> TensorTrain:
     TensorTrain
         Left-canonical train whose dense expansion matches ``v``.
     """
-    entries = _as_entries(v)
+    entries = np.ascontiguousarray(v, dtype=complex)
+    if entries.ndim != 1:
+        raise ShapeError(f"expected a 1-d array, got shape {entries.shape}")
+    size = entries.size
+    if size < 2 or (size & (size - 1)) != 0:
+        raise ShapeError(f"length must be a power of two >= 2, got {size}")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    n = int(entries.size).bit_length() - 1
+    n = size.bit_length() - 1
     nrm = float(np.linalg.norm(entries))
     delta = tol * nrm / np.sqrt(max(n - 1, 1))
     cores = []
@@ -195,7 +160,7 @@ def from_dense(v, tol: float = 0.0) -> TensorTrain:
                        truncation_error=float(np.sqrt(discarded)))
 
 
-def to_dense(t: TensorTrain, cap: int = DEFAULT_DENSE_CAP) -> DenseVector:
+def to_dense(t: TensorTrain, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """Contract a train into its explicit dense vector.
 
     Refuses trains with more than ``cap`` sites (2^cap entries) so a typo
@@ -208,7 +173,7 @@ def to_dense(t: TensorTrain, cap: int = DEFAULT_DENSE_CAP) -> DenseVector:
     for core in t.cores[1:]:
         vec = np.tensordot(vec, core, axes=([-1], [0]))
         vec = vec.reshape(-1, core.shape[2])
-    return DenseVector(vec.reshape(-1))
+    return vec.reshape(-1)
 
 
 def add(a: TensorTrain, b: TensorTrain) -> TensorTrain:

@@ -247,6 +247,15 @@ class TestValidation:
         out = self.run_expect_error(tmp_path, cfg=cfg)
         assert "frobnicate" in out
 
+    @pytest.mark.parametrize("key,value", [("lambda_policy", "optimal_mu"),
+                                           ("fixed_lambda", 4)])
+    def test_lookup_fanout_keys_rejected(self, tmp_path, key, value):
+        """The cost model fixes the lookup fan-out; no config key sets it."""
+        cfg = base_config(resources={key: value})
+        out = self.run_expect_error(tmp_path, cfg=cfg)
+        assert "$.resources" in out
+        assert key in out
+
     def test_empty_orbital_list_rejected(self, tmp_path):
         fx = base_fixture()
         fx["orbitals"] = []
@@ -469,16 +478,14 @@ class TestSweepCommand:
             assert b / a <= 1.25
         assert all(b > a for a, b in zip(ratio, ratio[1:]))
 
-    def test_thread_pool_byte_identical(self, tmp_path, monkeypatch):
-        outs = []
-        for tag, threads in [("one", "1"), ("two", "2")]:
-            monkeypatch.setenv("TTPREP_THREADS", threads)
-            out = tmp_path / tag
+    def test_rerun_byte_identical(self, tmp_path):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        for out in (out_a, out_b):
             run_cli(["sweep", "--config", config_path("h_like_1s"),
                      "--fixture", fixture_path("h_like_1s"),
                      "--out", str(out)])
-            outs.append((out / "h_like_1s_sweep.csv").read_bytes())
-        assert outs[0] == outs[1]
+        name = "h_like_1s_sweep.csv"
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_no_sweep_axes_rejected(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", base_config())

@@ -120,6 +120,17 @@ class TestSignedPolyTT:
         with pytest.raises(ValueError):
             SignedGrid1D(a=1.0, n_points=8, n_sites=4)
 
+    @pytest.mark.parametrize("n_points,n_sites",
+                             [(3, 2), (7, 3), (9, 5), (31, 6)])
+    def test_embed_matches_dense_index(self, n_points, n_sites, rng):
+        g = SignedGrid1D(a=1.0, n_points=n_points, n_sites=n_sites)
+        vals = (rng.standard_normal(n_points)
+                + 1j * rng.standard_normal(n_points))
+        want = np.zeros(2 ** n_sites, dtype=complex)
+        for k, i in enumerate(g.index_values()):
+            want[g.dense_index(int(i))] = vals[k]
+        assert np.array_equal(g.embed(vals), want)
+
     @pytest.mark.parametrize("d", range(0, 11))
     def test_bond_bound_and_dense_agreement(self, d, rng):
         g = SignedGrid1D(a=2.0, n_points=31, n_sites=6)

@@ -422,25 +422,12 @@ class TestGuards:
 class TestResourceParams:
     def test_valid(self):
         ResourceParams(b=10, eta=2, n_system=21, N=1000)
-        ResourceParams(b=10, eta=2, n_system=21, N=1000,
-                       lambda_policy="fixed", fixed_lambda=4)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             ResourceParams(b=4, eta=2, n_system=21, N=1000)
         with pytest.raises(ValueError):
             ResourceParams(b=10, eta=0, n_system=21, N=1000)
-        with pytest.raises(ValueError):
-            ResourceParams(b=10, eta=2, n_system=21, N=1000,
-                           lambda_policy="greedy")
-        with pytest.raises(ValueError):
-            ResourceParams(b=10, eta=2, n_system=21, N=1000,
-                           lambda_policy="fixed")
-        with pytest.raises(ValueError):
-            ResourceParams(b=10, eta=2, n_system=21, N=1000,
-                           lambda_policy="fixed", fixed_lambda=3)
-        with pytest.raises(ValueError):
-            ResourceParams(b=10, eta=2, n_system=21, N=1000, fixed_lambda=2)
 
 
 class TestEstimateResources:

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttprep import tt_core
-from ttprep.tt_core import (CapacityError, DenseVector, ShapeError,
-                            TensorTrain)
+from ttprep.tt_core import CapacityError, ShapeError, TensorTrain
 
 from conftest import dense, random_tt, random_vector, tt_entry
 
@@ -21,19 +20,19 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
-class TestDenseVector:
+class TestFromDenseInput:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ShapeError):
-            DenseVector(np.ones(3))
+            tt_core.from_dense(np.ones(3))
 
     def test_rejects_scalar_and_matrix(self):
         with pytest.raises(ShapeError):
-            DenseVector(np.ones(1))
+            tt_core.from_dense(np.ones(1))
         with pytest.raises(ShapeError):
-            DenseVector(np.ones((2, 2)))
+            tt_core.from_dense(np.ones((2, 2)))
 
     def test_site_count(self):
-        assert DenseVector(np.ones(16)).n_sites == 4
+        assert tt_core.from_dense(np.ones(16)).n_sites == 4
 
 
 class TestConstruction:

@@ -108,10 +108,18 @@ def _schema(name: str) -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
+@functools.lru_cache(maxsize=None)
+def _validator(name: str):
+    # the shipped schemas are checked against their metaschema by the tests,
+    # not on every call
+    schema = _schema(name)
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
 def _validated(raw: dict, schema_name: str, label: str) -> dict:
-    try:
-        jsonschema.validate(raw, _schema(schema_name))
-    except jsonschema.ValidationError as e:
+    e = jsonschema.exceptions.best_match(
+        _validator(schema_name).iter_errors(raw))
+    if e is not None:
         raise click.ClickException(
             f"{label} invalid at {e.json_path}: {e.message}") from e
     return raw
@@ -214,6 +222,24 @@ class OrbitalRecord:
 
 
 @dataclass
+class GridStage:
+    """The part of a pipeline run fixed by the grid: everything but svd_cutoff.
+
+    coeffs[i] are orbital i's coefficients normalized in the projected
+    overlap metric, and mos[i] its untruncated train.
+    """
+
+    grid: PlaneWaveGrid
+    fixture: Fixture
+    config: dict
+    prim_tts: list
+    overlap: orbital_builder.OverlapMatrix
+    eta: int
+    coeffs: list[np.ndarray]
+    mos: list[orbital_builder.OrbitalMPS]
+
+
+@dataclass
 class PipelineResult:
     grid: PlaneWaveGrid
     fixture: Fixture
@@ -238,13 +264,20 @@ class PipelineResult:
 
 def run_pipeline(cfg: dict, fx: Fixture, *, L=None, K=None, e_cut=None,
                  svd_cutoff=None) -> PipelineResult:
+    if svd_cutoff is None:
+        svd_cutoff = cfg["compression"]["svd_cutoff"]
+    return cutoff_stage(grid_stage(cfg, fx, L=L, K=K, e_cut=e_cut),
+                        svd_cutoff)
+
+
+def grid_stage(cfg: dict, fx: Fixture, *, L=None, K=None,
+               e_cut=None) -> GridStage:
+    """Primitive trains, their Gram matrix and the untruncated orbitals."""
     grid = grid_from_config(cfg, L=L, K=K, e_cut=e_cut)
     comp = cfg["compression"]
-    svd = float(comp["svd_cutoff"]) if svd_cutoff is None else float(svd_cutoff)
     eps_p = float(comp["eps_primitive"])
     eps_s = float(comp["eps_sum"])
     res_cfg = cfg["resources"]
-    b = int(res_cfg["b"])
 
     prim_tts = [gauss_pw.primitive_3d_mps(g, grid, eps_p)
                 for g in fx.primitives]
@@ -256,7 +289,7 @@ def run_pipeline(cfg: dict, fx: Fixture, *, L=None, K=None, e_cut=None,
             f"resources.eta = {res_cfg['eta']} does not match the fixture's "
             f"summed occupations ({eta})")
 
-    records = []
+    coeffs, mos = [], []
     for i, o in enumerate(fx.orbitals):
         sub = overlap.S[np.ix_(o.indices, o.indices)]
         nrm_sq = float(np.real(np.conj(o.coeffs) @ (sub @ o.coeffs)))
@@ -267,9 +300,21 @@ def run_pipeline(cfg: dict, fx: Fixture, *, L=None, K=None, e_cut=None,
         c = o.coeffs / math.sqrt(nrm_sq)
         mo = MolecularOrbital(coeffs=c, primitives=tuple(
             fx.primitives[j] for j in o.indices))
-        mps = orbital_builder.build_mo_mps(
+        coeffs.append(c)
+        mos.append(orbital_builder.build_mo_mps(
             mo, grid, eps_p, eps_s,
-            primitive_tts=[prim_tts[j] for j in o.indices])
+            primitive_tts=[prim_tts[j] for j in o.indices]))
+    return GridStage(grid=grid, fixture=fx, config=cfg, prim_tts=prim_tts,
+                     overlap=overlap, eta=eta, coeffs=coeffs, mos=mos)
+
+
+def cutoff_stage(stage: GridStage, svd_cutoff: float) -> PipelineResult:
+    """Truncate the stage's orbitals at svd_cutoff, then cost and report."""
+    svd = float(svd_cutoff)
+    b = int(stage.config["resources"]["b"])
+    records = []
+    for i, (o, c, mps) in enumerate(zip(stage.fixture.orbitals, stage.coeffs,
+                                        stage.mos)):
         if svd > 0:
             mps = orbital_builder.truncate_mo(mps, svd)
         profile = BondProfile(m=mps.tt.bond_dims)
@@ -287,17 +332,19 @@ def run_pipeline(cfg: dict, fx: Fixture, *, L=None, K=None, e_cut=None,
                                                records[j].mps.tt)
             gram[j, i] = np.conj(gram[i, j])
 
+    grid = stage.grid
     n_system = 3 * grid.qubits_per_axis
     eps1 = max(orbital_builder.infidelity_estimate(r.mps) for r in records)
     profiles = []
     for r in records:
         profiles.extend([r.profile] * r.occupation)
     params = ResourceParams(
-        b=b, eta=eta, n_system=n_system, N=2 ** n_system, n_mo=n_orb)
+        b=b, eta=stage.eta, n_system=n_system, N=2 ** n_system, n_mo=n_orb)
     report = resource_model.estimate_resources(params, profiles, eps1=eps1)
-    return PipelineResult(grid=grid, fixture=fx, config=cfg, svd_cutoff=svd,
-                          prim_tts=prim_tts, overlap=overlap,
-                          orbitals=records, gram=gram, eta=eta,
+    return PipelineResult(grid=grid, fixture=stage.fixture,
+                          config=stage.config, svd_cutoff=svd,
+                          prim_tts=stage.prim_tts, overlap=stage.overlap,
+                          orbitals=records, gram=gram, eta=stage.eta,
                           params=params, report=report)
 
 
@@ -424,12 +471,27 @@ def _within_cap(result: PipelineResult) -> bool:
     return result.grid.points_per_axis <= cap
 
 
-def _sweep_error(result: PipelineResult, record: OrbitalRecord) -> tuple:
-    if result.config["oracle"]["enabled"] and _within_cap(result):
-        exact = _dense_exact_orbital(record, result.fixture, result.grid)
-        return (_trace_distance(exact, tt_core.to_dense(record.mps.tt)),
-                "dense_window")
-    return (orbital_builder.infidelity_estimate(record.mps), "norm_drift")
+def _sweep_errors(results: list[PipelineResult]) -> list[tuple]:
+    """(error, kind) of every orbital of every result, all on one grid.
+
+    Each orbital's dense reference is built once for all the results and
+    dropped before the next orbital's, so one 2^(3n) reference is alive
+    at a time.
+    """
+    first = results[0]
+    dense = first.config["oracle"]["enabled"] and _within_cap(first)
+    per_orbital = []
+    for k, record in enumerate(first.orbitals):
+        trains = [result.orbitals[k].mps for result in results]
+        if not dense:
+            per_orbital.append([(orbital_builder.infidelity_estimate(mps),
+                                 "norm_drift") for mps in trains])
+            continue
+        exact = _dense_exact_orbital(record, first.fixture, first.grid)
+        per_orbital.append([(_trace_distance(exact, tt_core.to_dense(mps.tt)),
+                             "dense_window") for mps in trains])
+        del exact
+    return list(zip(*per_orbital))
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +637,25 @@ def _report_dict(result: PipelineResult) -> dict:
     }
 
 
+def _sweep_groups(cfg: dict, fx: Fixture, axes):
+    """Yield (axis, [(value, result), ...]), one group per grid.
+
+    svd_cutoff points all run on the config's grid, so they share one grid
+    stage and differ only in their cutoff stage; every other axis moves the
+    grid with each point.
+    """
+    for axis, values in axes:
+        key = SWEEP_AXES[axis]
+        if key == "svd_cutoff":
+            stage = _run_guarded(grid_stage, cfg, fx)
+            yield axis, [(value, _run_guarded(cutoff_stage, stage, value))
+                         for value in values]
+        else:
+            for value in values:
+                yield axis, [(value, _run_guarded(run_pipeline, cfg, fx,
+                                                  **{key: value}))]
+
+
 @main.command("sweep")
 @_common_options
 def cmd_sweep(config_path, fixture_path, out):
@@ -586,24 +667,21 @@ def cmd_sweep(config_path, fixture_path, out):
         raise click.ClickException(
             "sweep requires at least one nonempty axis under 'sweep' "
             f"(any of {', '.join(SWEEP_AXES)})")
-    jobs = [(axis, value) for axis, values in axes for value in values]
-
     rows = []
-    for axis, value in jobs:
-        result = _run_guarded(run_pipeline, cfg, fx,
-                              **{SWEEP_AXES[axis]: value})
-        for r in result.orbitals:
-            err, err_kind = _sweep_error(result, r)
-            rows.append((
-                axis, float(value), r.index, r.occupation,
-                result.grid.L, result.grid.K, result.grid.points_per_axis,
-                result.grid.qubits_per_axis, result.n_padded, r.max_bond,
-                r.mps.raw_norm_sq, r.mps.infidelity,
-                orbital_builder.infidelity_estimate(r.mps), err, err_kind,
-                r.prep_toffoli,
-                result.report.totals["mps_method"],
-                result.report.totals["naive_method"],
-                result.report.totals["ratio_naive_over_mps"]))
+    for axis, group in _sweep_groups(cfg, fx, axes):
+        errors = _sweep_errors([result for _, result in group])
+        for (value, result), point_errors in zip(group, errors):
+            for r, (err, err_kind) in zip(result.orbitals, point_errors):
+                rows.append((
+                    axis, float(value), r.index, r.occupation,
+                    result.grid.L, result.grid.K, result.grid.points_per_axis,
+                    result.grid.qubits_per_axis, result.n_padded, r.max_bond,
+                    r.mps.raw_norm_sq, r.mps.infidelity,
+                    orbital_builder.infidelity_estimate(r.mps), err, err_kind,
+                    r.prep_toffoli,
+                    result.report.totals["mps_method"],
+                    result.report.totals["naive_method"],
+                    result.report.totals["ratio_naive_over_mps"]))
     _write_csv(out_dir / f"{fx.name}_sweep.csv",
                ["axis", "value", "orbital", "occupation", "L_bohr",
                 "K_inv_bohr", "points_per_axis", "qubits_per_axis",
@@ -611,7 +689,8 @@ def cmd_sweep(config_path, fixture_path, out):
                 "trace_distance_estimate", "error", "error_kind",
                 "mps_prep_toffoli", "toffoli_mps_total", "toffoli_naive",
                 "ratio_naive_over_mps"], rows)
-    click.echo(f"sweep: {len(jobs)} points x {len(fx.orbitals)} orbitals "
+    n_points = sum(len(values) for _, values in axes)
+    click.echo(f"sweep: {n_points} points x {len(fx.orbitals)} orbitals "
                f"-> {out_dir}")
 
 

@@ -20,6 +20,7 @@ whole-line normalization factor is at least 2/3.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -324,6 +325,11 @@ class ChebyshevInterpolant:
 
     @classmethod
     def fit(cls, f, half_width: float, m: int) -> "ChebyshevInterpolant":
+        """Interpolate f through m nodes on [-half_width, half_width].
+
+        f is called once, on the whole node array, and must return one
+        value per node.
+        """
         if m < 1:
             raise ValueError("need at least one node")
         if half_width <= 0:
@@ -335,7 +341,10 @@ class ChebyshevInterpolant:
         w_full = (-1.0) ** i * np.sin(angles)
         nodes = full_nodes[:m]
         weights = w_full[:m] * (nodes - full_nodes[m])
-        values = np.asarray([f(t) for t in nodes], dtype=float)
+        values = np.asarray(f(nodes), dtype=float)
+        if values.shape != nodes.shape:
+            raise ValueError(
+                f"f returned shape {values.shape} for {m} nodes")
         return cls(half_width=half_width, nodes=nodes, values=values,
                    weights=weights)
 
@@ -343,7 +352,7 @@ class ChebyshevInterpolant:
         xarr = np.asarray(x, dtype=float)
         xs = np.atleast_1d(xarr).astype(float)
         diff = xs[:, None] - self.nodes[None, :]
-        hit = np.isclose(diff, 0.0, atol=1e-300, rtol=0.0)
+        hit = np.abs(diff) <= 1e-300
         safe = np.where(hit, 1.0, diff)
         terms = self.weights / safe
         num = terms @ self.values
@@ -435,6 +444,7 @@ def projection_normalization(gamma: float, l: int, L: float) -> float:
             return math.sqrt(total)
 
 
+@functools.lru_cache(maxsize=None)
 def primitive_1d_mps(gamma: float, l: int, a: float, grid: PlaneWaveGrid,
                      eps: float) -> tuple[TensorTrain, Projection1D]:
     """Unit-norm train of polynomial plane-wave coefficients for one axis.
@@ -446,6 +456,10 @@ def primitive_1d_mps(gamma: float, l: int, a: float, grid: PlaneWaveGrid,
     vector into a train.  The train's bond dimension is bounded by 2m+3
     (at the grids this routine accepts, the measured ranks are far below
     the bound).
+
+    Results are memoized on the arguments, so every primitive sharing an
+    exponent, angular momentum and centre coordinate on one grid reuses
+    one train; its cores and the projection's arrays are read-only.
 
     Raises ProjectionError when the whole-line normalization factor drops
     below 2/3 (cell too small relative to the Gaussian's extent) and
@@ -475,9 +489,6 @@ def primitive_1d_mps(gamma: float, l: int, a: float, grid: PlaneWaveGrid,
     scale = math.sqrt(2.0 * gamma)
     half_width = max(K, k_cut) / scale
     h = h_coeffs(l).h
-    interps = [ChebyshevInterpolant.fit(
-        lambda t, nn=n: hermite_gaussian(nn, t), half_width, m)
-        for n in range(l + 1)]
 
     sgrid = grid.axis_grid()
     idx = sgrid.index_values()
@@ -488,7 +499,9 @@ def primitive_1d_mps(gamma: float, l: int, a: float, grid: PlaneWaveGrid,
     for n in range(l + 1):
         if h[n] == 0.0:
             continue
-        profile[live] += (1j ** n) * h[n] * interps[n](u[live])
+        interp = ChebyshevInterpolant.fit(
+            lambda t, nn=n: hermite_gaussian(nn, t), half_width, m)
+        profile[live] += (1j ** n) * h[n] * interp(u[live])
     coeffs = profile * np.exp(1j * kvals * a)
     coeffs[~live] = 0.0
 
@@ -505,6 +518,8 @@ def primitive_1d_mps(gamma: float, l: int, a: float, grid: PlaneWaveGrid,
     proj = Projection1D(k_values=kvals.astype(float), coeffs=coeffs,
                         n_tilde=n_tilde, n_t=min(n_t, 1.0), cutoff=k_cut,
                         degree=m - 1)
+    for arr in (*tt.cores, proj.k_values, proj.coeffs):
+        arr.flags.writeable = False
     return tt, proj
 
 

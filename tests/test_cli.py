@@ -17,8 +17,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ttprep import __version__, gauss_pw, resource_model
+from ttprep import (__version__, cli, gauss_pw, orbital_builder,
+                    resource_model, tt_core)
 from ttprep.cli import main
+
+from conftest import trace_distance_nonunit
 
 FIXTURE_DIR = Path(str(importlib_resources.files("ttprep") / "fixtures"))
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -487,6 +490,54 @@ class TestSweepCommand:
         name = "h_like_1s_sweep.csv"
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_svd_points_match_independent_pipelines(self, tmp_path):
+        """Sharing one grid stage across svd_cutoff points changes no byte
+        of the CSV against one full pipeline per point."""
+        name = "synthetic_diatomic"
+        run_cli(["sweep", "--config", config_path(name),
+                 "--fixture", fixture_path(name), "--out", str(tmp_path)])
+        cfg = cli.load_config(config_path(name))
+        fx = cli.load_fixture(fixture_path(name))
+        assert list(cfg["sweep"]) == ["svd_cutoff"]
+        lines = [",".join(SWEEP_COLUMNS)]
+        for value in cfg["sweep"]["svd_cutoff"]:
+            res = cli.run_pipeline(cfg, fx, svd_cutoff=value)
+            assert res.grid.points_per_axis <= 64  # the oracle cap applies
+            totals = res.report.totals
+            for r in res.orbitals:
+                exact = cli._dense_exact_orbital(r, fx, res.grid)
+                err = trace_distance_nonunit(exact,
+                                             tt_core.to_dense(r.mps.tt))
+                row = ("svd_cutoff", float(value), r.index, r.occupation,
+                       res.grid.L, res.grid.K, res.grid.points_per_axis,
+                       res.grid.qubits_per_axis, res.n_padded, r.max_bond,
+                       r.mps.raw_norm_sq, r.mps.infidelity,
+                       orbital_builder.infidelity_estimate(r.mps), err,
+                       "dense_window", r.prep_toffoli, totals["mps_method"],
+                       totals["naive_method"],
+                       totals["ratio_naive_over_mps"])
+                lines.append(",".join(cli._cell(v) for v in row))
+        got = (tmp_path / f"{name}_sweep.csv").read_bytes()
+        assert got == ("\n".join(lines) + "\n").encode()
+
+    def test_svd_points_build_each_orbital_once(self, tmp_path,
+                                                monkeypatch):
+        calls = []
+        build = orbital_builder.build_mo_mps
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(orbital_builder, "build_mo_mps", counting)
+        name = "synthetic_diatomic"
+        run_cli(["sweep", "--config", config_path(name),
+                 "--fixture", fixture_path(name), "--out", str(tmp_path)])
+        _, rows = read_csv(tmp_path / f"{name}_sweep.csv")
+        n_orbitals = len(cli.load_fixture(fixture_path(name)).orbitals)
+        assert len(rows) == 6 * n_orbitals
+        assert len(calls) == n_orbitals
+
     def test_no_sweep_axes_rejected(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", base_config())
         fx = write_json(tmp_path / "fx.json", base_fixture())
@@ -582,6 +633,15 @@ class TestOracleCommand:
                           "--out", str(out)])
         assert "CHECK dump_agreement[0]: SKIP" in result.output
         assert "register too large" in result.output
+
+
+@pytest.mark.parametrize("name", ["config", "fixture", "report"])
+def test_shipped_schema_passes_its_metaschema(name):
+    """The command validates against prebuilt validators and never checks
+    the schemas themselves; this is where they are checked."""
+    schema = json.loads((importlib_resources.files("ttprep") / "schemas"
+                         / f"{name}.schema.json").read_text())
+    jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
 def test_version_flag():

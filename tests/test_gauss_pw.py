@@ -215,9 +215,25 @@ class TestChebyshev:
 
     def test_exact_at_nodes(self):
         interp = ChebyshevInterpolant.fit(
-            lambda t: math.sin(t) + t ** 2, 3.0, 12)
+            lambda t: np.sin(t) + t ** 2, 3.0, 12)
         got = interp(interp.nodes)
         assert np.abs(got - interp.values).max() < 1e-14
+
+    @pytest.mark.parametrize("m", [7, 604])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fit_values_match_per_node_calls(self, n, m):
+        # one call on the node array gives the per-node values bit for bit;
+        # the half-width is the one the pipeline pairs with m nodes
+        c = math.sqrt(m) / math.e
+        interp = ChebyshevInterpolant.fit(
+            lambda t: hermite_gaussian(n, t), c, m)
+        want = np.array([hermite_gaussian(n, float(t))
+                         for t in interp.nodes])
+        assert np.array_equal(interp.values, want)
+
+    def test_fit_needs_one_value_per_node(self):
+        with pytest.raises(ValueError):
+            ChebyshevInterpolant.fit(lambda t: 1.0, 2.0, 5)
 
     def test_reproduces_low_degree_polynomials(self):
         # degree m-1 interpolation is exact on degree <= m-1 inputs
@@ -392,6 +408,34 @@ class TestPrimitive1D:
         grid = PlaneWaveGrid(L=30.0, K=11.0)
         with pytest.raises(ValueError):
             primitive_1d_mps(1.0, 0, 0.0, grid, 0.0)
+
+    def test_repeat_call_shares_one_read_only_result(self):
+        args = (1.0, 1, 0.4, PlaneWaveGrid(L=30.0, K=11.0), 1e-3)
+        first = primitive_1d_mps(*args)
+        assert primitive_1d_mps(*args) is first
+        tt, proj = first
+        for arr in (*tt.cores, proj.k_values, proj.coeffs):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            tt.cores[0][...] = 0.0
+        fresh_tt, fresh_proj = primitive_1d_mps.__wrapped__(*args)
+        assert fresh_tt is not tt
+        assert len(fresh_tt.cores) == len(tt.cores)
+        for a, b in zip(fresh_tt.cores, tt.cores):
+            assert np.array_equal(a, b)
+        assert np.array_equal(fresh_proj.k_values, proj.k_values)
+        assert np.array_equal(fresh_proj.coeffs, proj.coeffs)
+        assert ((fresh_proj.n_tilde, fresh_proj.n_t, fresh_proj.cutoff,
+                 fresh_proj.degree)
+                == (proj.n_tilde, proj.n_t, proj.cutoff, proj.degree))
+
+    def test_projection_error_raised_on_every_call(self):
+        args = (1.0, 1, 0.0, PlaneWaveGrid(L=0.5, K=13.0), 1e-2)
+        cached = primitive_1d_mps.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ProjectionError):
+                primitive_1d_mps(*args)
+        assert primitive_1d_mps.cache_info().currsize == cached
 
 
 class TestPrimitive3D:

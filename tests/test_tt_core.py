@@ -198,12 +198,13 @@ def test_site_mismatch_rejected(rng):
 
 
 def test_dense_cap_enforced():
-    cores = [np.ones((1, 2, 1))] * 25
-    t = TensorTrain(cores)
     with pytest.raises(CapacityError):
-        tt_core.to_dense(t)
-    # explicit override still works
-    assert len(tt_core.to_dense(t, cap=25)) == 2 ** 25
+        tt_core.to_dense(TensorTrain([np.ones((1, 2, 1))] * 25))
+    # an explicit cap overrides the default in both directions
+    t = TensorTrain([np.ones((1, 2, 1))] * 3)
+    with pytest.raises(CapacityError):
+        tt_core.to_dense(t, cap=2)
+    assert len(tt_core.to_dense(t, cap=3)) == 8
 
 
 def test_entry_contraction_matches_dense(rng):

@@ -324,13 +324,7 @@ def cutoff_stage(stage: GridStage, svd_cutoff: float) -> PipelineResult:
             prep_toffoli=resource_model.toffoli_mps_prep(profile, b),
             prep_error=resource_model.mps_prep_error(profile, b)))
 
-    n_orb = len(records)
-    gram = np.eye(n_orb, dtype=complex)
-    for i in range(n_orb):
-        for j in range(i + 1, n_orb):
-            gram[i, j] = tt_core.inner_product(records[i].mps.tt,
-                                               records[j].mps.tt)
-            gram[j, i] = np.conj(gram[i, j])
+    gram = tt_core.gram(r.mps.tt for r in records)
 
     grid = stage.grid
     n_system = 3 * grid.qubits_per_axis
@@ -339,7 +333,8 @@ def cutoff_stage(stage: GridStage, svd_cutoff: float) -> PipelineResult:
     for r in records:
         profiles.extend([r.profile] * r.occupation)
     params = ResourceParams(
-        b=b, eta=stage.eta, n_system=n_system, N=2 ** n_system, n_mo=n_orb)
+        b=b, eta=stage.eta, n_system=n_system, N=2 ** n_system,
+        n_mo=len(records))
     report = resource_model.estimate_resources(params, profiles, eps1=eps1)
     return PipelineResult(grid=grid, fixture=stage.fixture,
                           config=stage.config, svd_cutoff=svd,

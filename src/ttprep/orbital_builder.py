@@ -145,9 +145,10 @@ def overlap_matrix(primitives, grid: PlaneWaveGrid, eps: float = 1e-6,
                    tts=None) -> OverlapMatrix:
     """Gram matrix of the projected primitives, entries from TT overlaps.
 
-    Each primitive is projected at accuracy eps; the result is Hermitized
-    (the computed upper triangle is mirrored conjugately).  Already
-    projected trains can be passed through tts to skip the projections.
+    Each primitive is projected at accuracy eps (a unit-norm train); the
+    result is Hermitized (the computed upper triangle is mirrored
+    conjugately).  Already projected trains can be passed through tts to
+    skip the projections.
     """
     prims = list(primitives)
     if not prims:
@@ -156,13 +157,7 @@ def overlap_matrix(primitives, grid: PlaneWaveGrid, eps: float = 1e-6,
         tts = [gauss_pw.primitive_3d_mps(g, grid, eps) for g in prims]
     elif len(tts) != len(prims):
         raise ValueError("tts must match primitives one to one")
-    n = len(tts)
-    S = np.eye(n, dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            S[i, j] = tt_core.inner_product(tts[i], tts[j])
-            S[j, i] = np.conj(S[i, j])
-    return OverlapMatrix(S=S)
+    return OverlapMatrix(S=tt_core.gram(tts))
 
 
 def canonical_orthogonalize(S, sigma: float) -> OrthoBasis:

@@ -23,6 +23,7 @@ __all__ = [
     "add",
     "from_debug_json",
     "from_dense",
+    "gram",
     "hadamard",
     "inner_product",
     "isometry_residuals",
@@ -225,14 +226,50 @@ def tensor_product(a: TensorTrain, b: TensorTrain) -> TensorTrain:
     return TensorTrain(list(a.cores) + list(b.cores))
 
 
+def _bra(t: TensorTrain) -> list[np.ndarray]:
+    """Conjugated cores as (right, left * 2) matrices, for :func:`_overlap`."""
+    return [c.conj().reshape(-1, c.shape[2]).T for c in t.cores]
+
+
+def _overlap(bra, ket) -> complex:
+    """<bra, ket> as the chain E <- A^H E B over sites, two matmuls each.
+
+    bra comes from :func:`_bra`; ket is the other train's cores.
+    """
+    E = np.ones((1, 1), dtype=complex)
+    for A, B in zip(bra, ket):
+        E = A @ (E @ B.reshape(B.shape[0], -1)).reshape(A.shape[1], -1)
+    return complex(E[0, 0])
+
+
 def inner_product(a: TensorTrain, b: TensorTrain) -> complex:
     """<a, b>, conjugate-linear in the first argument."""
     if a.n_sites != b.n_sites:
         raise ShapeError(f"site mismatch: {a.n_sites} vs {b.n_sites}")
-    E = np.ones((1, 1), dtype=complex)
-    for ca, cb in zip(a.cores, b.cores):
-        E = np.einsum("ab,asc,bsd->cd", E, ca.conj(), cb, optimize=True)
-    return complex(E[0, 0])
+    return _overlap(_bra(a), b.cores)
+
+
+def gram(trains) -> np.ndarray:
+    """Gram matrix G[i, j] = <t_i, t_j> of unit-norm trains.
+
+    Every caller passes unit-norm trains, so the diagonal is set to exactly
+    1 rather than computed.  Each train's cores are conjugated once; the
+    upper triangle is contracted pair by pair and mirrored conjugately, so
+    G is Hermitian bit for bit.
+    """
+    trains = list(trains)
+    for t in trains[1:]:
+        if t.n_sites != trains[0].n_sites:
+            raise ShapeError(
+                f"site mismatch: {trains[0].n_sites} vs {t.n_sites}")
+    bras = [_bra(t) for t in trains]
+    n = len(trains)
+    G = np.eye(n, dtype=complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            G[i, j] = _overlap(bras[i], trains[j].cores)
+            G[j, i] = np.conj(G[i, j])
+    return G
 
 
 def norm(a: TensorTrain) -> float:
@@ -248,12 +285,13 @@ def left_canonicalize(a: TensorTrain) -> TensorTrain:
     carries the norm.  The encoded vector is unchanged.  Bond dimensions
     can only shrink (QR exposes rank deficiencies, it never pads).
     """
-    cores = [c.copy() for c in a.cores]
+    cores = list(a.cores)
     for j in range(len(cores) - 1):
         l, _, r = cores[j].shape
         Q, R = np.linalg.qr(cores[j].reshape(l * 2, r))
         cores[j] = Q.reshape(l, 2, Q.shape[1])
-        cores[j + 1] = np.tensordot(R, cores[j + 1], axes=([1], [0]))
+        nxt = cores[j + 1]
+        cores[j + 1] = (R @ nxt.reshape(r, -1)).reshape(-1, 2, nxt.shape[2])
     return TensorTrain(cores, canonical_form="left",
                        truncation_error=a.truncation_error)
 
@@ -281,7 +319,7 @@ def round(a: TensorTrain, svd_cutoff: float) -> TensorTrain:
     if svd_cutoff < 0:
         raise ValueError("svd_cutoff must be nonnegative")
     t = left_canonicalize(a)
-    cores = [c.copy() for c in t.cores]
+    cores = list(t.cores)
     discarded = 0.0
     for j in range(len(cores) - 1, 0, -1):
         l, _, r = cores[j].shape
@@ -294,8 +332,9 @@ def round(a: TensorTrain, svd_cutoff: float) -> TensorTrain:
             k = 1
         discarded += float(np.sum(S[k:] ** 2))
         cores[j] = Vt[:k].reshape(k, 2, r)
-        cores[j - 1] = np.tensordot(cores[j - 1], U[:, :k] * S[:k],
-                                    axes=([2], [0]))
+        prev = cores[j - 1]
+        cores[j - 1] = (prev.reshape(-1, l) @ (U[:, :k] * S[:k])).reshape(
+            prev.shape[0], 2, k)
     return TensorTrain(cores, truncation_error=float(np.sqrt(discarded)))
 
 
@@ -323,10 +362,8 @@ def to_debug_json(t: TensorTrain) -> dict:
     """JSON-serializable dump: core shapes plus entries as [re, im] pairs."""
     return {
         "shapes": [list(c.shape) for c in t.cores],
-        "cores": [
-            [[float(z.real), float(z.imag)] for z in c.ravel()]
-            for c in t.cores
-        ],
+        "cores": [np.stack([c.real, c.imag], -1).reshape(-1, 2).tolist()
+                  for c in t.cores],
     }
 
 
@@ -334,6 +371,9 @@ def from_debug_json(d: dict) -> TensorTrain:
     """Inverse of :func:`to_debug_json`."""
     cores = []
     for shape, flat in zip(d["shapes"], d["cores"]):
-        arr = np.array([complex(re, im) for re, im in flat], dtype=complex)
-        cores.append(arr.reshape(shape))
+        pairs = np.asarray(flat, dtype=float)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("core entries must be [re, im] pairs, "
+                             f"got shape {pairs.shape}")
+        cores.append(pairs.view(complex).reshape(shape))
     return TensorTrain(cores)

@@ -635,6 +635,24 @@ class TestOracleCommand:
         assert "register too large" in result.output
 
 
+def test_pipeline_plans_no_einsum(tmp_path, monkeypatch):
+    """estimate and sweep contract trains with matmuls only.
+
+    np.einsum(..., optimize=True) re-plans its contraction on every call;
+    in the Gram double loop that planning cost more than the products.
+    """
+    def no_einsum(*args, **kwargs):
+        raise AssertionError("np.einsum called")
+
+    monkeypatch.setattr(np, "einsum", no_einsum)
+    gauss_pw.primitive_1d_mps.cache_clear()
+    name = "synthetic_diatomic"
+    for cmd in ("estimate", "sweep"):
+        run_cli([cmd, "--config", config_path(name),
+                 "--fixture", fixture_path(name),
+                 "--out", str(tmp_path / cmd)])
+
+
 @pytest.mark.parametrize("name", ["config", "fixture", "report"])
 def test_shipped_schema_passes_its_metaschema(name):
     """The command validates against prebuilt validators and never checks

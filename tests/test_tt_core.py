@@ -168,6 +168,52 @@ def test_round_error_bound(n, seed, cutoff):
     assert all(x <= y for x, y in zip(r.bond_dims, a.bond_dims))
 
 
+def _unit(t: TensorTrain) -> TensorTrain:
+    return tt_core.scale(t, 1.0 / tt_core.norm(t))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gram_matches_pairwise_and_dense(n):
+    rng = _rng(100 + n)
+    trains = [_unit(random_tt(rng, n, max_bond=int(rng.integers(1, 6))))
+              for _ in range(5)]
+    G = tt_core.gram(trains)
+    vecs = [dense(t) for t in trains]
+    for i, (ti, vi) in enumerate(zip(trains, vecs)):
+        for j, (tj, vj) in enumerate(zip(trains, vecs)):
+            # unit-norm trains: absolute error is relative to |t_i| |t_j|
+            assert abs(G[i, j] - np.vdot(vi, vj)) <= 1e-13
+            assert abs(G[i, j] - tt_core.inner_product(ti, tj)) <= 1e-13
+    assert np.array_equal(np.diag(G), np.ones(5))
+    # Hermitian bit for bit, not just within round-off
+    assert np.array_equal(G, G.conj().T)
+
+
+def test_recompression_leaves_read_only_cores_alone(rng):
+    """round, left_canonicalize and norm never write to a core they get.
+
+    Cached axis trains are handed out read-only, so a kernel that updated a
+    core in place would raise here (or, on a writeable train, corrupt it).
+    """
+    t = random_tt(rng, 7, max_bond=5)
+    before = [c.copy() for c in t.cores]
+    for c in t.cores:
+        c.flags.writeable = False
+    fresh = TensorTrain([c.copy() for c in before])
+    for op in (tt_core.left_canonicalize,
+               lambda x: tt_core.round(x, 1e-3), tt_core.norm):
+        got, want = op(t), op(fresh)
+        if isinstance(got, TensorTrain):
+            assert len(got.cores) == len(want.cores)
+            assert all(np.array_equal(x, y)
+                       for x, y in zip(got.cores, want.cores))
+            assert got.truncation_error == want.truncation_error
+        else:
+            assert got == want
+        assert all(np.array_equal(x, y) for x, y in zip(t.cores, before))
+    assert all(np.array_equal(x, y) for x, y in zip(fresh.cores, before))
+
+
 def test_round_full_collapse(rng):
     a = random_tt(rng, 6, max_bond=5)
     r = tt_core.round(a, 1.0)
@@ -195,6 +241,8 @@ def test_site_mismatch_rejected(rng):
     for op in (tt_core.add, tt_core.hadamard, tt_core.inner_product):
         with pytest.raises(ShapeError):
             op(a, b)
+    with pytest.raises(ShapeError):
+        tt_core.gram([a, a, b])
 
 
 def test_dense_cap_enforced():
@@ -212,6 +260,20 @@ def test_entry_contraction_matches_dense(rng):
     v = dense(t)
     for idx in rng.integers(0, 2 ** 6, size=10):
         assert abs(tt_entry(t, int(idx)) - v[idx]) < 1e-12
+
+
+def test_debug_json_matches_per_entry_dump(rng):
+    """The vectorized dump prints exactly what a loop over entries prints."""
+    t = random_tt(rng, 4, max_bond=3)
+    t.cores[0][0, 0, 0] = complex(-0.0, -0.0)
+    want = {"shapes": [list(c.shape) for c in t.cores],
+            "cores": [[[float(z.real), float(z.imag)] for z in c.ravel()]
+                      for c in t.cores]}
+    blob = json.dumps(tt_core.to_debug_json(t), sort_keys=True)
+    assert blob == json.dumps(want, sort_keys=True)
+    back = tt_core.from_debug_json(json.loads(blob))
+    assert all(np.array_equal(x.view(np.uint64), y.view(np.uint64))
+               for x, y in zip(back.cores, t.cores))
 
 
 def test_debug_json_round_trip(rng):

@@ -6,7 +6,7 @@ assemble orbital trains, measure bond profiles, cost them):
   project   build every orbital MPS and emit bond-profile CSVs
   estimate  full Toffoli/qubit resource report (JSON + CSV)
   sweep     repeat the pipeline along L / K / E_cut / svd_cutoff axes
-  oracle    dense cross-checks of trains against explicit k-space sums
+  oracle    cross-checks of trains against exact per-axis k-space sums
 
 Grid cutoffs may be given as K (inverse Bohr) or as a kinetic-energy
 cutoff E_cut (Hartree) with K = sqrt(2 E_cut).  Every float is serialized
@@ -31,7 +31,8 @@ import click
 import jsonschema
 import numpy as np
 
-from . import __version__, gauss_pw, orbital_builder, resource_model, tt_core
+from . import (__version__, gauss_pw, oracle, orbital_builder,
+               resource_model, tt_core)
 from .gauss_pw import PlaneWaveGrid, PrimitiveGaussian
 from .orbital_builder import MolecularOrbital
 from .resource_model import BondProfile, ResourceParams
@@ -135,11 +136,11 @@ def _read_json(path, label: str) -> dict:
 def load_config(path) -> dict:
     cfg = _validated(_read_json(path, "config"), "config", f"config {path}")
     cfg["compression"].setdefault("eps_sum", 1e-9)
-    oracle = cfg.setdefault("oracle", {})
-    oracle.setdefault("enabled", False)
-    oracle.setdefault("max_points_per_axis", 32)
-    oracle.setdefault("tolerance", 1e-6)
-    oracle.setdefault("dump_tt", False)
+    oracle_cfg = cfg.setdefault("oracle", {})
+    oracle_cfg.setdefault("enabled", False)
+    oracle_cfg.setdefault("max_points_per_axis", 32)
+    oracle_cfg.setdefault("tolerance", 1e-6)
+    oracle_cfg.setdefault("dump_tt", False)
     cfg.setdefault("sweep", {})
     return cfg
 
@@ -379,117 +380,6 @@ def _orbital_summary(r: OrbitalRecord) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# dense oracle helpers (explicit k-space sums, no train algebra)
-
-@functools.lru_cache(maxsize=None)
-def _axis_norm(gamma: float, l: int, L: float) -> float:
-    return gauss_pw.projection_normalization(gamma, l, L)
-
-
-def _axis_window_overlaps(g: PrimitiveGaussian, grid: PlaneWaveGrid,
-                          axis: int) -> np.ndarray:
-    """Exact plane-wave overlaps of one axis factor, embedded at the
-    signed-grid dense positions (length 2^qubits_per_axis)."""
-    sgrid = grid.axis_grid()
-    idx = sgrid.index_values()
-    vals = gauss_pw.pw_overlap(g.gamma, g.ang[axis], g.center[axis],
-                               idx * grid.dk, grid.L)
-    return sgrid.embed(vals)
-
-
-def _dense_exact_primitive(g: PrimitiveGaussian,
-                           grid: PlaneWaveGrid) -> np.ndarray:
-    """Whole-line-normalized exact projection on the padded 3D window."""
-    axes = [_axis_window_overlaps(g, grid, ax) for ax in range(3)]
-    norm = 1.0
-    for ax in range(3):
-        norm *= _axis_norm(g.gamma, g.ang[ax], grid.L)
-    return np.kron(np.kron(axes[0], axes[1]), axes[2]) / norm
-
-
-def _axis_lattice_cross(g_a: PrimitiveGaussian, g_b: PrimitiveGaussian,
-                        grid: PlaneWaveGrid, axis: int) -> complex:
-    """Full-lattice cross sum conj(a).b of one axis pair (no window)."""
-    reach = 14.0 * math.sqrt(2.0 * max(g_a.gamma, g_b.gamma))
-    i_far = int(math.ceil(reach / grid.dk)) + 1
-    k = np.arange(-i_far, i_far + 1) * grid.dk
-    ov_a = gauss_pw.pw_overlap(g_a.gamma, g_a.ang[axis], g_a.center[axis],
-                               k, grid.L)
-    ov_b = gauss_pw.pw_overlap(g_b.gamma, g_b.ang[axis], g_b.center[axis],
-                               k, grid.L)
-    return complex(np.vdot(ov_a, ov_b))
-
-
-@functools.lru_cache(maxsize=None)
-def _whole_line_overlap(g_a: PrimitiveGaussian, g_b: PrimitiveGaussian,
-                        grid: PlaneWaveGrid) -> complex:
-    """Inner product of two unit-normalized full-lattice projections."""
-    out = complex(1.0)
-    for ax in range(3):
-        out *= _axis_lattice_cross(g_a, g_b, grid, ax)
-        out /= _axis_norm(g_a.gamma, g_a.ang[ax], grid.L)
-        out /= _axis_norm(g_b.gamma, g_b.ang[ax], grid.L)
-    return out
-
-
-def _dense_exact_orbital(record: OrbitalRecord, fx: Fixture,
-                         grid: PlaneWaveGrid) -> np.ndarray:
-    """Whole-line-normalized exact orbital on the padded window.
-
-    The coefficients are normalized against the full-lattice Gram (all
-    momenta, not just the window), so the reference carries less than unit
-    weight inside the window and the missing tail registers as trace
-    distance, matching the single-primitive certified checks.
-    """
-    raw = fx.orbitals[record.index].coeffs
-    prims = [fx.primitives[j] for j in record.indices]
-    gram = np.eye(len(prims), dtype=complex)
-    for i in range(len(prims)):
-        for j in range(i + 1, len(prims)):
-            gram[i, j] = _whole_line_overlap(prims[i], prims[j], grid)
-            gram[j, i] = np.conj(gram[i, j])
-    nrm_sq = float(np.real(np.conj(raw) @ (gram @ raw)))
-    if nrm_sq <= 0:
-        raise click.ClickException("dense oracle produced a zero orbital")
-    vec = np.zeros(2 ** (3 * grid.qubits_per_axis), dtype=complex)
-    for c, j in zip(raw, record.indices):
-        vec += c * _dense_exact_primitive(fx.primitives[j], grid)
-    return vec / math.sqrt(nrm_sq)
-
-
-def _trace_distance(u: np.ndarray, v: np.ndarray) -> float:
-    return math.sqrt(max(0.0, 1.0 - abs(np.vdot(u, v)) ** 2))
-
-
-def _within_cap(result: PipelineResult) -> bool:
-    cap = int(result.config["oracle"]["max_points_per_axis"])
-    return result.grid.points_per_axis <= cap
-
-
-def _sweep_errors(results: list[PipelineResult]) -> list[tuple]:
-    """(error, kind) of every orbital of every result, all on one grid.
-
-    Each orbital's dense reference is built once for all the results and
-    dropped before the next orbital's, so one 2^(3n) reference is alive
-    at a time.
-    """
-    first = results[0]
-    dense = first.config["oracle"]["enabled"] and _within_cap(first)
-    per_orbital = []
-    for k, record in enumerate(first.orbitals):
-        trains = [result.orbitals[k].mps for result in results]
-        if not dense:
-            per_orbital.append([(orbital_builder.infidelity_estimate(mps),
-                                 "norm_drift") for mps in trains])
-            continue
-        exact = _dense_exact_orbital(record, first.fixture, first.grid)
-        per_orbital.append([(_trace_distance(exact, tt_core.to_dense(mps.tt)),
-                             "dense_window") for mps in trains])
-        del exact
-    return list(zip(*per_orbital))
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 def _common_options(f):
@@ -664,7 +554,8 @@ def cmd_sweep(config_path, fixture_path, out):
             f"(any of {', '.join(SWEEP_AXES)})")
     rows = []
     for axis, group in _sweep_groups(cfg, fx, axes):
-        errors = _sweep_errors([result for _, result in group])
+        errors = _run_guarded(oracle.sweep_errors,
+                              [result for _, result in group])
         for (value, result), point_errors in zip(group, errors):
             for r, (err, err_kind) in zip(result.orbitals, point_errors):
                 rows.append((
@@ -692,10 +583,10 @@ def cmd_sweep(config_path, fixture_path, out):
 @main.command("oracle")
 @_common_options
 def cmd_oracle(config_path, fixture_path, out):
-    """Cross-check trains against dense k-space sums; exit 1 on failure."""
+    """Cross-check trains against exact k-space sums; exit 1 on failure."""
     cfg, fx, out_dir = _load_all(config_path, fixture_path, out)
     result = _run_guarded(run_pipeline, cfg, fx)
-    checks = _run_oracle_checks(result, out_dir)
+    checks = _run_guarded(oracle.run_checks, result, out_dir)
     for c in checks:
         click.echo(f"CHECK {c['name']}: {c['status']} - {c['detail']}")
     _write_json(out_dir / f"{fx.name}_oracle.json", {
@@ -707,108 +598,6 @@ def cmd_oracle(config_path, fixture_path, out):
     click.echo(f"oracle: {len(checks)} checks, {n_fail} failures")
     if n_fail:
         sys.exit(1)
-
-
-def _check(name: str, status: str, detail: str) -> dict:
-    return {"name": name, "status": status, "detail": detail}
-
-
-def _run_oracle_checks(result: PipelineResult, out_dir: Path) -> list:
-    cfg = result.config
-    grid = result.grid
-    fx = result.fixture
-    tol = float(cfg["oracle"]["tolerance"])
-    eps_p = float(cfg["compression"]["eps_primitive"])
-    eps_s = float(cfg["compression"]["eps_sum"])
-    checks = []
-    dense_ok = _within_cap(result)
-    if not dense_ok:
-        checks.append(_check(
-            "dense_oracle", "SKIP",
-            f"{grid.points_per_axis} points/axis exceed the oracle cap "
-            f"{cfg['oracle']['max_points_per_axis']}; dense checks skipped"))
-
-    for gi, (g, tt) in enumerate(zip(fx.primitives, result.prim_tts)):
-        drift = abs(tt_core.norm(tt) - 1.0)
-        checks.append(_check(
-            f"primitive_norm[{gi}]", "PASS" if drift <= 1e-9 else "FAIL",
-            f"|norm-1| = {drift:.3e} (tol 1e-9)"))
-        if not dense_ok:
-            continue
-        lemma_k = max(gauss_pw.choose_cutoff(
-            g.gamma, g.ang[ax], grid.L, eps_p / math.sqrt(3.0))
-            for ax in range(3))
-        if grid.K < lemma_k:
-            checks.append(_check(
-                f"primitive_trace_distance[{gi}]", "SKIP",
-                f"grid K = {grid.K:.3g} below the certified cutoff "
-                f"{lemma_k:.3g}; bound not applicable"))
-            continue
-        # exact is unit over the whole line but truncated to the window;
-        # the missing tail only lowers the overlap, exactly as the bound wants.
-        exact = _dense_exact_primitive(g, grid)
-        d = _trace_distance(exact, tt_core.to_dense(tt))
-        checks.append(_check(
-            f"primitive_trace_distance[{gi}]",
-            "PASS" if d <= eps_p else "FAIL",
-            f"D = {d:.3e} (budget {eps_p:.1e})"))
-
-    for r in result.orbitals:
-        drift = abs(tt_core.norm(r.mps.tt) - 1.0)
-        checks.append(_check(
-            f"orbital_norm[{r.index}]", "PASS" if drift <= 1e-9 else "FAIL",
-            f"|norm-1| = {drift:.3e} (tol 1e-9)"))
-        if not dense_ok:
-            continue
-        target = np.zeros(2 ** result.n_system, dtype=complex)
-        for c, j in zip(r.coeffs, r.indices):
-            target += c * tt_core.to_dense(result.prim_tts[j])
-        target /= np.linalg.norm(target)
-        diff = float(np.linalg.norm(target - tt_core.to_dense(r.mps.tt)))
-        tol_eff = max(tol, 20.0 * (len(r.indices) * eps_s + result.svd_cutoff))
-        checks.append(_check(
-            f"tt_vs_dense_orbital[{r.index}]",
-            "PASS" if diff <= tol_eff else "FAIL",
-            f"|dense_sum - tt| = {diff:.3e} (tol {tol_eff:.1e})"))
-
-    if dense_ok:
-        S = result.overlap.S
-        worst = 0.0
-        for i in range(len(fx.primitives)):
-            di = tt_core.to_dense(result.prim_tts[i])
-            for j in range(i, len(fx.primitives)):
-                dj = tt_core.to_dense(result.prim_tts[j])
-                worst = max(worst, abs(complex(np.vdot(di, dj)) - S[i, j]))
-        checks.append(_check(
-            "gram_vs_dense", "PASS" if worst <= tol else "FAIL",
-            f"max |dense - S| = {worst:.3e} (tol {tol:.1e})"))
-
-    herm = float(np.abs(result.overlap.S - result.overlap.S.conj().T).max())
-    checks.append(_check(
-        "gram_hermitian", "PASS" if herm <= 1e-10 else "FAIL",
-        f"max |S - S^dagger| = {herm:.3e} (tol 1e-10)"))
-
-    for r in result.orbitals:
-        dump = out_dir / f"{fx.name}_orbital_{r.index}_tt.json"
-        if not dump.exists():
-            continue
-        name = f"dump_agreement[{r.index}]"
-        if result.n_system > tt_core.DEFAULT_DENSE_CAP:
-            checks.append(_check(
-                name, "SKIP", "register too large for dense comparison"))
-            continue
-        try:
-            loaded = tt_core.from_debug_json(
-                json.loads(dump.read_text(encoding="utf-8")))
-            diff = float(np.linalg.norm(
-                tt_core.to_dense(loaded) - tt_core.to_dense(r.mps.tt)))
-        except (ValueError, KeyError, tt_core.ShapeError) as e:
-            checks.append(_check(name, "FAIL", f"unreadable dump: {e}"))
-            continue
-        checks.append(_check(
-            name, "PASS" if diff <= 1e-12 else "FAIL",
-            f"|dumped - rebuilt| = {diff:.3e} (tol 1e-12)"))
-    return checks
 
 
 if __name__ == "__main__":

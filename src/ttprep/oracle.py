@@ -1,0 +1,224 @@
+"""Independent referee: trains checked against exact plane-wave overlaps.
+
+Exact states and primitive trains are sums of Kronecker products of axis
+vectors of 2^n entries, so no check builds a 2^(3n) vector: the dense
+checks contract trains against axis vectors over their raw cores."""
+
+from __future__ import annotations
+
+import functools
+import json
+import math
+from pathlib import Path
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from . import gauss_pw, orbital_builder, tt_core
+
+if TYPE_CHECKING:
+    from .cli import PipelineResult
+    from .gauss_pw import PlaneWaveGrid, PrimitiveGaussian
+    from .tt_core import TensorTrain
+
+
+def skip_reason(config: dict, grid: PlaneWaveGrid) -> str | None:
+    """Why the dense checks do not run, or None: the one predicate `sweep`
+    and `oracle` share (enabled, and within max_points_per_axis)."""
+    cap = config["oracle"]["max_points_per_axis"]
+    if not config["oracle"]["enabled"]:
+        return "oracle.enabled is false; dense checks skipped"
+    if grid.points_per_axis > cap:
+        return (f"{grid.points_per_axis} points/axis exceed the oracle cap "
+                f"{cap}; dense checks skipped")
+    return None
+
+
+def axis_vectors(tt: TensorTrain, n_axis: int) -> list[np.ndarray]:
+    """Vectors a, b, c of length 2^n_axis with tt = a (x) b (x) c, or
+    ShapeError; no intermediate exceeds 2^n_axis entries."""
+    vectors = []
+    for start in range(0, len(tt.cores), n_axis):
+        if tt.cores[start].shape[0] != 1:
+            raise tt_core.ShapeError(f"bond {tt.cores[start].shape[0]} at the "
+                                     f"axis boundary before site {start}")
+        vec = np.ones((1, 1), dtype=complex)
+        for c in tt.cores[start:start + n_axis]:
+            vec = (vec @ c.reshape(len(c), -1)).reshape(-1, c.shape[2])
+        vectors.append(vec.reshape(-1))
+    return vectors
+
+
+def kron_overlap(vectors, tt: TensorTrain) -> complex:
+    """<a (x) b (x) c, T> for a 3n-site train T, folding each axis vector
+    in one site at a time; the working array holds bond x 2^n entries."""
+    n_axis = len(tt.cores) // 3
+    env = np.ones(1, dtype=complex)
+    for block, vec in enumerate(vectors):
+        w = env[:, None] * np.conj(vec)[None, :]
+        for c in tt.cores[block * n_axis:(block + 1) * n_axis]:
+            w = c.reshape(-1, c.shape[2]).T @ w.reshape(2 * len(c), -1)
+        env = w.reshape(-1)
+    return complex(env[0])
+
+
+def product_overlap(u, v) -> complex:
+    """<u_x (x) u_y (x) u_z, v_x (x) v_y (x) v_z>, axis by axis."""
+    return complex(np.prod([np.vdot(a, b) for a, b in zip(u, v)]))
+
+
+def sum_overlap(terms, tt: TensorTrain) -> complex:
+    """<sum_g c_g a_g (x) b_g (x) c_g, T> for terms (c_g, [a_g, b_g, c_g])."""
+    return sum(np.conj(c) * kron_overlap(axes, tt) for c, axes in terms)
+
+
+def _axis_gram(vs) -> np.ndarray:
+    return np.array([[product_overlap(u, v) for v in vs] for u in vs])
+
+
+def _distance(overlap: complex) -> float:
+    return math.sqrt(max(0.0, 1.0 - abs(overlap) ** 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_norm(gamma: float, l: int, L: float) -> float:
+    return gauss_pw.projection_normalization(gamma, l, L)
+
+
+def _unit_axes(g: PrimitiveGaussian, k, L: float) -> list[np.ndarray]:
+    """g's three axis factors at momenta k, each unit over the lattice."""
+    return [gauss_pw.pw_overlap(g.gamma, g.ang[ax], g.center[ax], k, L)
+            / _axis_norm(g.gamma, g.ang[ax], L) for ax in range(3)]
+
+
+def exact_axes(g: PrimitiveGaussian, grid: PlaneWaveGrid) -> list[np.ndarray]:
+    """Axis factors of g's exact projection on the signed-grid window."""
+    sgrid = grid.axis_grid()
+    return [sgrid.embed(v) for v in
+            _unit_axes(g, sgrid.index_values() * grid.dk, grid.L)]
+
+
+@functools.lru_cache(maxsize=None)
+def _whole_line_overlap(g_a: PrimitiveGaussian, g_b: PrimitiveGaussian,
+                        grid: PlaneWaveGrid) -> complex:
+    """Inner product of two unit-normalized full-lattice projections."""
+    reach = 14.0 * math.sqrt(2.0 * max(g_a.gamma, g_b.gamma))
+    i_far = int(math.ceil(reach / grid.dk)) + 1
+    k = np.arange(-i_far, i_far + 1) * grid.dk
+    return product_overlap(_unit_axes(g_a, k, grid.L),
+                           _unit_axes(g_b, k, grid.L))
+
+
+def exact_orbital(coeffs, prims, grid: PlaneWaveGrid) -> list[tuple]:
+    """Terms (c_g, exact_axes(g)) of the exact orbital sum_g c_g e_g, unit
+    over the full lattice: the tail outside the window counts as distance."""
+    gram = np.array([[_whole_line_overlap(a, b, grid) if i != j else 1.0
+                      for j, b in enumerate(prims)]
+                     for i, a in enumerate(prims)])
+    nrm_sq = float(np.real(np.conj(coeffs) @ gram @ coeffs))
+    if nrm_sq <= 0:
+        raise ValueError("dense oracle produced a zero orbital")
+    return [(c / math.sqrt(nrm_sq), exact_axes(g, grid))
+            for c, g in zip(coeffs, prims)]
+
+
+def sweep_errors(results: list[PipelineResult]) -> list[list[tuple]]:
+    """(error, kind) per orbital per result on one grid: trace distance to
+    the exact orbital (dense_window) or the train's estimate (norm_drift)."""
+    first = results[0]
+    if skip_reason(first.config, first.grid) is not None:
+        return [[(orbital_builder.infidelity_estimate(r.mps), "norm_drift")
+                 for r in result.orbitals] for result in results]
+    fx = first.fixture
+    exact = [exact_orbital(fx.orbitals[r.index].coeffs,
+                           [fx.primitives[j] for j in r.indices], first.grid)
+             for r in first.orbitals]
+    return [[(_distance(sum_overlap(terms, r.mps.tt)), "dense_window")
+             for terms, r in zip(exact, result.orbitals)]
+            for result in results]
+
+
+def _check(name: str, status: str, detail: str) -> dict:
+    return {"name": name, "status": status, "detail": detail}
+
+
+def _bounded(name: str, value: float, bound: float, detail: str) -> dict:
+    return _check(name, "PASS" if value <= bound else "FAIL", detail)
+
+
+def run_checks(result: PipelineResult, out_dir: Path) -> list[dict]:
+    """Every oracle check of one result, in report order; a primitive train
+    that is no product of axis trains FAILs dense_oracle by name."""
+    cfg, grid, fx = result.config, result.grid, result.fixture
+    tol = float(cfg["oracle"]["tolerance"])
+    eps_p = float(cfg["compression"]["eps_primitive"])
+    eps_s = float(cfg["compression"]["eps_sum"])
+    reason = skip_reason(cfg, grid)
+    checks = [] if reason is None else [_check("dense_oracle", "SKIP", reason)]
+    vectors = []
+    for gi, tt in enumerate(result.prim_tts if reason is None else ()):
+        try:
+            vectors.append(axis_vectors(tt, grid.qubits_per_axis))
+        except tt_core.ShapeError as e:
+            reason = f"primitive {gi} is not a product of axis trains: {e}"
+            checks.append(_check("dense_oracle", "FAIL", reason))
+            break
+
+    for gi, (g, tt) in enumerate(zip(fx.primitives, result.prim_tts)):
+        drift = abs(tt_core.norm(tt) - 1.0)
+        checks.append(_bounded(f"primitive_norm[{gi}]", drift, 1e-9,
+                               f"|norm-1| = {drift:.3e} (tol 1e-9)"))
+        if reason is not None:
+            continue
+        name = f"primitive_trace_distance[{gi}]"
+        lemma_k = max(gauss_pw.choose_cutoff(
+            g.gamma, l, grid.L, eps_p / math.sqrt(3.0)) for l in g.ang)
+        if grid.K < lemma_k:
+            checks.append(_check(name, "SKIP", f"grid K = {grid.K:.3g} below "
+                                 f"the certified cutoff {lemma_k:.3g}; bound "
+                                 f"not applicable"))
+            continue
+        d = _distance(product_overlap(exact_axes(g, grid), vectors[gi]))
+        checks.append(_bounded(name, d, eps_p,
+                               f"D = {d:.3e} (budget {eps_p:.1e})"))
+
+    for r in result.orbitals:
+        drift = abs(tt_core.norm(r.mps.tt) - 1.0)
+        checks.append(_bounded(f"orbital_norm[{r.index}]", drift, 1e-9,
+                               f"|norm-1| = {drift:.3e} (tol 1e-9)"))
+        if reason is not None:
+            continue
+        # |t - T|^2 = 2 - 2 Re <t, T> for unit t = sum_j c_j p_j and unit T
+        parts = [vectors[j] for j in r.indices]
+        nrm_sq = np.real(np.conj(r.coeffs) @ _axis_gram(parts) @ r.coeffs)
+        overlap = sum_overlap(zip(r.coeffs, parts), r.mps.tt)
+        diff = math.sqrt(max(0.0, 2.0 - 2.0 * overlap.real
+                             / math.sqrt(nrm_sq)))
+        tol_eff = max(tol, 20.0 * (len(r.indices) * eps_s + result.svd_cutoff))
+        checks.append(_bounded(
+            f"tt_vs_dense_orbital[{r.index}]", diff, tol_eff,
+            f"|dense_sum - tt| = {diff:.3e} (tol {tol_eff:.1e})"))
+
+    if reason is None:
+        worst = float(np.abs(_axis_gram(vectors) - result.overlap.S).max())
+        checks.append(_bounded("gram_vs_dense", worst, tol, f"max |dense - S| "
+                               f"= {worst:.3e} (tol {tol:.1e})"))
+
+    for r in result.orbitals:
+        dump = out_dir / f"{fx.name}_orbital_{r.index}_tt.json"
+        name = f"dump_agreement[{r.index}]"
+        if not dump.exists():
+            continue
+        try:
+            cores = tt_core.from_debug_json(
+                json.loads(dump.read_text(encoding="utf-8"))).cores
+            if [c.shape for c in cores] != [c.shape for c in r.mps.tt.cores]:
+                raise ValueError("core shapes differ from the rebuilt train's")
+        except (ValueError, KeyError) as e:
+            checks.append(_check(name, "FAIL", f"bad dump: {e}"))
+            continue
+        diff = max(float(np.abs(a - b).max())
+                   for a, b in zip(cores, r.mps.tt.cores))
+        checks.append(_bounded(name, diff, 1e-12, f"max |dumped - rebuilt| "
+                               f"entry = {diff:.3e} (tol 1e-12)"))
+    return checks

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "DEFAULT_DENSE_CAP",
     "CapacityError",
     "ShapeError",
     "TensorTrain",
@@ -36,9 +35,6 @@ __all__ = [
     "to_debug_json",
     "to_dense",
 ]
-
-# Dense expansions above this site count are refused rather than attempted.
-DEFAULT_DENSE_CAP = 24
 
 _EPS = np.finfo(float).eps
 
@@ -161,7 +157,7 @@ def from_dense(v, tol: float = 0.0) -> TensorTrain:
                        truncation_error=float(np.sqrt(discarded)))
 
 
-def to_dense(t: TensorTrain, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+def to_dense(t: TensorTrain, cap: int = 24) -> np.ndarray:
     """Contract a train into its explicit dense vector.
 
     Refuses trains with more than ``cap`` sites (2^cap entries) so a typo

@@ -17,11 +17,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ttprep import (__version__, cli, gauss_pw, orbital_builder,
-                    resource_model, tt_core)
+from ttprep import (__version__, cli, gauss_pw, oracle, orbital_builder,
+                    resource_model)
 from ttprep.cli import main
-
-from conftest import trace_distance_nonunit
 
 FIXTURE_DIR = Path(str(importlib_resources.files("ttprep") / "fixtures"))
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -504,16 +502,15 @@ class TestSweepCommand:
             res = cli.run_pipeline(cfg, fx, svd_cutoff=value)
             assert res.grid.points_per_axis <= 64  # the oracle cap applies
             totals = res.report.totals
-            for r in res.orbitals:
-                exact = cli._dense_exact_orbital(r, fx, res.grid)
-                err = trace_distance_nonunit(exact,
-                                             tt_core.to_dense(r.mps.tt))
+            (errors,) = oracle.sweep_errors([res])
+            for r, (err, kind) in zip(res.orbitals, errors):
+                assert kind == "dense_window"
                 row = ("svd_cutoff", float(value), r.index, r.occupation,
                        res.grid.L, res.grid.K, res.grid.points_per_axis,
                        res.grid.qubits_per_axis, res.n_padded, r.max_bond,
                        r.mps.raw_norm_sq, r.mps.infidelity,
                        orbital_builder.infidelity_estimate(r.mps), err,
-                       "dense_window", r.prep_toffoli, totals["mps_method"],
+                       kind, r.prep_toffoli, totals["mps_method"],
                        totals["naive_method"],
                        totals["ratio_naive_over_mps"])
                 lines.append(",".join(cli._cell(v) for v in row))
@@ -604,6 +601,17 @@ class TestOracleCommand:
         assert "primitive_trace_distance" not in result.output
         assert "CHECK primitive_norm[0]: PASS" in result.output
 
+    def test_disabled_is_explicit_skip(self, tmp_path):
+        """oracle.enabled = false skips the dense checks, as in sweep."""
+        cfg = write_json(tmp_path / "cfg.json", base_config())
+        fx = write_json(tmp_path / "fx.json", base_fixture())
+        result = run_cli(["oracle", "--config", cfg, "--fixture", fx,
+                          "--out", str(tmp_path / "out")])
+        assert ("CHECK dense_oracle: SKIP - oracle.enabled is false"
+                in result.output)
+        assert "primitive_trace_distance" not in result.output
+        assert "CHECK primitive_norm[0]: PASS" in result.output
+
     def test_below_certified_cutoff_is_explicit_skip(self, tmp_path):
         # K=4 is well under the certified cutoff (~9.06) for gamma=0.5, L=10
         cfg = write_json(tmp_path / "cfg.json", base_config(
@@ -615,8 +623,9 @@ class TestOracleCommand:
         assert "CHECK primitive_trace_distance[0]: SKIP" in result.output
         assert "below the certified cutoff" in result.output
 
-    def test_dump_on_large_register_is_explicit_skip(self, tmp_path):
-        # 509 points per axis: 27 system qubits, beyond the dense cap of 24
+    def test_dump_on_large_register_passes(self, tmp_path):
+        # 509 points per axis: 27 system qubits, above to_dense's default cap
+        # of 24; the dump is compared core by core, never expanded
         cfg = write_json(tmp_path / "cfg.json", base_config(
             grid={"L_bohr": 25.0, "K_inv_bohr": 64.0},
             oracle={"enabled": True, "dump_tt": True,
@@ -631,8 +640,7 @@ class TestOracleCommand:
         assert (out / "tight_orbital_0_tt.json").exists()
         result = run_cli(["oracle", "--config", cfg, "--fixture", fx,
                           "--out", str(out)])
-        assert "CHECK dump_agreement[0]: SKIP" in result.output
-        assert "register too large" in result.output
+        assert "CHECK dump_agreement[0]: PASS" in result.output
 
 
 def test_pipeline_plans_no_einsum(tmp_path, monkeypatch):

@@ -1,0 +1,202 @@
+"""The per-axis referee against the dense path it replaced.
+
+`ttprep.oracle` never builds a 2^(3n) vector: it contracts trains against
+per-axis plane-wave vectors.  Here the dense path is the referee's referee:
+exact states are built the old way (per-axis `pw_overlap`, then `np.kron`)
+and trains are expanded with `conftest.dense`, and every overlap the
+oracle uses must agree with them.
+"""
+
+import dataclasses
+import json
+import math
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from ttprep import cli, gauss_pw, oracle, tt_core
+from ttprep.cli import main
+from ttprep.tt_core import TensorTrain
+
+from conftest import dense, random_tt
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+FIXTURE_DIR = Path(cli.__file__).resolve().parent / "fixtures"
+SHIPPED_CONFIGS = sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
+
+
+def _fixture_for(config: str) -> Path:
+    """A config X_suffix runs on fixture X, as in tools/shipped_outputs.py."""
+    name = config
+    while not (FIXTURE_DIR / f"{name}.json").exists():
+        name = name.rsplit("_", 1)[0]
+    return FIXTURE_DIR / f"{name}.json"
+
+
+def _dense_exact_primitive(g, grid) -> np.ndarray:
+    """Whole-line-normalized exact projection on the padded 3D window."""
+    sgrid = grid.axis_grid()
+    k = sgrid.index_values() * grid.dk
+    axes = [sgrid.embed(gauss_pw.pw_overlap(g.gamma, g.ang[ax], g.center[ax],
+                                            k, grid.L)) for ax in range(3)]
+    norm = math.prod(gauss_pw.projection_normalization(g.gamma, g.ang[ax],
+                                                       grid.L)
+                     for ax in range(3))
+    return np.kron(np.kron(axes[0], axes[1]), axes[2]) / norm
+
+
+def test_six_shipped_pairs_are_covered():
+    assert len(SHIPPED_CONFIGS) == 6
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+def test_overlaps_match_dense_path(config):
+    cfg = cli.load_config(CONFIG_DIR / f"{config}.json")
+    fx = cli.load_fixture(_fixture_for(config))
+    result = cli.run_pipeline(cfg, fx)
+    grid = result.grid
+    n = grid.qubits_per_axis
+    prim_dense = [dense(tt) for tt in result.prim_tts]
+    prim_axes = [oracle.axis_vectors(tt, n) for tt in result.prim_tts]
+
+    for g, tt_dense, axes in zip(fx.primitives, prim_dense, prim_axes):
+        want = np.vdot(_dense_exact_primitive(g, grid), tt_dense)
+        got = oracle.product_overlap(oracle.exact_axes(g, grid), axes)
+        assert abs(got - want) <= 1e-12
+
+    for i, (di, ai) in enumerate(zip(prim_dense, prim_axes)):
+        for j, (dj, aj) in enumerate(zip(prim_dense, prim_axes)):
+            assert abs(oracle.product_overlap(ai, aj) - np.vdot(di, dj)) \
+                <= 1e-12, (i, j)
+
+    for r in result.orbitals:
+        t_dense = dense(r.mps.tt)
+        # the exact orbital, as sweep's dense_window error sees it
+        terms = oracle.exact_orbital(fx.orbitals[r.index].coeffs,
+                                     [fx.primitives[j] for j in r.indices],
+                                     grid)
+        exact = sum(c * _dense_exact_primitive(fx.primitives[j], grid)
+                    for (c, _), j in zip(terms, r.indices))
+        want = np.vdot(exact, t_dense)
+        assert abs(oracle.sum_overlap(terms, r.mps.tt) - want) <= 1e-12
+        del exact
+        # the sum of primitive trains, as tt_vs_dense_orbital sees it
+        target = sum(c * prim_dense[j] for c, j in zip(r.coeffs, r.indices))
+        want = np.vdot(target, t_dense)
+        got = oracle.sum_overlap(
+            zip(r.coeffs, [prim_axes[j] for j in r.indices]), r.mps.tt)
+        assert abs(got - want) <= 1e-12
+
+
+def test_helpers_match_dense_on_random_trains(rng):
+    n = 3
+    parts = [random_tt(rng, n, max_bond=3) for _ in range(3)]
+    product = TensorTrain([c for p in parts for c in p.cores])
+    for got, part in zip(oracle.axis_vectors(product, n), parts):
+        assert np.allclose(got, dense(part), atol=1e-12)
+
+    vectors = [rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+               for _ in range(3)]
+    full = np.kron(np.kron(vectors[0], vectors[1]), vectors[2])
+    for bond in (1, 4):
+        t = random_tt(rng, 3 * n, max_bond=bond)
+        want = np.vdot(full, dense(t))
+        assert abs(oracle.kron_overlap(vectors, t) - want) <= 1e-12 * max(
+            abs(want), 1.0)
+
+
+def _pair_result(tmp_path):
+    """Pipeline result of two s primitives 1 Bohr apart, one orbital."""
+    cfg = {
+        "grid": {"L_bohr": 10.0, "K_inv_bohr": 10.0},
+        "compression": {"svd_cutoff": 0.0, "eps_primitive": 1e-3},
+        "resources": {"b": 10},
+        "oracle": {"enabled": True, "max_points_per_axis": 64},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    fx = {
+        "name": "pair",
+        "primitives": [
+            {"center": [0.5, 0.0, 0.0], "gamma": 0.5, "ang": [0, 0, 0]},
+            {"center": [-0.5, 0.0, 0.0], "gamma": 0.5, "ang": [0, 0, 0]}],
+        "orbitals": [{"occupation": 1, "coeffs": [1.0, 1.0]}],
+    }
+    fx_path = tmp_path / "fx.json"
+    fx_path.write_text(json.dumps(fx), encoding="utf-8")
+    return cli.run_pipeline(cli.load_config(path), cli.load_fixture(fx_path))
+
+
+def test_non_product_primitive_fails_by_name(tmp_path):
+    result = _pair_result(tmp_path)
+    with pytest.raises(tt_core.ShapeError):
+        oracle.axis_vectors(tt_core.add(*result.prim_tts),
+                            result.grid.qubits_per_axis)
+
+    result.prim_tts[1] = tt_core.add(*result.prim_tts)
+    checks = oracle.run_checks(result, tmp_path)
+    assert checks[0]["name"] == "dense_oracle"
+    assert checks[0]["status"] == "FAIL"
+    assert checks[0]["detail"].startswith(
+        "primitive 1 is not a product of axis trains: bond 2 at the axis "
+        "boundary")
+    names = [c["name"] for c in checks]
+    assert names == ["dense_oracle", "primitive_norm[0]", "primitive_norm[1]",
+                     "orbital_norm[0]"]
+
+
+def test_orbital_check_sees_a_sign_flip(tmp_path):
+    """-T has the norm and |<t, T>| of T; the orbital check must FAIL it."""
+    result = _pair_result(tmp_path)
+    statuses = {c["name"]: c["status"]
+                for c in oracle.run_checks(result, tmp_path)}
+    assert statuses["tt_vs_dense_orbital[0]"] == "PASS"
+    r = result.orbitals[0]
+    r.mps = dataclasses.replace(r.mps, tt=tt_core.scale(r.mps.tt, -1.0))
+    checks = {c["name"]: c for c in oracle.run_checks(result, tmp_path)}
+    assert checks["orbital_norm[0]"]["status"] == "PASS"
+    assert checks["tt_vs_dense_orbital[0]"]["status"] == "FAIL"
+    assert "= 2.000e+00" in checks["tt_vs_dense_orbital[0]"]["detail"]
+
+
+def test_oracle_passes_above_the_dense_cap(tmp_path):
+    """27 system qubits, above to_dense's cap of 24, yet every dense check
+    runs and passes in a few seconds."""
+    cfg = {
+        "grid": {"L_bohr": 25.0, "K_inv_bohr": 64.0},
+        "compression": {"svd_cutoff": 0.0, "eps_primitive": 1e-3},
+        "resources": {"b": 10},
+        "oracle": {"enabled": True, "max_points_per_axis": 1024},
+    }
+    fx = {
+        "name": "wide",
+        "primitives": [
+            {"center": [0.3, 0.0, 0.0], "gamma": 25.0, "ang": [0, 0, 0]},
+            {"center": [-0.3, 0.2, 0.0], "gamma": 12.0, "ang": [1, 0, 0]}],
+        "orbitals": [{"occupation": 1, "coeffs": [1.0, 0.5]},
+                     {"occupation": 1, "coeffs": [0.4, -1.0]}],
+    }
+    cfg_path, fx_path = tmp_path / "cfg.json", tmp_path / "fx.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    fx_path.write_text(json.dumps(fx), encoding="utf-8")
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    result = CliRunner().invoke(main, [
+        "oracle", "--config", str(cfg_path), "--fixture", str(fx_path),
+        "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 0, result.output
+    doc = json.loads((out / "wide_oracle.json").read_text(encoding="utf-8"))
+    assert doc["grid"]["qubits_per_axis"] >= 9
+    assert doc["grid"]["n_system_qubits"] > 24  # to_dense's default cap
+    statuses = {c["name"]: c["status"] for c in doc["checks"]}
+    assert "dense_oracle" not in statuses
+    for name in ("primitive_trace_distance[0]", "primitive_trace_distance[1]",
+                 "tt_vs_dense_orbital[0]", "tt_vs_dense_orbital[1]",
+                 "gram_vs_dense"):
+        assert statuses[name] == "PASS", result.output
+    assert set(statuses.values()) == {"PASS"}
+    assert elapsed < 30.0

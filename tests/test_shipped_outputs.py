@@ -26,9 +26,9 @@ def test_h_like_1s_against_itself(tmp_path):
 
     oracle = b / "h_like_1s" / "oracle.txt"
     text = oracle.read_text(encoding="utf-8")
-    assert text.startswith("exit 0\n") and "CHECK gram_hermitian: PASS" in text
-    oracle.write_text(text.replace("CHECK gram_hermitian: PASS",
-                                   "CHECK gram_hermitian: FAIL"),
+    assert text.startswith("exit 0\n") and "CHECK gram_vs_dense: PASS" in text
+    oracle.write_text(text.replace("CHECK gram_vs_dense: PASS",
+                                   "CHECK gram_vs_dense: FAIL"),
                       encoding="utf-8")
     report = b / "h_like_1s" / "estimate" / "h_like_1s_report.json"
     text = report.read_text(encoding="utf-8")

@@ -3,11 +3,12 @@
 Workflow: project every primitive Gaussian onto the grid (one train each),
 form their Gram matrix with train inner products, canonically orthogonalize
 it (drop eigenvalues below sigma), then assemble each orbital as a weighted
-train sum with truncation after every addition.  The squared norm of the
-accumulated train, recorded before the final renormalization, drives all
-error reporting: truncations only remove weight, so 1 - raw_norm_sq tracks
-the discarded probability and sqrt(max(0, 1 - raw_norm_sq)) estimates the
-trace distance to the uncompressed state.
+train sum, merged pairwise in a balanced tree and rounded after every merge.
+The squared norm of the summed train, recorded before the final
+renormalization, drives all error reporting: truncations only remove
+weight, so 1 - raw_norm_sq tracks the discarded probability and
+sqrt(max(0, 1 - raw_norm_sq)) estimates the trace distance to the
+uncompressed state.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "canonical_orthogonalize",
     "infidelity_estimate",
     "mo_bond_bound",
-    "mo_cutoff_bound",
     "overlap_matrix",
     "truncate_mo",
 ]
@@ -122,7 +122,7 @@ class MolecularOrbital:
 class OrbitalMPS:
     """A unit-norm orbital train plus its compression bookkeeping.
 
-    raw_norm_sq is the squared norm of the accumulated train immediately
+    raw_norm_sq is the squared norm of the summed train immediately
     before renormalization; every later truncation multiplies it by the
     squared norm the truncation retained.
     """
@@ -187,11 +187,15 @@ def build_mo_mps(mo: MolecularOrbital, grid: PlaneWaveGrid,
                  primitive_tts=None) -> OrbitalMPS:
     """Weighted train sum over the orbital's primitives, truncating as it goes.
 
-    Accumulates c_g * primitive train in coefficient order, rounding at
-    eps_sum after every addition, then renormalizes.  The pre-normalization
-    squared norm is kept on the result; a (numerically) vanishing norm is an
-    error rather than a silent zero state.  primitive_tts, when given, must
-    hold the already projected train for each primitive in order.
+    Sums the trains c_g * primitive_g as a balanced pairwise tree: each level
+    replaces the pairs (0, 1), (2, 3), ... by their sum rounded at eps_sum,
+    and an odd last train moves up unchanged.  That is G - 1 rounds, as for
+    a chain, but most of them see two primitives' bonds rather than a grown
+    accumulator's.  For G <= 3 the order equals the chain's.  The sum is
+    then renormalized.  The pre-normalization squared norm is kept on the
+    result; a (numerically) vanishing norm is an error rather than a silent
+    zero state.  primitive_tts, when given, must hold the already projected
+    train for each primitive in order.
     """
     if eps_sum < 0:
         raise ValueError("eps_sum must be nonnegative")
@@ -202,10 +206,12 @@ def build_mo_mps(mo: MolecularOrbital, grid: PlaneWaveGrid,
         parts = list(primitive_tts)
         if len(parts) != len(mo.primitives):
             raise ValueError("primitive_tts must match primitives one to one")
-    acc = tt_core.scale(parts[0], complex(mo.coeffs[0]))
-    for c, tt in zip(mo.coeffs[1:], parts[1:]):
-        acc = tt_core.round(tt_core.add(acc, tt_core.scale(tt, complex(c))),
-                            eps_sum)
+    terms = [tt_core.scale(tt, complex(c)) for c, tt in zip(mo.coeffs, parts)]
+    while len(terms) > 1:
+        merged = [tt_core.round(tt_core.add(a, b), eps_sum)
+                  for a, b in zip(terms[::2], terms[1::2])]
+        terms = merged + terms[2 * len(merged):]
+    acc = terms[0]
     raw = float(tt_core.norm(acc)) ** 2
     if raw < DEGENERATE_NORM_SQ:
         raise DegenerateOrbitalError(
@@ -268,17 +274,3 @@ def mo_bond_bound(n_g: int, eps: float, sigma: float, ell: int) -> int:
     that measured compressed bonds must stay under.
     """
     return math.ceil(8.0 * math.e ** 2 * n_g * (_mo_bracket(n_g, eps, sigma, ell) + 4.0))
-
-
-def mo_cutoff_bound(gamma_max: float, n_g: int, eps: float, sigma: float,
-                    ell: int) -> float:
-    """Certified momentum cutoff for a whole orbital.
-
-    2 sqrt(2 Gamma) sqrt(2 log(288 sqrt(3) n_g / (eps^4 sigma^2))
-    + ell log(4 ell) + log 45) with Gamma the largest exponent among the
-    orbital's primitives.
-    """
-    if gamma_max <= 0:
-        raise ValueError("gamma_max must be positive")
-    return 2.0 * math.sqrt(2.0 * gamma_max) * math.sqrt(
-        _mo_bracket(n_g, eps, sigma, ell) + math.log(45.0))

@@ -25,7 +25,6 @@ __all__ = [
     "gram",
     "hadamard",
     "inner_product",
-    "isometry_residuals",
     "left_canonicalize",
     "max_bond_dim",
     "norm",
@@ -339,19 +338,6 @@ def max_bond_dim(a: TensorTrain) -> int:
     if a.n_sites == 1:
         return 1
     return max(c.shape[2] for c in a.cores[:-1])
-
-
-def isometry_residuals(a: TensorTrain) -> list[float]:
-    """Per-core deviation ||A^H A - I||_F of the left-isometry property.
-
-    The last core is excluded; it carries the norm.
-    """
-    out = []
-    for c in a.cores[:-1]:
-        l, _, r = c.shape
-        m = c.reshape(l * 2, r)
-        out.append(float(np.linalg.norm(m.conj().T @ m - np.eye(r))))
-    return out
 
 
 def to_debug_json(t: TensorTrain) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ttprep import cli, gauss_pw, oracle, tt_core
+from ttprep import cli, gauss_pw, oracle, orbital_builder, tt_core
 from ttprep.cli import main
 from ttprep.tt_core import TensorTrain
 
@@ -108,8 +108,13 @@ def test_helpers_match_dense_on_random_trains(rng):
             abs(want), 1.0)
 
 
-def _pair_result(tmp_path):
-    """Pipeline result of two s primitives 1 Bohr apart, one orbital."""
+S_PAIR = [{"center": [0.5, 0.0, 0.0], "gamma": 0.5, "ang": [0, 0, 0]},
+          {"center": [-0.5, 0.0, 0.0], "gamma": 0.5, "ang": [0, 0, 0]}]
+
+
+def _pair_result(tmp_path, primitives=S_PAIR):
+    """Pipeline result of two primitives (by default s, 1 Bohr apart) and
+    one orbital over both."""
     cfg = {
         "grid": {"L_bohr": 10.0, "K_inv_bohr": 10.0},
         "compression": {"svd_cutoff": 0.0, "eps_primitive": 1e-3},
@@ -120,9 +125,7 @@ def _pair_result(tmp_path):
     path.write_text(json.dumps(cfg), encoding="utf-8")
     fx = {
         "name": "pair",
-        "primitives": [
-            {"center": [0.5, 0.0, 0.0], "gamma": 0.5, "ang": [0, 0, 0]},
-            {"center": [-0.5, 0.0, 0.0], "gamma": 0.5, "ang": [0, 0, 0]}],
+        "primitives": primitives,
         "orbitals": [{"occupation": 1, "coeffs": [1.0, 1.0]}],
     }
     fx_path = tmp_path / "fx.json"
@@ -160,6 +163,37 @@ def test_orbital_check_sees_a_sign_flip(tmp_path):
     assert checks["orbital_norm[0]"]["status"] == "PASS"
     assert checks["tt_vs_dense_orbital[0]"]["status"] == "FAIL"
     assert "= 2.000e+00" in checks["tt_vs_dense_orbital[0]"]["detail"]
+
+
+def test_gram_check_sees_a_transpose(tmp_path):
+    """gram_vs_dense must tell S from S^T wherever they differ."""
+    result = _pair_result(tmp_path, [
+        {"center": [0.5, 0.3, 0.0], "gamma": 0.5, "ang": [1, 0, 0]},
+        {"center": [-0.4, 0.0, 0.2], "gamma": 0.7, "ang": [1, 1, 0]}])
+    statuses = {c["name"]: c["status"]
+                for c in oracle.run_checks(result, tmp_path)}
+    assert statuses["gram_vs_dense"] == "PASS"
+    # Real Gaussians have Hermitian-symmetric coefficients on the symmetric
+    # momentum window, so even an off-centre p-shell pair has a real Gram
+    # matrix and S^T = S: no shipped or physical input can show a transpose.
+    S = result.overlap.S
+    assert abs(S[0, 1]) > 1e-2
+    assert abs(S[0, 1].imag) < 1e-12
+
+    # A phase i on half of one train's first site keeps it a unit product
+    # train but breaks that symmetry, so the Gram matrix turns complex.
+    tilted = list(result.prim_tts[1].cores)
+    tilted[0] = tilted[0] * np.array([1.0, 1j])[None, :, None]
+    result.prim_tts[1] = TensorTrain(tilted)
+    S = tt_core.gram(result.prim_tts)
+    assert abs(S[0, 1].imag) > 1e-3
+    result.overlap = orbital_builder.OverlapMatrix(S=S)
+    statuses = {c["name"]: c["status"]
+                for c in oracle.run_checks(result, tmp_path)}
+    assert statuses["gram_vs_dense"] == "PASS"
+    result.overlap = orbital_builder.OverlapMatrix(S=S.T)
+    checks = {c["name"]: c for c in oracle.run_checks(result, tmp_path)}
+    assert checks["gram_vs_dense"]["status"] == "FAIL"
 
 
 def test_oracle_passes_above_the_dense_cap(tmp_path):

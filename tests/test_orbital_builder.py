@@ -5,17 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from ttprep import tt_core
-from ttprep.gauss_pw import PlaneWaveGrid, PrimitiveGaussian, choose_cutoff
+from ttprep import oracle, tt_core
+from ttprep.gauss_pw import (PlaneWaveGrid, PrimitiveGaussian, choose_cutoff,
+                             primitive_3d_mps)
 from ttprep.orbital_builder import (DegenerateOrbitalError, EmptyBasisError,
                                     MolecularOrbital, OrbitalMPS,
                                     OverlapMatrix, build_mo_mps,
                                     canonical_orthogonalize,
                                     infidelity_estimate, mo_bond_bound,
-                                    mo_cutoff_bound, overlap_matrix,
-                                    truncate_mo)
+                                    overlap_matrix, truncate_mo)
 
-from conftest import dense
+from conftest import dense, random_tt
 
 
 def s_prim(center, gamma=1.0):
@@ -132,7 +132,6 @@ class TestOverlapMatrixBuild:
     def test_precomputed_trains_shortcut(self):
         grid = small_grid()
         prims = [s_prim((0.0, 0.0, 0.0)), s_prim((1.0, 0.5, 0.0))]
-        from ttprep.gauss_pw import primitive_3d_mps
         tts = [primitive_3d_mps(g, grid, 1e-4) for g in prims]
         a = overlap_matrix(prims, grid, eps=1e-4, tts=tts).S
         b = overlap_matrix(prims, grid, eps=1e-4).S
@@ -154,7 +153,6 @@ class TestBuildMoMps:
         assert o.infidelity == abs(1.0 - o.raw_norm_sq)
         assert o.svd_cutoff_used == 0.0
         # coefficient 1 on one primitive reproduces the primitive train
-        from ttprep.gauss_pw import primitive_3d_mps
         direct = primitive_3d_mps(mo.primitives[0], grid, 1e-4)
         assert np.abs(dense(o.tt) - dense(direct)).max() < 1e-10
 
@@ -171,7 +169,6 @@ class TestBuildMoMps:
     def test_matches_dense_combination(self):
         grid = small_grid()
         prims = (s_prim((0.0, 0.0, 0.0)), s_prim((1.2, 0.0, 0.0)))
-        from ttprep.gauss_pw import primitive_3d_mps
         tts = [primitive_3d_mps(g, grid, 1e-4) for g in prims]
         c = np.array([0.6, -0.8])
         mo = MolecularOrbital(coeffs=c, primitives=prims)
@@ -187,7 +184,6 @@ class TestBuildMoMps:
     def test_whitened_column_has_unit_raw_norm(self):
         grid = small_grid()
         prims = (s_prim((0.0, 0.0, 0.0)), s_prim((1.0, 0.0, 0.0)))
-        from ttprep.gauss_pw import primitive_3d_mps
         tts = [primitive_3d_mps(g, grid, 1e-4) for g in prims]
         S = overlap_matrix(prims, grid, tts=tts)
         basis = canonical_orthogonalize(S, sigma=1e-6)
@@ -202,7 +198,6 @@ class TestBuildMoMps:
     def test_cancellation_detected(self):
         grid = small_grid()
         p = s_prim((0.0, 0.0, 0.0))
-        from ttprep.gauss_pw import primitive_3d_mps
         tt = primitive_3d_mps(p, grid, 1e-4)
         mo = MolecularOrbital(coeffs=np.array([1.0, -1.0]),
                               primitives=(p, p))
@@ -218,6 +213,98 @@ class TestBuildMoMps:
             build_mo_mps(mo, grid, eps_primitive=1e-4, eps_sum=-1.0)
         with pytest.raises(ValueError):
             build_mo_mps(mo, grid, eps_primitive=1e-4, primitive_tts=[])
+
+
+def chain_sum(coeffs, tts, eps_sum):
+    """The add-then-round chain in coefficient order, for comparison."""
+    acc = tt_core.scale(tts[0], complex(coeffs[0]))
+    for c, tt in zip(coeffs[1:], tts[1:]):
+        acc = tt_core.round(tt_core.add(acc, tt_core.scale(tt, complex(c))),
+                            eps_sum)
+    return acc
+
+
+def random_primitives(rng, n_prims):
+    """Off-axis primitives with l <= 2 per axis, as basis-scaling draws."""
+    return tuple(PrimitiveGaussian(
+        center=tuple(float(x) for x in rng.uniform(-1.5, 1.5, 3)),
+        gamma=float(rng.uniform(0.6, 1.6)),
+        ang=tuple(int(a) for a in rng.integers(0, 3, 3)))
+        for _ in range(n_prims))
+
+
+def random_coeffs(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+class TestMergeOrder:
+    @pytest.mark.parametrize("n_prims", [1, 2, 3])
+    def test_few_primitives_equal_the_chain_bit_for_bit(self, rng, n_prims):
+        grid = PlaneWaveGrid(L=10.0, K=10.0)
+        prims = random_primitives(rng, n_prims)
+        tts = [primitive_3d_mps(g, grid, 1e-3) for g in prims]
+        c = random_coeffs(rng, n_prims)
+        o = build_mo_mps(MolecularOrbital(coeffs=c, primitives=prims), grid,
+                         eps_primitive=1e-3, eps_sum=1e-6, primitive_tts=tts)
+        acc = chain_sum(c, tts, 1e-6)
+        raw = float(tt_core.norm(acc)) ** 2
+        assert o.raw_norm_sq == raw
+        want = tt_core.scale(acc, 1.0 / math.sqrt(raw))
+        assert len(o.tt.cores) == len(want.cores)
+        for got, ref in zip(o.tt.cores, want.cores):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("n_prims,K", [(5, 10.0), (6, 15.0), (7, 10.0),
+                                           (8, 15.0)])
+    def test_many_primitives_agree_with_the_referee(self, rng, n_prims, K):
+        grid = PlaneWaveGrid(L=10.0, K=K)
+        assert grid.qubits_per_axis in (5, 6)
+        prims = random_primitives(rng, n_prims)
+        tts = [primitive_3d_mps(g, grid, 1e-3) for g in prims]
+        c = random_coeffs(rng, n_prims)
+        eps_sum = 1e-9
+        o = build_mo_mps(MolecularOrbital(coeffs=c, primitives=prims), grid,
+                         eps_primitive=1e-3, eps_sum=eps_sum,
+                         primitive_tts=tts)
+        axes = [oracle.axis_vectors(tt, grid.qubits_per_axis) for tt in tts]
+        nrm_sq = sum((np.conj(ci) * cj * oracle.product_overlap(u, v)).real
+                     for ci, u in zip(c, axes) for cj, v in zip(c, axes))
+        assert o.raw_norm_sq == pytest.approx(nrm_sq, rel=1e-8)
+        # |t - T| for unit t = sum_g c_g p_g / |.| and unit T, as the
+        # oracle's tt_vs_dense_orbital check computes it, at its tolerance
+        overlap = oracle.sum_overlap(zip(c, axes), o.tt)
+        diff = math.sqrt(max(0.0, 2.0 - 2.0 * overlap.real
+                             / math.sqrt(nrm_sq)))
+        assert diff <= max(1e-6, 20.0 * n_prims * eps_sum)
+
+    @pytest.mark.parametrize("n_prims", [1, 2, 3, 5, 8])
+    def test_rounds_once_per_merge(self, rng, monkeypatch, n_prims):
+        leaves = [random_tt(rng, 6, max_bond=3) for _ in range(n_prims)]
+        c = random_coeffs(rng, n_prims)
+        seen = []
+        original = tt_core.round
+
+        def counting_round(a, svd_cutoff):
+            seen.append(a)
+            return original(a, svd_cutoff)
+
+        monkeypatch.setattr(tt_core, "round", counting_round)
+        prims = (s_prim((0.0, 0.0, 0.0)),) * n_prims
+        build_mo_mps(MolecularOrbital(coeffs=c, primitives=prims),
+                     small_grid(), eps_primitive=1e-3, eps_sum=1e-9,
+                     primitive_tts=leaves)
+        assert len(seen) == n_prims - 1
+        if n_prims < 8:
+            return
+        # the first level of the tree sums the leaves two by two
+        for k in range(4):
+            pair = tt_core.add(tt_core.scale(leaves[2 * k], complex(c[2 * k])),
+                               tt_core.scale(leaves[2 * k + 1],
+                                             complex(c[2 * k + 1])))
+            assert [x.shape for x in seen[k].cores] == [
+                x.shape for x in pair.cores]
+            for got, want in zip(seen[k].cores, pair.cores):
+                assert np.array_equal(got, want)
 
 
 class TestTruncateMo:
@@ -263,7 +350,6 @@ class TestTruncateMo:
         grid = PlaneWaveGrid(L=10.0, K=10.0)
         assert grid.qubits_per_axis == 5
         prims = (s_prim((0.0, 0.0, 0.0)), s_prim((1.5, 0.0, 0.0)))
-        from ttprep.gauss_pw import primitive_3d_mps
         tts = [primitive_3d_mps(g, grid, 1e-3) for g in prims]
         S = overlap_matrix(prims, grid, tts=tts)
         basis = canonical_orthogonalize(S, sigma=1e-6)
@@ -309,21 +395,6 @@ class TestCertifiedBounds:
         assert mo_bond_bound(1, 1e-3, 1e-3, 0) >= mo_bond_bound(
             1, 1e-2, 1e-3, 0)
 
-    def test_cutoff_bound_regression(self):
-        assert mo_cutoff_bound(1.0, 4, 0.01, 1e-4, 1) == pytest.approx(
-            27.433235579913564, rel=1e-12)
-
-    def test_cutoff_bound_scales_exactly_with_root_gamma(self):
-        base = mo_cutoff_bound(1.0, 4, 0.01, 1e-4, 1)
-        assert mo_cutoff_bound(4.0, 4, 0.01, 1e-4, 1) / base == (
-            pytest.approx(2.0, rel=1e-14))
-
-    def test_orbital_cutoff_dominates_primitive_cutoff(self):
-        for gamma in (0.25, 1.0, 4.0):
-            for ell in (0, 2):
-                assert (mo_cutoff_bound(gamma, 1, 1e-2, 1.0, ell)
-                        >= choose_cutoff(gamma, ell, 30.0, 1e-2))
-
     def test_measured_bond_under_certified_bound(self):
         grid = small_grid()
         prims = (s_prim((0.0, 0.0, 0.0)), s_prim((1.0, 0.0, 0.0)))
@@ -337,5 +408,3 @@ class TestCertifiedBounds:
             mo_bond_bound(0, 0.1, 0.1, 0)
         with pytest.raises(ValueError):
             mo_bond_bound(1, 1.5, 0.1, 0)
-        with pytest.raises(ValueError):
-            mo_cutoff_bound(-1.0, 1, 0.1, 0.1, 0)

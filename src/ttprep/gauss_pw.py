@@ -31,12 +31,14 @@ from .func_encode import Polynomial, SignedGrid1D
 from .tt_core import TensorTrain
 
 __all__ = [
+    "AxisProfile",
     "ChebyshevInterpolant",
     "HermiteExpansion",
     "PlaneWaveGrid",
     "PrimitiveGaussian",
     "Projection1D",
     "ProjectionError",
+    "axis_profile",
     "chebyshev_fit",
     "choose_cutoff",
     "choose_degree",
@@ -61,6 +63,10 @@ MONOMIAL_DEGREE_MAX = 60
 # primitive_1d_mps builds the coefficient vector densely; this bounds the
 # per-axis qubit count so the expansion stays cheap.
 DENSE_AXIS_QUBIT_CAP = 12
+
+# ChebyshevInterpolant evaluates this many (point, node) entries at a time:
+# its temporaries stay in cache at any point count.
+EVAL_BLOCK_ENTRIES = 1 << 15
 
 
 class ProjectionError(ValueError):
@@ -349,19 +355,28 @@ class ChebyshevInterpolant:
                    weights=weights)
 
     def __call__(self, x):
+        """Barycentric value at x (scalar or array of any shape).
+
+        Points are evaluated in blocks of about EVAL_BLOCK_ENTRIES
+        (points x nodes) entries, so the working memory is O(block), not
+        O(points * m), and each point's value is a function of that point
+        alone: the bits do not depend on how the points are split.  A point
+        on a node returns the node value.
+        """
         xarr = np.asarray(x, dtype=float)
-        xs = np.atleast_1d(xarr).astype(float)
-        diff = xs[:, None] - self.nodes[None, :]
-        hit = np.abs(diff) <= 1e-300
-        safe = np.where(hit, 1.0, diff)
-        terms = self.weights / safe
-        num = terms @ self.values
-        den = terms.sum(axis=1)
-        out = num / den
-        exact_rows = hit.any(axis=1)
-        if exact_rows.any():
-            idx = hit[exact_rows].argmax(axis=1)
-            out[exact_rows] = self.values[idx]
+        xs = xarr.ravel()
+        out = np.empty(xs.size)
+        rows = max(1, EVAL_BLOCK_ENTRIES // self.nodes.size)
+        with np.errstate(all="ignore"):
+            for lo in range(0, xs.size, rows):
+                terms = self.weights / (xs[lo:lo + rows, None] - self.nodes)
+                out[lo:lo + rows] = ((terms * self.values).sum(axis=1)
+                                     / terms.sum(axis=1))
+        # a point on a node divides by zero and lands here as inf/inf
+        bad = np.flatnonzero(~np.isfinite(out))
+        hit_rows, hit_nodes = np.nonzero(
+            np.abs(xs[bad, None] - self.nodes) <= 1e-300)
+        out[bad[hit_rows]] = self.values[hit_nodes]
         return out.reshape(xarr.shape) if xarr.ndim else float(out[0])
 
 
@@ -444,36 +459,38 @@ def projection_normalization(gamma: float, l: int, L: float) -> float:
             return math.sqrt(total)
 
 
+@dataclass(frozen=True)
+class AxisProfile:
+    """The centre-free part of one axis projection.
+
+    values holds i^l sum_n (-1)^((n-l)/2) h_n psi_n(k / sqrt(2 gamma))
+    interpolated at the lattice momenta |k| <= cutoff (index |i| <= i_cut),
+    in ascending order; the other fields are those of Projection1D.
+    """
+
+    values: np.ndarray = field(repr=False)
+    i_cut: int
+    n_tilde: float
+    n_t: float
+    cutoff: float
+    degree: int
+
+
 @functools.lru_cache(maxsize=None)
-def primitive_1d_mps(gamma: float, l: int, a: float, grid: PlaneWaveGrid,
-                     eps: float) -> tuple[TensorTrain, Projection1D]:
-    """Unit-norm train of polynomial plane-wave coefficients for one axis.
+def axis_profile(gamma: float, l: int, grid: PlaneWaveGrid,
+                 eps: float) -> AxisProfile:
+    """Certified cutoff, degree and interpolated momentum profile of one axis.
 
-    Selects the certified cutoff and degree for the target error, fits the
-    momentum profile sum_n i^n h_n psi_n(k / sqrt(2 gamma)) with a degree
-    m-1 interpolant, evaluates it with the translation phase exp(i k a) on
-    the signed momentum lattice, and factors the normalized coefficient
-    vector into a train.  The train's bond dimension is bounded by 2m+3
-    (at the grids this routine accepts, the measured ranks are far below
-    the bound).
-
-    Results are memoized on the arguments, so every primitive sharing an
-    exponent, angular momentum and centre coordinate on one grid reuses
-    one train; its cores and the projection's arrays are read-only.
+    A centre a enters a projection only through the phase exp(i k a), so
+    everything else is computed here once per (gamma, l, grid, eps) and
+    shared by every centre.  The profile sum_n i^n h_n psi_n(u) has only
+    terms of l's parity, so it equals i^l times the real sum
+    sum_n (-1)^((n-l)/2) h_n psi_n(u); that real sum is fitted with one
+    degree m-1 interpolant.  The values array is read-only.
 
     Raises ProjectionError when the whole-line normalization factor drops
-    below 2/3 (cell too small relative to the Gaussian's extent) and
-    CapacityError when the per-axis grid exceeds the dense-assembly cap.
+    below 2/3 (cell too small relative to the Gaussian's extent).
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if grid.qubits_per_axis > DENSE_AXIS_QUBIT_CAP:
-        raise tt_core.CapacityError(
-            f"{grid.points_per_axis} points per axis exceed the dense "
-            f"assembly cap (2^{DENSE_AXIS_QUBIT_CAP}); the analytic "
-            f"polynomial route is gated by the degree-"
-            f"{MONOMIAL_DEGREE_MAX} monomial guard")
-
     n_tilde = projection_normalization(gamma, l, grid.L)
     if n_tilde < 2.0 / 3.0:
         raise ProjectionError(
@@ -487,23 +504,61 @@ def primitive_1d_mps(gamma: float, l: int, a: float, grid: PlaneWaveGrid,
     k_cut = i_cut * dk
 
     scale = math.sqrt(2.0 * gamma)
-    half_width = max(K, k_cut) / scale
     h = h_coeffs(l).h
+    signs = np.array([(-1.0) ** ((n - l) // 2) for n in range(l + 1)])
+    interp = ChebyshevInterpolant.fit(
+        lambda t: np.tensordot(signs * h, _hermite_gaussian_table(l, t),
+                               axes=([0], [0])),
+        max(K, k_cut) / scale, m)
+    u = np.arange(-i_cut, i_cut + 1) * dk / scale
+    values = (1j ** l) * interp(u)
+    values.flags.writeable = False
+
+    w_below = _lattice_weight(gamma, l, grid.L, -i_cut, i_cut)
+    n_t = math.sqrt(w_below) / n_tilde
+    return AxisProfile(values=values, i_cut=i_cut, n_tilde=n_tilde,
+                       n_t=min(n_t, 1.0), cutoff=k_cut, degree=m - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def primitive_1d_mps(gamma: float, l: int, a: float, grid: PlaneWaveGrid,
+                     eps: float) -> tuple[TensorTrain, Projection1D]:
+    """Unit-norm train of polynomial plane-wave coefficients for one axis.
+
+    Takes the certified cutoff, degree and interpolated momentum profile
+    from :func:`axis_profile`, applies the translation phase exp(i k a) on
+    the signed momentum lattice (zero beyond the cutoff), and factors the
+    normalized coefficient vector into a train.  The train's bond dimension
+    is bounded by 2m+3 (at the grids this routine accepts, the measured
+    ranks are far below the bound).
+
+    Two cache levels: the profile is memoized on (gamma, l, grid, eps) and
+    shared by every centre, so it is fitted and evaluated once per
+    exponent and angular momentum on a grid; the train is memoized on all
+    arguments, so every primitive sharing an exponent, angular momentum
+    and centre coordinate on one grid reuses one train.  Its cores and the
+    projection's arrays are read-only.
+
+    Raises ProjectionError when the whole-line normalization factor drops
+    below 2/3 (cell too small relative to the Gaussian's extent) and
+    CapacityError when the per-axis grid exceeds the dense-assembly cap.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    if grid.qubits_per_axis > DENSE_AXIS_QUBIT_CAP:
+        raise tt_core.CapacityError(
+            f"{grid.points_per_axis} points per axis exceed the dense "
+            f"assembly cap (2^{DENSE_AXIS_QUBIT_CAP}); the analytic "
+            f"polynomial route is gated by the degree-"
+            f"{MONOMIAL_DEGREE_MAX} monomial guard")
+    prof = axis_profile(gamma, l, grid, eps)
 
     sgrid = grid.axis_grid()
     idx = sgrid.index_values()
-    kvals = idx * dk
-    u = kvals / scale
-    profile = np.zeros(idx.size, dtype=complex)
-    live = np.abs(idx) <= i_cut
-    for n in range(l + 1):
-        if h[n] == 0.0:
-            continue
-        interp = ChebyshevInterpolant.fit(
-            lambda t, nn=n: hermite_gaussian(nn, t), half_width, m)
-        profile[live] += (1j ** n) * h[n] * interp(u[live])
-    coeffs = profile * np.exp(1j * kvals * a)
-    coeffs[~live] = 0.0
+    kvals = idx * grid.dk
+    live = np.abs(idx) <= prof.i_cut
+    coeffs = np.zeros(kvals.size, dtype=complex)
+    coeffs[live] = prof.values * np.exp(1j * kvals[live] * a)
 
     nrm = float(np.linalg.norm(coeffs))
     if nrm == 0.0:
@@ -512,12 +567,9 @@ def primitive_1d_mps(gamma: float, l: int, a: float, grid: PlaneWaveGrid,
 
     tt = tt_core.from_dense(sgrid.embed(coeffs), tol=1e-14)
 
-    w_below = _lattice_weight(gamma, l, grid.L, -i_cut, i_cut)
-    n_t = math.sqrt(w_below) / n_tilde
-
     proj = Projection1D(k_values=kvals.astype(float), coeffs=coeffs,
-                        n_tilde=n_tilde, n_t=min(n_t, 1.0), cutoff=k_cut,
-                        degree=m - 1)
+                        n_tilde=prof.n_tilde, n_t=prof.n_t,
+                        cutoff=prof.cutoff, degree=prof.degree)
     for arr in (*tt.cores, proj.k_values, proj.coeffs):
         arr.flags.writeable = False
     return tt, proj

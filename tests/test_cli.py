@@ -9,6 +9,9 @@ shows up here.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources as importlib_resources
 from pathlib import Path
 
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import ttprep
 from ttprep import (__version__, cli, gauss_pw, oracle, orbital_builder,
                     resource_model)
 from ttprep.cli import main
@@ -654,11 +658,32 @@ def test_pipeline_plans_no_einsum(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np, "einsum", no_einsum)
     gauss_pw.primitive_1d_mps.cache_clear()
+    gauss_pw.axis_profile.cache_clear()
     name = "synthetic_diatomic"
     for cmd in ("estimate", "sweep"):
         run_cli([cmd, "--config", config_path(name),
                  "--fixture", fixture_path(name),
                  "--out", str(tmp_path / cmd)])
+
+
+def test_import_pulls_no_optional_stack():
+    """Importing the command line loads neither scipy nor mpmath.
+
+    Every command pays its imports before doing any work; mpmath is needed
+    only by the extended-precision branch of chebyshev_fit, which imports
+    it on first use.
+    """
+    src = str(Path(ttprep.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ttprep.cli; "
+         "print(sorted({'scipy', 'mpmath'} & {m.split('.')[0] "
+         "for m in sys.modules}))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("name", ["config", "fixture", "report"])

@@ -6,15 +6,17 @@ or a dense reference state.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ttprep import tt_core
-from ttprep.gauss_pw import (MAX_ANGULAR_MOMENTUM, MAX_HERMITE_ORDER,
-                             MONOMIAL_DEGREE_MAX, ChebyshevInterpolant,
-                             PlaneWaveGrid, PrimitiveGaussian, Projection1D,
-                             ProjectionError, chebyshev_fit, choose_cutoff,
+from ttprep.gauss_pw import (EVAL_BLOCK_ENTRIES, MAX_ANGULAR_MOMENTUM,
+                             MAX_HERMITE_ORDER, MONOMIAL_DEGREE_MAX,
+                             ChebyshevInterpolant, PlaneWaveGrid,
+                             PrimitiveGaussian, Projection1D, ProjectionError,
+                             axis_profile, chebyshev_fit, choose_cutoff,
                              choose_degree, h_coeffs, hermite_gaussian,
                              hermite_poly, primitive_1d_mps, primitive_3d_mps,
                              projection_normalization, pw_overlap)
@@ -300,6 +302,77 @@ class TestChebyshev:
             ChebyshevInterpolant.fit(lambda t: t, 1.0, 0)
 
 
+def one_matrix_barycentric(interp, x):
+    """The barycentric formula on one (points x nodes) matrix, as referee.
+
+    Rows are reduced in the order the interpolant uses; a gemv would sum
+    them in another order and differ by a few ulp of the largest value.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    diff = xs[:, None] - interp.nodes[None, :]
+    hit = diff == 0.0
+    terms = interp.weights / np.where(hit, 1.0, diff)
+    out = (terms * interp.values).sum(axis=1) / terms.sum(axis=1)
+    rows, cols = np.nonzero(hit)
+    out[rows] = interp.values[cols]
+    return out
+
+
+class TestBlockEvaluation:
+    """ChebyshevInterpolant evaluates in fixed-size blocks of points."""
+
+    M = 604
+
+    @pytest.fixture(scope="class")
+    def interp(self):
+        c = math.sqrt(self.M) / math.e
+        return ChebyshevInterpolant.fit(
+            lambda t: hermite_gaussian(2, t) - 0.3 * hermite_gaussian(0, t),
+            c, self.M)
+
+    @pytest.fixture(scope="class")
+    def points(self, interp):
+        x = np.linspace(-interp.half_width, interp.half_width, 4095)
+        # an exact node, placed past the first block of points
+        rows = EVAL_BLOCK_ENTRIES // self.M
+        assert 3000 > rows
+        x[3000] = interp.nodes[17]
+        return x
+
+    def test_matches_one_matrix_formula(self, interp, points):
+        tol = 1e-15 * np.abs(interp.values).max()
+        got = interp(points)
+        assert got.shape == points.shape
+        assert np.abs(got - one_matrix_barycentric(interp, points)).max() <= tol
+        assert got[3000] == interp.values[17]
+
+    def test_scalar_and_2d_inputs(self, interp, points):
+        tol = 1e-15 * np.abs(interp.values).max()
+        value = interp(float(points[5]))
+        assert isinstance(value, float)
+        assert abs(value - one_matrix_barycentric(interp, points[5])[0]) <= tol
+        grid = points.reshape(63, 65)
+        got = interp(grid)
+        assert got.shape == (63, 65)
+        assert np.array_equal(got.ravel(), interp(points))
+
+    def test_bits_do_not_depend_on_the_split(self, interp, points):
+        whole = interp(points)
+        halves = np.concatenate([interp(points[:1001]),
+                                 interp(points[1001:])])
+        assert np.array_equal(whole, halves)
+
+    def test_memory_is_one_block(self, interp, points):
+        tracemalloc.start()
+        try:
+            interp(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one (points x nodes) matrix alone would take 4095 * 604 * 8 B = 19.8 MB
+        assert peak < 4 * 2 ** 20
+
+
 def lattice_weights(gamma, l, L, i_max):
     dk = 2.0 * math.pi / L
     idx = np.arange(-i_max, i_max + 1)
@@ -418,6 +491,7 @@ class TestPrimitive1D:
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             tt.cores[0][...] = 0.0
+        axis_profile.cache_clear()
         fresh_tt, fresh_proj = primitive_1d_mps.__wrapped__(*args)
         assert fresh_tt is not tt
         assert len(fresh_tt.cores) == len(tt.cores)
@@ -431,11 +505,55 @@ class TestPrimitive1D:
 
     def test_projection_error_raised_on_every_call(self):
         args = (1.0, 1, 0.0, PlaneWaveGrid(L=0.5, K=13.0), 1e-2)
-        cached = primitive_1d_mps.cache_info().currsize
+        cached = (primitive_1d_mps.cache_info().currsize,
+                  axis_profile.cache_info().currsize)
         for _ in range(3):
             with pytest.raises(ProjectionError):
                 primitive_1d_mps(*args)
-        assert primitive_1d_mps.cache_info().currsize == cached
+        assert (primitive_1d_mps.cache_info().currsize,
+                axis_profile.cache_info().currsize) == cached
+
+    def test_centres_share_one_fit(self, monkeypatch):
+        fit = vars(ChebyshevInterpolant)["fit"].__func__
+        calls = []
+
+        def counted(cls, f, half_width, m):
+            calls.append(m)
+            return fit(cls, f, half_width, m)
+
+        monkeypatch.setattr(ChebyshevInterpolant, "fit", classmethod(counted))
+        primitive_1d_mps.cache_clear()
+        axis_profile.cache_clear()
+        grid = PlaneWaveGrid(L=30.0, K=11.0)
+        primitive_1d_mps(1.0, 2, 0.3, grid, 1e-3)
+        primitive_1d_mps(1.0, 2, -1.1, grid, 1e-3)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_shared_profile_train_matches_a_fresh_build(self, l):
+        grid = PlaneWaveGrid(L=30.0, K=11.0)
+        primitive_1d_mps(1.0, l, 0.3, grid, 1e-3)
+        shared_tt, shared_proj = primitive_1d_mps(1.0, l, -0.9, grid, 1e-3)
+        primitive_1d_mps.cache_clear()
+        axis_profile.cache_clear()
+        fresh_tt, fresh_proj = primitive_1d_mps(1.0, l, -0.9, grid, 1e-3)
+        assert fresh_tt is not shared_tt
+        for a, b in zip(fresh_tt.cores, shared_tt.cores, strict=True):
+            assert np.array_equal(a, b)
+        assert np.array_equal(fresh_proj.coeffs, shared_proj.coeffs)
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 3, 4])
+    def test_one_fit_matches_the_hermite_sum(self, l):
+        # i^l sum_n (-1)^((n-l)/2) h_n psi_n  ==  sum_n i^n h_n psi_n
+        gamma, grid = 0.7, PlaneWaveGrid(L=30.0, K=12.0)
+        prof = axis_profile(gamma, l, grid, 1e-3)
+        u = (np.arange(-prof.i_cut, prof.i_cut + 1) * grid.dk
+             / math.sqrt(2.0 * gamma))
+        h = h_coeffs(l).h
+        want = sum(1j ** n * h[n] * hermite_gaussian(n, u)
+                   for n in range(l + 1))
+        assert np.abs(prof.values - want).max() < 1e-12
+        assert not prof.values.flags.writeable
 
 
 class TestPrimitive3D:

@@ -3,7 +3,7 @@
 Subpackage map:
 
 - ``tt_core``          tensor-train engine (construction, arithmetic, rounding)
-- ``func_encode``      analytic train constructors for functions on dyadic grids
+- ``func_encode``      signed momentum grid (sign-magnitude codewords)
 - ``gauss_pw``         Gaussian-to-plane-wave projection and 1D/3D train assembly
 - ``orbital_builder``  molecular-orbital assembly with error accounting
 - ``resource_model``   closed-form Toffoli/qubit cost formulas

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tt_core
-from .func_encode import Polynomial, SignedGrid1D
+from .func_encode import SignedGrid1D
 from .tt_core import TensorTrain
 
 __all__ = [
@@ -36,15 +36,12 @@ __all__ = [
     "HermiteExpansion",
     "PlaneWaveGrid",
     "PrimitiveGaussian",
-    "Projection1D",
     "ProjectionError",
     "axis_profile",
-    "chebyshev_fit",
     "choose_cutoff",
     "choose_degree",
     "h_coeffs",
     "hermite_gaussian",
-    "hermite_poly",
     "primitive_1d_mps",
     "primitive_3d_mps",
     "pw_overlap",
@@ -52,13 +49,6 @@ __all__ = [
 
 MAX_HERMITE_ORDER = 40
 MAX_ANGULAR_MOMENTUM = 12
-
-# chebyshev_fit: float64 divided differences up to this degree, extended
-# precision above, rejection beyond the second bound (monomial coefficients
-# of higher degrees are not trustworthy in any precision that evaluates in
-# float64 afterwards).
-MONOMIAL_FLOAT64_MAX = 30
-MONOMIAL_DEGREE_MAX = 60
 
 # primitive_1d_mps builds the coefficient vector densely; this bounds the
 # per-axis qubit count so the expansion stays cheap.
@@ -169,46 +159,6 @@ class HermiteExpansion:
         if h.shape != (self.l + 1,):
             raise ValueError("h must have length l+1")
         object.__setattr__(self, "h", h)
-
-
-@dataclass(frozen=True)
-class Projection1D:
-    """Bookkeeping for one axis projection.
-
-    k_values are the represented lattice momenta in ascending order;
-    coeffs are the matching unit-norm coefficients of the approximant.
-    n_tilde is the whole-line normalization (root of the summed squared
-    overlaps over the infinite lattice) and n_t the fraction of it kept
-    below the cutoff; both feed the certified error bounds.
-    """
-
-    k_values: np.ndarray = field(repr=False)
-    coeffs: np.ndarray = field(repr=False)
-    n_tilde: float
-    n_t: float
-    cutoff: float
-    degree: int
-
-    def __post_init__(self):
-        if not 0.0 < self.n_t <= 1.0 + 1e-12:
-            raise ValueError(f"n_t = {self.n_t} outside (0, 1]")
-
-
-def hermite_poly(n: int, x):
-    """Physicists' Hermite polynomial H_n by three-term recurrence.
-
-    Accepts scalars or arrays; n is capped at 40 (values overflow fast).
-    """
-    if not 0 <= n <= MAX_HERMITE_ORDER:
-        raise ValueError(f"order {n} outside [0, {MAX_HERMITE_ORDER}]")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = 2.0 * x
-    for k in range(1, n):
-        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    return h if h.ndim else float(h)
 
 
 def _hermite_gaussian_table(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -380,55 +330,6 @@ class ChebyshevInterpolant:
         return out.reshape(xarr.shape) if xarr.ndim else float(out[0])
 
 
-def _newton_to_monomial(nodes, diffs):
-    # Horner expansion of the Newton form, generic over float/mpf.
-    coeffs = [diffs[-1]]
-    for j in range(len(nodes) - 2, -1, -1):
-        # multiply by (x - nodes[j]) and add diffs[j]
-        new = [diffs[j] - nodes[j] * coeffs[0]]
-        for i in range(len(coeffs) - 1):
-            new.append(coeffs[i] - nodes[j] * coeffs[i + 1])
-        new.append(coeffs[-1])
-        coeffs = new
-    return coeffs
-
-
-def chebyshev_fit(n: int, C: float, m: int) -> Polynomial:
-    """Degree m-1 monomial-basis interpolant of psi_n on [-C, C].
-
-    Divided differences run in float64 up to degree 30 and in 60-digit
-    arithmetic up to degree 59; beyond that the monomial basis is hopeless
-    in any precision that is read back as float64, so the call is refused.
-    For large m prefer :class:`ChebyshevInterpolant`, which has no such
-    limit.
-    """
-    if m < 1:
-        raise ValueError("need m >= 1 nodes")
-    if m - 1 > MONOMIAL_DEGREE_MAX:
-        raise ValueError(
-            f"degree {m - 1} exceeds the monomial conversion guard "
-            f"({MONOMIAL_DEGREE_MAX})")
-    interp = ChebyshevInterpolant.fit(lambda t: hermite_gaussian(n, t), C, m)
-    nodes = interp.nodes
-    values = interp.values
-    if m - 1 <= MONOMIAL_FLOAT64_MAX:
-        diffs = np.array(values, dtype=float)
-        for j in range(1, m):
-            diffs[j:] = (diffs[j:] - diffs[j - 1:-1]) / (nodes[j:] - nodes[:-j])
-        coeffs = _newton_to_monomial(list(nodes), list(diffs))
-    else:
-        import mpmath as mp
-
-        with mp.workdps(60):
-            mnodes = [mp.mpf(t) for t in nodes]
-            diffs = [mp.mpf(v) for v in values]
-            for j in range(1, m):
-                for i in range(m - 1, j - 1, -1):
-                    diffs[i] = (diffs[i] - diffs[i - 1]) / (mnodes[i] - mnodes[i - j])
-            coeffs = [float(c) for c in _newton_to_monomial(mnodes, diffs)]
-    return Polynomial(np.asarray(coeffs, dtype=complex))
-
-
 def _lattice_weight(gamma: float, l: int, L: float, i_from: int,
                     i_to: int, a: float = 0.0) -> float:
     """Sum of squared overlaps over lattice indices i_from..i_to."""
@@ -465,7 +366,10 @@ class AxisProfile:
 
     values holds i^l sum_n (-1)^((n-l)/2) h_n psi_n(k / sqrt(2 gamma))
     interpolated at the lattice momenta |k| <= cutoff (index |i| <= i_cut),
-    in ascending order; the other fields are those of Projection1D.
+    in ascending order.  n_tilde is the whole-line normalization (root of
+    the summed squared overlaps over the infinite lattice) and n_t the
+    fraction of it kept below the cutoff; both feed the certified error
+    bounds.  degree is that of the fitted interpolant, m-1.
     """
 
     values: np.ndarray = field(repr=False)
@@ -522,7 +426,7 @@ def axis_profile(gamma: float, l: int, grid: PlaneWaveGrid,
 
 @functools.lru_cache(maxsize=None)
 def primitive_1d_mps(gamma: float, l: int, a: float, grid: PlaneWaveGrid,
-                     eps: float) -> tuple[TensorTrain, Projection1D]:
+                     eps: float) -> TensorTrain:
     """Unit-norm train of polynomial plane-wave coefficients for one axis.
 
     Takes the certified cutoff, degree and interpolated momentum profile
@@ -536,8 +440,8 @@ def primitive_1d_mps(gamma: float, l: int, a: float, grid: PlaneWaveGrid,
     shared by every centre, so it is fitted and evaluated once per
     exponent and angular momentum on a grid; the train is memoized on all
     arguments, so every primitive sharing an exponent, angular momentum
-    and centre coordinate on one grid reuses one train.  Its cores and the
-    projection's arrays are read-only.
+    and centre coordinate on one grid reuses one train.  Its cores are
+    read-only.
 
     Raises ProjectionError when the whole-line normalization factor drops
     below 2/3 (cell too small relative to the Gaussian's extent) and
@@ -548,9 +452,7 @@ def primitive_1d_mps(gamma: float, l: int, a: float, grid: PlaneWaveGrid,
     if grid.qubits_per_axis > DENSE_AXIS_QUBIT_CAP:
         raise tt_core.CapacityError(
             f"{grid.points_per_axis} points per axis exceed the dense "
-            f"assembly cap (2^{DENSE_AXIS_QUBIT_CAP}); the analytic "
-            f"polynomial route is gated by the degree-"
-            f"{MONOMIAL_DEGREE_MAX} monomial guard")
+            f"assembly cap (2^{DENSE_AXIS_QUBIT_CAP})")
     prof = axis_profile(gamma, l, grid, eps)
 
     sgrid = grid.axis_grid()
@@ -566,13 +468,9 @@ def primitive_1d_mps(gamma: float, l: int, a: float, grid: PlaneWaveGrid,
     coeffs = coeffs / nrm
 
     tt = tt_core.from_dense(sgrid.embed(coeffs), tol=1e-14)
-
-    proj = Projection1D(k_values=kvals.astype(float), coeffs=coeffs,
-                        n_tilde=prof.n_tilde, n_t=prof.n_t,
-                        cutoff=prof.cutoff, degree=prof.degree)
-    for arr in (*tt.cores, proj.k_values, proj.coeffs):
-        arr.flags.writeable = False
-    return tt, proj
+    for core in tt.cores:
+        core.flags.writeable = False
+    return tt
 
 
 def primitive_3d_mps(g: PrimitiveGaussian, grid: PlaneWaveGrid,
@@ -585,11 +483,9 @@ def primitive_3d_mps(g: PrimitiveGaussian, grid: PlaneWaveGrid,
     count.
     """
     eps_axis = eps / math.sqrt(3.0)
-    parts = []
-    for axis in range(3):
-        tt, _ = primitive_1d_mps(g.gamma, g.ang[axis], g.center[axis],
-                                 grid, eps_axis)
-        parts.append(tt)
+    parts = [primitive_1d_mps(g.gamma, g.ang[axis], g.center[axis], grid,
+                              eps_axis)
+             for axis in range(3)]
     out = tt_core.tensor_product(
         tt_core.tensor_product(parts[0], parts[1]), parts[2])
     return out

@@ -23,7 +23,6 @@ __all__ = [
     "from_debug_json",
     "from_dense",
     "gram",
-    "hadamard",
     "inner_product",
     "left_canonicalize",
     "max_bond_dim",
@@ -200,19 +199,6 @@ def scale(a: TensorTrain, c: complex) -> TensorTrain:
     """Multiply by a scalar (absorbed into the first core)."""
     cores = list(a.cores)
     cores[0] = cores[0] * complex(c)
-    return TensorTrain(cores)
-
-
-def hadamard(a: TensorTrain, b: TensorTrain) -> TensorTrain:
-    """Entrywise product; bond dimensions multiply."""
-    if a.n_sites != b.n_sites:
-        raise ShapeError(f"site mismatch: {a.n_sites} vs {b.n_sites}")
-    cores = []
-    for ca, cb in zip(a.cores, b.cores):
-        la, _, ra = ca.shape
-        lb, _, rb = cb.shape
-        c = np.einsum("asb,csd->acsbd", ca, cb)
-        cores.append(c.reshape(la * lb, 2, ra * rb))
     return TensorTrain(cores)
 
 

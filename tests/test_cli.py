@@ -667,11 +667,12 @@ def test_pipeline_plans_no_einsum(tmp_path, monkeypatch):
 
 
 def test_import_pulls_no_optional_stack():
-    """Importing the command line loads neither scipy nor mpmath.
+    """Importing the command line loads no scipy, mpmath or numpy.polynomial.
 
-    Every command pays its imports before doing any work; mpmath is needed
-    only by the extended-precision branch of chebyshev_fit, which imports
-    it on first use.
+    Every command pays its imports before doing any work, and none of the
+    three serves a command: mpmath is a test-only reference, and the axis
+    trains are sampled through a barycentric interpolant, not a monomial
+    polynomial.
     """
     src = str(Path(ttprep.__file__).resolve().parents[1])
     env = {**os.environ,
@@ -680,8 +681,9 @@ def test_import_pulls_no_optional_stack():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, ttprep.cli; "
-         "print(sorted({'scipy', 'mpmath'} & {m.split('.')[0] "
-         "for m in sys.modules}))"],
+         "print(sorted({'scipy', 'mpmath', 'numpy.polynomial'} & "
+         "{p for m in sys.modules for p in (m.split('.')[0], "
+         "'.'.join(m.split('.')[:2]))}))"],
         env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
 

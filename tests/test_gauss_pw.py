@@ -13,12 +13,11 @@ import pytest
 
 from ttprep import tt_core
 from ttprep.gauss_pw import (EVAL_BLOCK_ENTRIES, MAX_ANGULAR_MOMENTUM,
-                             MAX_HERMITE_ORDER, MONOMIAL_DEGREE_MAX,
-                             ChebyshevInterpolant, PlaneWaveGrid,
-                             PrimitiveGaussian, Projection1D, ProjectionError,
-                             axis_profile, chebyshev_fit, choose_cutoff,
+                             MAX_HERMITE_ORDER, ChebyshevInterpolant,
+                             PlaneWaveGrid, PrimitiveGaussian,
+                             ProjectionError, axis_profile, choose_cutoff,
                              choose_degree, h_coeffs, hermite_gaussian,
-                             hermite_poly, primitive_1d_mps, primitive_3d_mps,
+                             primitive_1d_mps, primitive_3d_mps,
                              projection_normalization, pw_overlap)
 from ttprep.tt_core import CapacityError
 
@@ -54,17 +53,6 @@ def overlap_quadrature(gamma, l, a, k, L, n_pts=4000, half=12.0):
 
 
 class TestHermite:
-    def test_poly_matches_table(self):
-        x = np.linspace(-3.0, 3.0, 11)
-        for n, coeffs in HERMITE_TABLE.items():
-            want = np.polynomial.polynomial.polyval(x, coeffs)
-            got = hermite_poly(n, x)
-            assert np.abs(got - want).max() < 1e-10 * max(
-                1.0, np.abs(want).max())
-
-    def test_h5_spot_value(self):
-        assert hermite_poly(5, 0.7) == pytest.approx(34.49824, abs=1e-10)
-
     def test_gaussian_quadrature_norm(self):
         x = np.linspace(-12.0, 12.0, 2000)
         p3 = hermite_gaussian(3, x)
@@ -85,7 +73,7 @@ class TestHermite:
 
     def test_order_guard(self):
         with pytest.raises(ValueError):
-            hermite_poly(MAX_HERMITE_ORDER + 1, 0.0)
+            hermite_gaussian(MAX_HERMITE_ORDER + 1, 0.0)
         with pytest.raises(ValueError):
             hermite_gaussian(-1, 0.0)
 
@@ -254,33 +242,21 @@ class TestChebyshev:
         err = np.abs(interp(x) - hermite_gaussian(0, x)).max()
         assert err <= 0.5 ** (m / 2.0)
 
-    def test_monomial_fit_float64_path(self):
-        m, c = 19, 2.0
-        p = chebyshev_fit(0, c, m)
-        assert p.degree == m - 1
-        x = np.linspace(-c, c, 2001)
-        err = np.abs(np.real(p(x)) - hermite_gaussian(0, x)).max()
-        assert err <= 0.5 ** (m / 2.0)
-
-    def test_monomial_fit_extended_path(self):
-        # degree 31 exceeds the float64 guard and runs in 60-digit arithmetic
-        m, c = 32, 2.0
-        p = chebyshev_fit(0, c, m)
-        x = np.linspace(-c, c, 1001)
-        err = np.abs(np.real(p(x)) - hermite_gaussian(0, x)).max()
-        assert err <= 0.5 ** (m / 2.0)
-
     def test_wide_window_scan(self):
-        p = chebyshev_fit(0, 4.0, 40)
+        interp = ChebyshevInterpolant.fit(
+            lambda t: hermite_gaussian(0, t), 4.0, 40)
         x = np.linspace(-4.0, 4.0, 2001)
-        assert np.abs(np.real(p(x)) - hermite_gaussian(0, x)).max() < 1e-6
+        assert np.abs(interp(x) - hermite_gaussian(0, x)).max() < 1e-6
 
     def test_interpolation_property(self):
+        # nodes recomputed here land within round-off of the stored ones,
+        # so this checks the barycentric form next to its poles
         m, c, n = 24, 3.0, 2
-        p = chebyshev_fit(n, c, m)
+        interp = ChebyshevInterpolant.fit(
+            lambda t: hermite_gaussian(n, t), c, m)
         i = np.arange(m)
         nodes = c * np.cos((2.0 * i + 1.0) * math.pi / (2.0 * m + 2.0))
-        assert np.abs(np.real(p(nodes))
+        assert np.abs(interp(nodes)
                       - hermite_gaussian(n, nodes)).max() < 1e-10
 
     def test_excited_state_certified_scan(self):
@@ -289,13 +265,12 @@ class TestChebyshev:
         ec = math.e * c / math.sqrt(2.0)
         assert m >= ec * (ec + math.sqrt(2.0 * n + 1.0))
         assert m >= 2.0 * math.log(1e3) / math.log(2.0)
-        p = chebyshev_fit(n, c, m)
+        interp = ChebyshevInterpolant.fit(
+            lambda t: hermite_gaussian(n, t), c, m)
         x = np.linspace(-c, c, 2001)
-        assert np.abs(np.real(p(x)) - hermite_gaussian(n, x)).max() <= 1e-3
+        assert np.abs(interp(x) - hermite_gaussian(n, x)).max() <= 1e-3
 
     def test_guards(self):
-        with pytest.raises(ValueError):
-            chebyshev_fit(0, 2.0, MONOMIAL_DEGREE_MAX + 2)
         with pytest.raises(ValueError):
             ChebyshevInterpolant.fit(lambda t: t, -1.0, 5)
         with pytest.raises(ValueError):
@@ -398,13 +373,7 @@ def whole_line_reference(gamma, l, a, grid):
 
 
 class TestProjection1D:
-    def test_n_t_window_validation(self):
-        with pytest.raises(ValueError):
-            Projection1D(k_values=np.zeros(1), coeffs=np.ones(1),
-                         n_tilde=1.0, n_t=0.0, cutoff=1.0, degree=3)
-        with pytest.raises(ValueError):
-            Projection1D(k_values=np.zeros(1), coeffs=np.ones(1),
-                         n_tilde=1.0, n_t=1.2, cutoff=1.0, degree=3)
+    """Certified normalization, tail and cutoff of one axis projection."""
 
     @pytest.mark.parametrize("gamma,l,eps", [
         (1.0, 0, 1e-2), (0.25, 2, 1e-3), (4.0, 1, 1e-2),
@@ -412,7 +381,7 @@ class TestProjection1D:
     def test_certified_tail_and_norm(self, gamma, l, eps):
         L = 30.0
         grid = PlaneWaveGrid(L=L, K=choose_cutoff(gamma, l, L, eps))
-        _, proj = primitive_1d_mps(gamma, l, 0.0, grid, eps)
+        proj = axis_profile(gamma, l, grid, eps)
 
         # independent lattice sums
         dk = grid.dk
@@ -452,19 +421,21 @@ class TestPrimitive1D:
     def test_trace_distance_within_budget(self, gamma, l, a, eps):
         L = 30.0
         grid = PlaneWaveGrid(L=L, K=choose_cutoff(gamma, l, L, eps))
-        tt, proj = primitive_1d_mps(gamma, l, a, grid, eps)
+        tt = primitive_1d_mps(gamma, l, a, grid, eps)
         assert abs(tt_core.norm(tt) - 1.0) < 1e-10
         ref = whole_line_reference(gamma, l, a, grid)
         assert trace_distance_nonunit(ref, dense(tt)) <= eps
-        assert tt_core.max_bond_dim(tt) <= 2 * (proj.degree + 1) + 3
+        m = axis_profile(gamma, l, grid, eps).degree + 1
+        assert tt_core.max_bond_dim(tt) <= 2 * m + 3
 
     def test_translation_bond_growth_is_bounded(self):
         gamma, l, eps, L = 1.0, 0, 1e-3, 30.0
         grid = PlaneWaveGrid(L=L, K=choose_cutoff(gamma, l, L, eps))
-        t0, proj = primitive_1d_mps(gamma, l, 0.0, grid, eps)
-        t1, _ = primitive_1d_mps(gamma, l, 0.7, grid, eps)
+        t0 = primitive_1d_mps(gamma, l, 0.0, grid, eps)
+        t1 = primitive_1d_mps(gamma, l, 0.7, grid, eps)
+        m = axis_profile(gamma, l, grid, eps).degree + 1
         assert tt_core.max_bond_dim(t1) <= 2 * tt_core.max_bond_dim(t0)
-        assert tt_core.max_bond_dim(t1) <= 2 * (proj.degree + 1) + 3
+        assert tt_core.max_bond_dim(t1) <= 2 * m + 3
 
     def test_capacity_guard(self):
         grid = PlaneWaveGrid(L=30.0, K=900.0)
@@ -483,25 +454,28 @@ class TestPrimitive1D:
             primitive_1d_mps(1.0, 0, 0.0, grid, 0.0)
 
     def test_repeat_call_shares_one_read_only_result(self):
-        args = (1.0, 1, 0.4, PlaneWaveGrid(L=30.0, K=11.0), 1e-3)
-        first = primitive_1d_mps(*args)
-        assert primitive_1d_mps(*args) is first
-        tt, proj = first
-        for arr in (*tt.cores, proj.k_values, proj.coeffs):
+        gamma, l, grid, eps = 1.0, 1, PlaneWaveGrid(L=30.0, K=11.0), 1e-3
+        args = (gamma, l, 0.4, grid, eps)
+        tt = primitive_1d_mps(*args)
+        assert primitive_1d_mps(*args) is tt
+        prof = axis_profile(gamma, l, grid, eps)
+        assert axis_profile(gamma, l, grid, eps) is prof
+        for arr in (*tt.cores, prof.values):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             tt.cores[0][...] = 0.0
         axis_profile.cache_clear()
-        fresh_tt, fresh_proj = primitive_1d_mps.__wrapped__(*args)
-        assert fresh_tt is not tt
+        fresh_tt = primitive_1d_mps.__wrapped__(*args)
+        fresh_prof = axis_profile(gamma, l, grid, eps)
+        assert fresh_tt is not tt and fresh_prof is not prof
         assert len(fresh_tt.cores) == len(tt.cores)
         for a, b in zip(fresh_tt.cores, tt.cores):
             assert np.array_equal(a, b)
-        assert np.array_equal(fresh_proj.k_values, proj.k_values)
-        assert np.array_equal(fresh_proj.coeffs, proj.coeffs)
-        assert ((fresh_proj.n_tilde, fresh_proj.n_t, fresh_proj.cutoff,
-                 fresh_proj.degree)
-                == (proj.n_tilde, proj.n_t, proj.cutoff, proj.degree))
+        assert np.array_equal(fresh_prof.values, prof.values)
+        assert ((fresh_prof.i_cut, fresh_prof.n_tilde, fresh_prof.n_t,
+                 fresh_prof.cutoff, fresh_prof.degree)
+                == (prof.i_cut, prof.n_tilde, prof.n_t, prof.cutoff,
+                    prof.degree))
 
     def test_projection_error_raised_on_every_call(self):
         args = (1.0, 1, 0.0, PlaneWaveGrid(L=0.5, K=13.0), 1e-2)
@@ -533,14 +507,13 @@ class TestPrimitive1D:
     def test_shared_profile_train_matches_a_fresh_build(self, l):
         grid = PlaneWaveGrid(L=30.0, K=11.0)
         primitive_1d_mps(1.0, l, 0.3, grid, 1e-3)
-        shared_tt, shared_proj = primitive_1d_mps(1.0, l, -0.9, grid, 1e-3)
+        shared_tt = primitive_1d_mps(1.0, l, -0.9, grid, 1e-3)
         primitive_1d_mps.cache_clear()
         axis_profile.cache_clear()
-        fresh_tt, fresh_proj = primitive_1d_mps(1.0, l, -0.9, grid, 1e-3)
+        fresh_tt = primitive_1d_mps(1.0, l, -0.9, grid, 1e-3)
         assert fresh_tt is not shared_tt
         for a, b in zip(fresh_tt.cores, shared_tt.cores, strict=True):
             assert np.array_equal(a, b)
-        assert np.array_equal(fresh_proj.coeffs, shared_proj.coeffs)
 
     @pytest.mark.parametrize("l", [0, 1, 2, 3, 4])
     def test_one_fit_matches_the_hermite_sum(self, l):

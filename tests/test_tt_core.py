@@ -118,20 +118,6 @@ def test_add_bond_rule(n, seed):
 
 
 @settings(deadline=None, max_examples=30)
-@given(st.integers(min_value=1, max_value=7), seeds)
-def test_hadamard(n, seed):
-    rng = _rng(seed)
-    a = random_tt(rng, n, max_bond=3)
-    b = random_tt(rng, n, max_bond=3)
-    prod = tt_core.hadamard(a, b)
-    want = dense(a) * dense(b)
-    assert prod.bond_dims == tuple(
-        x * y for x, y in zip(a.bond_dims, b.bond_dims))
-    assert np.linalg.norm(dense(prod) - want) < 1e-10 * max(
-        np.linalg.norm(want), 1.0)
-
-
-@settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=1, max_value=5),
        st.integers(min_value=1, max_value=5), seeds)
 def test_tensor_product(na, nb, seed):
@@ -251,7 +237,7 @@ def test_round_zero_keeps_vector(rng):
 def test_site_mismatch_rejected(rng):
     a = random_tt(rng, 3)
     b = random_tt(rng, 4)
-    for op in (tt_core.add, tt_core.hadamard, tt_core.inner_product):
+    for op in (tt_core.add, tt_core.inner_product):
         with pytest.raises(ShapeError):
             op(a, b)
     with pytest.raises(ShapeError):

@@ -390,7 +390,9 @@ def axis_profile(gamma: float, l: int, grid: PlaneWaveGrid,
     shared by every centre.  The profile sum_n i^n h_n psi_n(u) has only
     terms of l's parity, so it equals i^l times the real sum
     sum_n (-1)^((n-l)/2) h_n psi_n(u); that real sum is fitted with one
-    degree m-1 interpolant.  The values array is read-only.
+    degree m-1 interpolant, evaluated at the lattice points u >= 0 and
+    mirrored to u < 0 by its parity (-1)^l, so the profile is
+    parity-symmetric bit for bit.  The values array is read-only.
 
     Raises ProjectionError when the whole-line normalization factor drops
     below 2/3 (cell too small relative to the Gaussian's extent).
@@ -414,8 +416,14 @@ def axis_profile(gamma: float, l: int, grid: PlaneWaveGrid,
         lambda t: np.tensordot(signs * h, _hermite_gaussian_table(l, t),
                                axes=([0], [0])),
         max(K, k_cut) / scale, m)
-    u = np.arange(-i_cut, i_cut + 1) * dk / scale
-    values = (1j ** l) * interp(u)
+    # the fit is evaluated on u >= 0 only and mirrored by the parity
+    # (-1)^l: past its last kept node, near u = -C, it is less accurate;
+    # an odd profile vanishes at u = 0
+    half = interp(np.arange(i_cut + 1) * dk / scale)
+    if l % 2:
+        half[0] = 0.0
+    real = np.concatenate([(-1.0) ** l * half[:0:-1], half])
+    values = (1j ** l) * real
     values.flags.writeable = False
 
     w_below = _lattice_weight(gamma, l, grid.L, -i_cut, i_cut)

@@ -192,10 +192,12 @@ def build_mo_mps(mo: MolecularOrbital, grid: PlaneWaveGrid,
     and an odd last train moves up unchanged.  That is G - 1 rounds, as for
     a chain, but most of them see two primitives' bonds rather than a grown
     accumulator's.  For G <= 3 the order equals the chain's.  The sum is
-    then renormalized.  The pre-normalization squared norm is kept on the
-    result; a (numerically) vanishing norm is an error rather than a silent
-    zero state.  primitive_tts, when given, must hold the already projected
-    train for each primitive in order.
+    then left-canonicalized once, its squared norm read off its last core,
+    and the last core renormalized, so the unit train is "left" and a later
+    truncate_mo needs no orthogonalization sweep.  The pre-normalization
+    squared norm is kept on the result; a (numerically) vanishing norm is
+    an error rather than a silent zero state.  primitive_tts, when given,
+    must hold the already projected train for each primitive in order.
     """
     if eps_sum < 0:
         raise ValueError("eps_sum must be nonnegative")
@@ -211,7 +213,7 @@ def build_mo_mps(mo: MolecularOrbital, grid: PlaneWaveGrid,
         merged = [tt_core.round(tt_core.add(a, b), eps_sum)
                   for a, b in zip(terms[::2], terms[1::2])]
         terms = merged + terms[2 * len(merged):]
-    acc = terms[0]
+    acc = tt_core.left_canonicalize(terms[0])
     raw = float(tt_core.norm(acc)) ** 2
     if raw < DEGENERATE_NORM_SQ:
         raise DegenerateOrbitalError(
@@ -225,7 +227,9 @@ def truncate_mo(o: OrbitalMPS, eps: float) -> OrbitalMPS:
     """Round an orbital train at a larger cutoff, scaling its norm record.
 
     The retained squared norm multiplies raw_norm_sq, so infidelity grows
-    monotonically with eps; eps = 0 returns the input unchanged.
+    monotonically with eps; eps = 0 returns the input unchanged.  On the
+    "left" train of build_mo_mps the rounding is a single right-to-left SVD
+    sweep, and the "right" result reads its norm off its first core.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")

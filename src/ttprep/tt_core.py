@@ -54,9 +54,15 @@ class TensorTrain:
         Rank-3 cores, each of shape ``(left_bond, 2, right_bond)``.  The
         first left bond and last right bond must be 1, and adjacent bonds
         must match.
-    canonical_form : {"none", "left"}
-        "left" promises every core but the last is a left isometry.  Set by
-        :func:`left_canonicalize`; cleared by operations that break it.
+    canonical_form : {"none", "left", "right"}
+        Which end of the chain carries the norm.  "left" promises every
+        core but the last is a left isometry (set by :func:`from_dense` and
+        :func:`left_canonicalize`); "right" promises every core but the
+        first is a right isometry (set by :func:`round`).  :func:`scale`
+        keeps the form; every other operation returns "none".  The form is
+        trusted, not checked: :func:`norm` reads the norm-carrying core
+        alone and :func:`round` skips its orthogonalization sweep on a
+        "left" train.
     truncation_error : float
         Frobenius-norm bound on the error introduced by the operation that
         produced this value (0 for exact constructions).  It is a property
@@ -85,7 +91,7 @@ class TensorTrain:
                 raise ShapeError(
                     f"bond mismatch between cores {j} and {j + 1}: "
                     f"{cores[j].shape[2]} vs {cores[j + 1].shape[0]}")
-        if canonical_form not in ("none", "left"):
+        if canonical_form not in ("none", "left", "right"):
             raise ValueError(f"unknown canonical form {canonical_form!r}")
         self.cores = cores
         self.canonical_form = canonical_form
@@ -195,11 +201,23 @@ def add(a: TensorTrain, b: TensorTrain) -> TensorTrain:
     return TensorTrain(cores)
 
 
+def _centre(a: TensorTrain) -> int:
+    """Index of the core that carries the norm: the last of a "left" train,
+    the first otherwise."""
+    return len(a.cores) - 1 if a.canonical_form == "left" else 0
+
+
 def scale(a: TensorTrain, c: complex) -> TensorTrain:
-    """Multiply by a scalar (absorbed into the first core)."""
+    """Multiply by a scalar.
+
+    The scalar is absorbed into the core that carries the norm (the last
+    of a "left" train, the first otherwise), so the canonical form is
+    kept.
+    """
     cores = list(a.cores)
-    cores[0] = cores[0] * complex(c)
-    return TensorTrain(cores)
+    j = _centre(a)
+    cores[j] = cores[j] * complex(c)
+    return TensorTrain(cores, canonical_form=a.canonical_form)
 
 
 def tensor_product(a: TensorTrain, b: TensorTrain) -> TensorTrain:
@@ -254,9 +272,15 @@ def gram(trains) -> np.ndarray:
 
 
 def norm(a: TensorTrain) -> float:
-    """2-norm of the encoded vector, via canonicalization for stability."""
-    t = a if a.canonical_form == "left" else left_canonicalize(a)
-    return float(np.linalg.norm(t.cores[-1]))
+    """2-norm of the encoded vector.
+
+    A "left" or "right" train carries its norm in its last or first core,
+    whose Frobenius norm is read directly; any other train is
+    left-canonicalized first, for stability.
+    """
+    if a.canonical_form == "none":
+        a = left_canonicalize(a)
+    return float(np.linalg.norm(a.cores[_centre(a)]))
 
 
 def left_canonicalize(a: TensorTrain) -> TensorTrain:
@@ -280,15 +304,18 @@ def left_canonicalize(a: TensorTrain) -> TensorTrain:
 def round(a: TensorTrain, svd_cutoff: float) -> TensorTrain:
     """Recompress with a relative singular-value cutoff.
 
-    Two passes: a left-canonicalization sweep, then a right-to-left SVD
-    sweep.  At each bond, singular values ``s_i <= svd_cutoff * s_0`` are
-    discarded (the largest one always survives).  Because the untouched
-    side of the chain stays canonical during the second sweep, the
-    discarded weights add in quadrature and
+    Two passes: a left-canonicalization sweep, skipped when ``a`` is
+    already "left", then a right-to-left SVD sweep.  At each bond,
+    singular values ``s_i <= svd_cutoff * s_0`` are discarded (the largest
+    one always survives).  Because the untouched side of the chain stays
+    canonical during the second sweep, the discarded weights add in
+    quadrature and
 
         ||dense(a) - dense(result)|| <= sqrt(sum of discarded s^2),
 
-    which the result reports as its ``truncation_error``.
+    which the result reports as its ``truncation_error``.  The sweep
+    leaves every core but the first a right isometry, so the result is
+    "right".
 
     Parameters
     ----------
@@ -299,7 +326,7 @@ def round(a: TensorTrain, svd_cutoff: float) -> TensorTrain:
     """
     if svd_cutoff < 0:
         raise ValueError("svd_cutoff must be nonnegative")
-    t = left_canonicalize(a)
+    t = a if a.canonical_form == "left" else left_canonicalize(a)
     cores = list(t.cores)
     discarded = 0.0
     for j in range(len(cores) - 1, 0, -1):
@@ -316,7 +343,8 @@ def round(a: TensorTrain, svd_cutoff: float) -> TensorTrain:
         prev = cores[j - 1]
         cores[j - 1] = (prev.reshape(-1, l) @ (U[:, :k] * S[:k])).reshape(
             prev.shape[0], 2, k)
-    return TensorTrain(cores, truncation_error=float(np.sqrt(discarded)))
+    return TensorTrain(cores, canonical_form="right",
+                       truncation_error=float(np.sqrt(discarded)))
 
 
 def max_bond_dim(a: TensorTrain) -> int:

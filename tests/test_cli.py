@@ -22,7 +22,7 @@ from click.testing import CliRunner
 
 import ttprep
 from ttprep import (__version__, cli, gauss_pw, oracle, orbital_builder,
-                    resource_model)
+                    resource_model, tt_core)
 from ttprep.cli import main
 
 FIXTURE_DIR = Path(str(importlib_resources.files("ttprep") / "fixtures"))
@@ -538,6 +538,34 @@ class TestSweepCommand:
         n_orbitals = len(cli.load_fixture(fixture_path(name)).orbitals)
         assert len(rows) == 6 * n_orbitals
         assert len(calls) == n_orbitals
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_svd_points_add_no_qr_sweep(self, tmp_path, monkeypatch, k):
+        """Each orbital over G primitives is left-canonicalized G times
+        (G - 1 merges, then its sum once), however many nonzero svd_cutoff
+        points truncate it, and as often as an estimate does."""
+        calls = []
+        original = tt_core.left_canonicalize
+
+        def counting(a):
+            calls.append(1)
+            return original(a)
+
+        monkeypatch.setattr(tt_core, "left_canonicalize", counting)
+        name = "synthetic_diatomic"
+        cfg = cli.load_config(config_path(name))
+        want = sum(len(o.indices)
+                   for o in cli.load_fixture(fixture_path(name)).orbitals)
+        cfg["compression"]["svd_cutoff"] = 3e-3
+        cfg["sweep"] = {"svd_cutoff": [0.3 / 10 ** j for j in range(k)]}
+        path = write_json(tmp_path / "cfg.json", cfg)
+        run_cli(["sweep", "--config", path, "--fixture", fixture_path(name),
+                 "--out", str(tmp_path)])
+        assert len(calls) == want
+        calls.clear()
+        run_cli(["estimate", "--config", path,
+                 "--fixture", fixture_path(name), "--out", str(tmp_path)])
+        assert len(calls) == want
 
     def test_no_sweep_axes_rejected(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", base_config())

@@ -412,6 +412,51 @@ class TestProjection1D:
         assert proj.cutoff >= 2.0 * math.sqrt(2.0 * gamma) * math.sqrt(
             bracket)
 
+    @pytest.mark.parametrize("l", range(5))
+    def test_profile_is_parity_symmetric(self, l):
+        grid = PlaneWaveGrid(L=9.0, K=12.0)
+        prof = axis_profile(0.8, l, grid, 1e-4)
+        v, c = prof.values, prof.i_cut
+        assert v.shape == (2 * c + 1,)
+        for i in range(c + 1):
+            assert v[c - i] == (-1) ** l * v[c + i]
+
+    @pytest.mark.parametrize("gamma,l,eps,n", [
+        (1.0, 0, 1e-6, 20), (1.0, 2, 1e-6, 20), (0.5, 1, 1e-4, 12),
+    ])
+    def test_negative_end_as_accurate_as_positive(self, gamma, l, eps, n):
+        """The lattice end -k_cut sits past the interpolant's last kept
+        node when K/dk is just above an integer; it must be as accurate as
+        +k_cut."""
+        def excess(L):
+            return choose_cutoff(gamma, l, L, eps) * L / (2.0 * math.pi) - n
+
+        lo, hi = 1.0, 200.0  # bisect L for K/dk a few ulps above n
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if excess(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        K = choose_cutoff(gamma, l, hi, eps)
+        grid = PlaneWaveGrid(L=hi, K=1.5 * K)
+        prof = axis_profile(gamma, l, grid, eps)
+        assert prof.i_cut == n
+        m = prof.degree + 1
+        half_width = K / math.sqrt(2.0 * gamma)
+        u = n * grid.dk / math.sqrt(2.0 * gamma)
+        last_node = half_width * math.cos((2 * m - 1) * math.pi / (2 * m + 2))
+        assert -half_width <= -u < last_node
+
+        h = h_coeffs(l).h
+
+        def exact(x):
+            return (1j ** l) * sum((-1.0) ** ((k - l) // 2) * h[k]
+                                   * psi_ref(k, x) for k in range(l + 1))
+
+        assert abs(prof.values[-1] - exact(u)) <= 1e-16
+        assert abs(prof.values[0] - exact(-u)) <= 1e-16
+
 
 class TestPrimitive1D:
     @pytest.mark.parametrize("gamma,l,a,eps", [

@@ -165,6 +165,34 @@ def test_orbital_check_sees_a_sign_flip(tmp_path):
     assert "= 2.000e+00" in checks["tt_vs_dense_orbital[0]"]["detail"]
 
 
+def test_norm_checks_trust_no_canonical_tag(tmp_path):
+    """A false "left" tag fools tt_core.norm, which reads the last core
+    alone; the referee's norm checks contract the raw cores and FAIL."""
+    result = _pair_result(tmp_path)
+    r = result.orbitals[0]
+    cores = list(tt_core.left_canonicalize(r.mps.tt).cores)
+    cores[0] = 2.0 * cores[0]
+    false_left = TensorTrain(cores, canonical_form="left")
+    assert tt_core.norm(false_left) == pytest.approx(1.0, abs=1e-12)
+    assert oracle.self_norm(false_left) == pytest.approx(2.0, abs=1e-12)
+    r.mps = dataclasses.replace(r.mps, tt=false_left)
+    first, *rest = result.prim_tts[0].cores
+    result.prim_tts[0] = TensorTrain([2.0 * first, *rest],
+                                     canonical_form="left")
+    checks = {c["name"]: c for c in oracle.run_checks(result, tmp_path)}
+    for name in ("orbital_norm[0]", "primitive_norm[0]"):
+        assert checks[name]["status"] == "FAIL"
+        assert "= 1.000e+00" in checks[name]["detail"]
+    assert checks["primitive_norm[1]"]["status"] == "PASS"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_self_norm_matches_dense(rng, n):
+    t = random_tt(rng, n, max_bond=4)
+    assert oracle.self_norm(t) == pytest.approx(np.linalg.norm(dense(t)),
+                                                rel=1e-12)
+
+
 def test_gram_check_sees_a_transpose(tmp_path):
     """gram_vs_dense must tell S from S^T wherever they differ."""
     result = _pair_result(tmp_path, [

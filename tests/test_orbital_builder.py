@@ -246,9 +246,10 @@ class TestMergeOrder:
         c = random_coeffs(rng, n_prims)
         o = build_mo_mps(MolecularOrbital(coeffs=c, primitives=prims), grid,
                          eps_primitive=1e-3, eps_sum=1e-6, primitive_tts=tts)
-        acc = chain_sum(c, tts, 1e-6)
-        raw = float(tt_core.norm(acc)) ** 2
+        acc = tt_core.left_canonicalize(chain_sum(c, tts, 1e-6))
+        raw = float(np.linalg.norm(acc.cores[-1])) ** 2
         assert o.raw_norm_sq == raw
+        assert o.tt.canonical_form == "left"
         want = tt_core.scale(acc, 1.0 / math.sqrt(raw))
         assert len(o.tt.cores) == len(want.cores)
         for got, ref in zip(o.tt.cores, want.cores):

@@ -167,6 +167,85 @@ def test_round_error_bound(n, seed, cutoff):
     assert all(x <= y for x, y in zip(r.bond_dims, a.bond_dims))
 
 
+def right_isometry_residuals(a: TensorTrain) -> list[float]:
+    """Per-core deviation ||A A^H - I||_F of the right-isometry property.
+
+    The first core is excluded; it carries the norm.
+    """
+    out = []
+    for c in a.cores[1:]:
+        l, _, r = c.shape
+        m = c.reshape(l, 2 * r)
+        out.append(float(np.linalg.norm(m @ m.conj().T - np.eye(l))))
+    return out
+
+
+def _tagged_trains(rng, n):
+    """(label, train) from every operation that sets or keeps a tag."""
+    none = random_tt(rng, n, max_bond=5)
+    left = tt_core.from_dense(random_vector(rng, n))
+    right = tt_core.round(none, 0.0)
+    alpha = complex(rng.standard_normal(), rng.standard_normal())
+    out = [("from_dense", left), ("none", none),
+           ("left_canonicalize", tt_core.left_canonicalize(none))]
+    for cut in (0.0, 1e-3, 0.3):
+        out.append((f"round({cut})", tt_core.round(none, cut)))
+        out.append((f"round_left({cut})", tt_core.round(left, cut)))
+    out += [(f"scale({label})", tt_core.scale(t, alpha))
+            for label, t in list(out)]
+    out += [("add", tt_core.add(left, right)),
+            ("tensor_product", tt_core.tensor_product(left, right)),
+            ("from_debug_json",
+             tt_core.from_debug_json(tt_core.to_debug_json(left)))]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_canonical_tag_is_true(n):
+    """A "left" or "right" tag is trusted by norm and round, so every
+    operation that sets or keeps one must leave isometric cores behind."""
+    forms = set()
+    for label, t in _tagged_trains(_rng(300 + n), n):
+        forms.add(t.canonical_form)
+        if t.canonical_form == "left":
+            assert max(isometry_residuals(t), default=0.0) <= 1e-12, label
+        elif t.canonical_form == "right":
+            assert max(right_isometry_residuals(t), default=0.0) <= 1e-12, \
+                label
+        want = np.linalg.norm(dense(t))
+        assert tt_core.norm(t) == pytest.approx(want, rel=1e-12), label
+    assert forms == {"none", "left", "right"}
+
+
+def test_canonical_tags_by_operation(rng):
+    left = tt_core.from_dense(random_vector(rng, 4))
+    none = random_tt(rng, 4)
+    right = tt_core.round(none, 1e-3)
+    assert right.canonical_form == "right"
+    assert tt_core.round(left, 1e-3).canonical_form == "right"
+    for t in (left, none, right):
+        assert tt_core.scale(t, 2.0).canonical_form == t.canonical_form
+    for t in (tt_core.add(left, left), tt_core.tensor_product(left, left),
+              tt_core.from_debug_json(tt_core.to_debug_json(left))):
+        assert t.canonical_form == "none"
+
+
+def test_round_of_a_left_train_skips_the_qr_sweep(rng, monkeypatch):
+    calls = []
+    original = tt_core.left_canonicalize
+
+    def counting(a):
+        calls.append(a.canonical_form)
+        return original(a)
+
+    monkeypatch.setattr(tt_core, "left_canonicalize", counting)
+    left = tt_core.from_dense(random_vector(rng, 5))
+    tt_core.round(left, 1e-3)
+    assert calls == []
+    tt_core.round(random_tt(rng, 5), 1e-3)
+    assert calls == ["none"]
+
+
 def _unit(t: TensorTrain) -> TensorTrain:
     return tt_core.scale(t, 1.0 / tt_core.norm(t))
 

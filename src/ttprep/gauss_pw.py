@@ -204,6 +204,13 @@ def h_coeffs(l: int) -> HermiteExpansion:
     return HermiteExpansion(l=l, h=h)
 
 
+def _real_profile_coeffs(l: int) -> np.ndarray:
+    """(-1)^((n-l)/2) h_n: sum_n i^n h_n psi_n = i^l sum_n these * psi_n,
+    because h_n vanishes unless n has l's parity."""
+    signs = np.array([(-1.0) ** ((n - l) // 2) for n in range(l + 1)])
+    return signs * h_coeffs(l).h
+
+
 def pw_overlap(gamma: float, l: int, a: float, k, L: float):
     """Whole-line overlap of a shifted 1D Gaussian with a plane wave.
 
@@ -213,7 +220,8 @@ def pw_overlap(gamma: float, l: int, a: float, k, L: float):
         exp(i k a) * 2^(1/4) sqrt(pi) / (gamma^(1/4) sqrt(L))
             * sum_n i^n h_n psi_n(k / sqrt(2 gamma)).
 
-    Accepts scalar or array k.
+    The sum is taken in real arithmetic as i^l sum_n (-1)^((n-l)/2) h_n
+    psi_n, as in :func:`axis_profile`.  Accepts scalar or array k.
     """
     if L <= 0:
         raise ValueError("L must be positive")
@@ -221,12 +229,10 @@ def pw_overlap(gamma: float, l: int, a: float, k, L: float):
         raise ValueError("gamma must be positive")
     karr = np.asarray(k, dtype=float)
     u = np.atleast_1d(karr) / math.sqrt(2.0 * gamma)
-    h = h_coeffs(l).h
-    table = _hermite_gaussian_table(l, u)
-    phases = np.array([1j ** n for n in range(l + 1)])
-    s = np.tensordot(h * phases, table, axes=([0], [0]))
+    real = np.tensordot(_real_profile_coeffs(l),
+                        _hermite_gaussian_table(l, u), axes=([0], [0]))
     pref = 2.0 ** 0.25 * math.sqrt(math.pi) / (gamma ** 0.25 * math.sqrt(L))
-    out = np.exp(1j * karr * a) * pref * s.reshape(karr.shape)
+    out = np.exp(1j * karr * a) * ((1j ** l) * pref * real.reshape(karr.shape))
     return out if karr.ndim else complex(out)
 
 
@@ -410,10 +416,9 @@ def axis_profile(gamma: float, l: int, grid: PlaneWaveGrid,
     k_cut = i_cut * dk
 
     scale = math.sqrt(2.0 * gamma)
-    h = h_coeffs(l).h
-    signs = np.array([(-1.0) ** ((n - l) // 2) for n in range(l + 1)])
+    coeffs = _real_profile_coeffs(l)
     interp = ChebyshevInterpolant.fit(
-        lambda t: np.tensordot(signs * h, _hermite_gaussian_table(l, t),
+        lambda t: np.tensordot(coeffs, _hermite_gaussian_table(l, t),
                                axes=([0], [0])),
         max(K, k_cut) / scale, m)
     # the fit is evaluated on u >= 0 only and mirrored by the parity

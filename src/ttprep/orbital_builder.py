@@ -3,7 +3,8 @@
 Workflow: project every primitive Gaussian onto the grid (one train each),
 form their Gram matrix with train inner products, canonically orthogonalize
 it (drop eigenvalues below sigma), then assemble each orbital as a weighted
-train sum, merged pairwise in a balanced tree and rounded after every merge.
+train sum: each half of its primitives is summed exactly in one QR sweep and
+rounded, and the two halves are added and rounded once more.
 The squared norm of the summed train, recorded before the final
 renormalization, drives all error reporting: truncations only remove
 weight, so 1 - raw_norm_sq tracks the discarded probability and
@@ -182,22 +183,36 @@ def canonical_orthogonalize(S, sigma: float) -> OrthoBasis:
     return OrthoBasis(x_tilde=X, eigenvalues=wk, sigma=float(sigma))
 
 
+def _half_sum(coeffs, tts, eps_sum: float) -> TensorTrain:
+    """sum_g coeffs[g] * tts[g], summed exactly and rounded at eps_sum; a
+    single train is only scaled."""
+    if len(tts) == 1:
+        return tt_core.scale(tts[0], complex(coeffs[0]))
+    return tt_core.round(tt_core.canonical_sum(tts, coeffs), eps_sum)
+
+
 def build_mo_mps(mo: MolecularOrbital, grid: PlaneWaveGrid,
                  eps_primitive: float, eps_sum: float = 1e-9,
                  primitive_tts=None) -> OrbitalMPS:
-    """Weighted train sum over the orbital's primitives, truncating as it goes.
+    """Weighted train sum over the orbital's primitives, rounded in halves.
 
-    Sums the trains c_g * primitive_g as a balanced pairwise tree: each level
-    replaces the pairs (0, 1), (2, 3), ... by their sum rounded at eps_sum,
-    and an odd last train moves up unchanged.  That is G - 1 rounds, as for
-    a chain, but most of them see two primitives' bonds rather than a grown
-    accumulator's.  For G <= 3 the order equals the chain's.  The sum is
-    then left-canonicalized once, its squared norm read off its last core,
-    and the last core renormalized, so the unit train is "left" and a later
-    truncate_mo needs no orthogonalization sweep.  The pre-normalization
-    squared norm is kept on the result; a (numerically) vanishing norm is
-    an error rather than a silent zero state.  primitive_tts, when given,
-    must hold the already projected train for each primitive in order.
+    The G primitives are split at h = G // 2.  Each half with more than
+    one primitive is summed exactly by tt_core.canonical_sum, one QR sweep
+    whose "left" result round truncates at eps_sum without a QR sweep of
+    its own; a one-primitive half is its scaled train.  The two halves are
+    then added and rounded once more at eps_sum.  So an orbital costs
+    min(G - 1, 3) roundings, and for G <= 2 the sum equals the
+    add-then-round chain bit for bit.  Halves rather than one exact sum
+    of all G: an exact sum's bonds grow with the number of trains it
+    holds, so halving it bounds the largest train built.
+
+    The sum is then left-canonicalized once, its squared norm read off
+    its last core, and the last core renormalized, so the unit train is
+    "left" and a later truncate_mo needs no orthogonalization sweep.  The
+    pre-normalization squared norm is kept on the result; a (numerically)
+    vanishing norm is an error rather than a silent zero state.
+    primitive_tts, when given, must hold the already projected train for
+    each primitive in order.
     """
     if eps_sum < 0:
         raise ValueError("eps_sum must be nonnegative")
@@ -208,12 +223,15 @@ def build_mo_mps(mo: MolecularOrbital, grid: PlaneWaveGrid,
         parts = list(primitive_tts)
         if len(parts) != len(mo.primitives):
             raise ValueError("primitive_tts must match primitives one to one")
-    terms = [tt_core.scale(tt, complex(c)) for c, tt in zip(mo.coeffs, parts)]
-    while len(terms) > 1:
-        merged = [tt_core.round(tt_core.add(a, b), eps_sum)
-                  for a, b in zip(terms[::2], terms[1::2])]
-        terms = merged + terms[2 * len(merged):]
-    acc = tt_core.left_canonicalize(terms[0])
+    h = len(parts) // 2
+    if h == 0:
+        acc = tt_core.scale(parts[0], complex(mo.coeffs[0]))
+    else:
+        acc = tt_core.round(
+            tt_core.add(_half_sum(mo.coeffs[:h], parts[:h], eps_sum),
+                        _half_sum(mo.coeffs[h:], parts[h:], eps_sum)),
+            eps_sum)
+    acc = tt_core.left_canonicalize(acc)
     raw = float(tt_core.norm(acc)) ** 2
     if raw < DEGENERATE_NORM_SQ:
         raise DegenerateOrbitalError(

@@ -20,6 +20,7 @@ __all__ = [
     "ShapeError",
     "TensorTrain",
     "add",
+    "canonical_sum",
     "from_debug_json",
     "from_dense",
     "gram",
@@ -56,13 +57,13 @@ class TensorTrain:
         must match.
     canonical_form : {"none", "left", "right"}
         Which end of the chain carries the norm.  "left" promises every
-        core but the last is a left isometry (set by :func:`from_dense` and
-        :func:`left_canonicalize`); "right" promises every core but the
-        first is a right isometry (set by :func:`round`).  :func:`scale`
-        keeps the form; every other operation returns "none".  The form is
-        trusted, not checked: :func:`norm` reads the norm-carrying core
-        alone and :func:`round` skips its orthogonalization sweep on a
-        "left" train.
+        core but the last is a left isometry (set by :func:`from_dense`,
+        :func:`left_canonicalize` and :func:`canonical_sum`); "right"
+        promises every core but the first is a right isometry (set by
+        :func:`round`).  :func:`scale` keeps the form; every other
+        operation returns "none".  The form is trusted, not checked:
+        :func:`norm` reads the norm-carrying core alone and :func:`round`
+        skips its orthogonalization sweep on a "left" train.
     truncation_error : float
         Frobenius-norm bound on the error introduced by the operation that
         produced this value (0 for exact constructions).  It is a property
@@ -199,6 +200,46 @@ def add(a: TensorTrain, b: TensorTrain) -> TensorTrain:
             c[la:, :, ra:] = cb
             cores.append(c)
     return TensorTrain(cores)
+
+
+def canonical_sum(trains, coeffs) -> TensorTrain:
+    """Left-canonical form of sum_g coeffs[g] * trains[g], exactly.
+
+    One left-to-right QR sweep over the direct sum of the trains, done
+    block by block: at each site the carried R multiplies every train's
+    core, the products are concatenated along the right bond and
+    factored, and at the last site the products (each scaled by its
+    coefficient) are summed in place.  No block-diagonal core is built;
+    the result is "left" with the summed bonds, cut only where QR finds
+    a rank below them, so :func:`round` can truncate it without a QR
+    sweep of its own.
+    """
+    trains = list(trains)
+    coeffs = [complex(c) for c in coeffs]
+    if not trains:
+        raise ValueError("need at least one train")
+    if len(coeffs) != len(trains):
+        raise ValueError(
+            f"{len(coeffs)} coefficients for {len(trains)} trains")
+    n = trains[0].n_sites
+    for t in trains[1:]:
+        if t.n_sites != n:
+            raise ShapeError(f"site mismatch: {n} vs {t.n_sites}")
+    # the R factor carried into the next site, one column block per train
+    blocks = [np.ones((1, 1), dtype=complex)] * len(trains)
+    cores = []
+    for j in range(n - 1):
+        widths = [t.cores[j].shape[2] for t in trains]
+        M = np.concatenate(
+            [(B @ t.cores[j].reshape(B.shape[1], -1)).reshape(-1, w)
+             for B, t, w in zip(blocks, trains, widths)], axis=1)
+        Q, R = np.linalg.qr(M)
+        cores.append(Q.reshape(-1, 2, Q.shape[1]))
+        blocks = np.split(R, np.cumsum(widths)[:-1], axis=1)
+    last = sum(c * (B @ t.cores[-1].reshape(B.shape[1], 2))
+               for c, B, t in zip(coeffs, blocks, trains))
+    cores.append(last.reshape(-1, 2, 1))
+    return TensorTrain(cores, canonical_form="left")
 
 
 def _centre(a: TensorTrain) -> int:

@@ -541,9 +541,10 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_svd_points_add_no_qr_sweep(self, tmp_path, monkeypatch, k):
-        """Each orbital over G primitives is left-canonicalized G times
-        (G - 1 merges, then its sum once), however many nonzero svd_cutoff
-        points truncate it, and as often as an estimate does."""
+        """Each orbital over G primitives is left-canonicalized min(G, 2)
+        times (the QR sweep of the rounding that merges its two halves,
+        then its sum once), however many nonzero svd_cutoff points truncate
+        it, and as often as an estimate does."""
         calls = []
         original = tt_core.left_canonicalize
 
@@ -554,7 +555,7 @@ class TestSweepCommand:
         monkeypatch.setattr(tt_core, "left_canonicalize", counting)
         name = "synthetic_diatomic"
         cfg = cli.load_config(config_path(name))
-        want = sum(len(o.indices)
+        want = sum(min(len(o.indices), 2)
                    for o in cli.load_fixture(fixture_path(name)).orbitals)
         cfg["compression"]["svd_cutoff"] = 3e-3
         cfg["sweep"] = {"svd_cutoff": [0.3 / 10 ** j for j in range(k)]}

@@ -132,6 +132,22 @@ class TestPwOverlap:
         assert out.shape == (5, 1)
         assert isinstance(pw_overlap(1.0, 0, 0.0, 0.3, 10.0), complex)
 
+    @pytest.mark.parametrize("l", range(5))
+    @pytest.mark.parametrize("a", [0.0, 1.3])
+    def test_real_sum_equals_the_complex_formula(self, l, a):
+        """The real Hermite sum times i^l against the complex sum over
+        i^n h_n psi_n, on a lattice out to where the values underflow."""
+        gamma, L = 0.8, 12.0
+        k = np.arange(-200, 201) * 2.0 * math.pi / L
+        u = k / math.sqrt(2.0 * gamma)
+        table = np.array([hermite_gaussian(n, u) for n in range(l + 1)])
+        terms = np.array([1j ** n for n in range(l + 1)]) * h_coeffs(l).h
+        pref = (2.0 ** 0.25 * math.sqrt(math.pi)
+                / (gamma ** 0.25 * math.sqrt(L)))
+        want = np.exp(1j * k * a) * pref * (terms @ table)
+        got = pw_overlap(gamma, l, a, k, L)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
     def test_domain_guards(self):
         with pytest.raises(ValueError):
             pw_overlap(0.0, 0, 0.0, 0.0, 10.0)

@@ -238,7 +238,7 @@ def random_coeffs(rng, n):
 
 
 class TestMergeOrder:
-    @pytest.mark.parametrize("n_prims", [1, 2, 3])
+    @pytest.mark.parametrize("n_prims", [1, 2])
     def test_few_primitives_equal_the_chain_bit_for_bit(self, rng, n_prims):
         grid = PlaneWaveGrid(L=10.0, K=10.0)
         prims = random_primitives(rng, n_prims)
@@ -278,34 +278,39 @@ class TestMergeOrder:
                              / math.sqrt(nrm_sq)))
         assert diff <= max(1e-6, 20.0 * n_prims * eps_sum)
 
-    @pytest.mark.parametrize("n_prims", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("n_prims", [1, 2, 3, 4, 5, 8, 9])
     def test_rounds_once_per_merge(self, rng, monkeypatch, n_prims):
+        """A half of two or more primitives is merged by one exact
+        canonical_sum and the two halves by one add, each rounded once:
+        min(G - 1, 3) roundings and at most one add."""
         leaves = [random_tt(rng, 6, max_bond=3) for _ in range(n_prims)]
         c = random_coeffs(rng, n_prims)
-        seen = []
-        original = tt_core.round
+        calls = {"round": [], "add": 0}
+        original_round, original_add = tt_core.round, tt_core.add
 
         def counting_round(a, svd_cutoff):
-            seen.append(a)
-            return original(a, svd_cutoff)
+            calls["round"].append(a.canonical_form)
+            return original_round(a, svd_cutoff)
+
+        def counting_add(a, b):
+            calls["add"] += 1
+            return original_add(a, b)
 
         monkeypatch.setattr(tt_core, "round", counting_round)
+        monkeypatch.setattr(tt_core, "add", counting_add)
         prims = (s_prim((0.0, 0.0, 0.0)),) * n_prims
-        build_mo_mps(MolecularOrbital(coeffs=c, primitives=prims),
-                     small_grid(), eps_primitive=1e-3, eps_sum=1e-9,
-                     primitive_tts=leaves)
-        assert len(seen) == n_prims - 1
-        if n_prims < 8:
-            return
-        # the first level of the tree sums the leaves two by two
-        for k in range(4):
-            pair = tt_core.add(tt_core.scale(leaves[2 * k], complex(c[2 * k])),
-                               tt_core.scale(leaves[2 * k + 1],
-                                             complex(c[2 * k + 1])))
-            assert [x.shape for x in seen[k].cores] == [
-                x.shape for x in pair.cores]
-            for got, want in zip(seen[k].cores, pair.cores):
-                assert np.array_equal(got, want)
+        o = build_mo_mps(MolecularOrbital(coeffs=c, primitives=prims),
+                         small_grid(), eps_primitive=1e-3, eps_sum=1e-12,
+                         primitive_tts=leaves)
+        assert len(calls["round"]) == min(n_prims - 1, 3)
+        assert calls["add"] == min(n_prims - 1, 1)
+        # every rounding but the final merge's gets a "left" exact sum
+        assert calls["round"][:-1] == ["left"] * (len(calls["round"]) - 1)
+        want = sum(ci * dense(t) for ci, t in zip(c, leaves))
+        assert o.raw_norm_sq == pytest.approx(
+            float(np.vdot(want, want).real), rel=1e-10)
+        got = dense(o.tt) * math.sqrt(o.raw_norm_sq)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestTruncateMo:

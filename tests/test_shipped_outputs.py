@@ -2,6 +2,7 @@
 the same code, and does report a changed number or status."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "shipped_outputs.py"
@@ -32,12 +33,19 @@ def test_h_like_1s_against_itself(tmp_path):
                       encoding="utf-8")
     report = b / "h_like_1s" / "estimate" / "h_like_1s_report.json"
     text = report.read_text(encoding="utf-8")
-    assert '"eps1": ' in text
-    report.write_text(text.replace('"eps1": ', '"eps1": 2'), encoding="utf-8")
+    # a round-off value that drops to zero changes most in relative terms;
+    # eps1 with a digit 2 prefixed changes most in absolute terms
+    [tiny] = re.findall(r'"infidelity": (\S+?),', text)
+    [x] = re.findall(r'"eps1": (\S+?),', text)
+    y = "2" + x
+    report.write_text(text.replace(f'"infidelity": {tiny},',
+                                   '"infidelity": 0.0,')
+                      .replace(f'"eps1": {x},', f'"eps1": {y},'),
+                      encoding="utf-8")
     lines = tool.compare(a, b)
     assert any(line.startswith("h_like_1s/oracle.txt: text")
                and "FAIL" in line for line in lines)
-    assert any(line.startswith("h_like_1s/estimate/h_like_1s_report.json: "
-                               "largest relative float change")
-               for line in lines)
+    assert (f"h_like_1s/estimate/h_like_1s_report.json: largest relative "
+            f"float change 1.000e+00 ({tiny} -> 0.0); largest absolute "
+            f"change {float(y) - float(x):.3e} ({x} -> {y})") in lines
     assert len(lines) == 2

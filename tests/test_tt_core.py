@@ -194,6 +194,8 @@ def _tagged_trains(rng, n):
     out += [(f"scale({label})", tt_core.scale(t, alpha))
             for label, t in list(out)]
     out += [("add", tt_core.add(left, right)),
+            ("canonical_sum",
+             tt_core.canonical_sum([none, left, right], [alpha, 1.0, -2.0])),
             ("tensor_product", tt_core.tensor_product(left, right)),
             ("from_debug_json",
              tt_core.from_debug_json(tt_core.to_debug_json(left)))]
@@ -321,6 +323,55 @@ def test_site_mismatch_rejected(rng):
             op(a, b)
     with pytest.raises(ShapeError):
         tt_core.gram([a, a, b])
+    with pytest.raises(ShapeError):
+        tt_core.canonical_sum([a, a, b], [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("n_trains", range(1, 9))
+def test_canonical_sum_matches_dense(n_trains):
+    """The exact sum against the dense sum, on read-only cores: n = 1..8
+    sites, complex coefficients, isometric cores and a "left" tag."""
+    rng = _rng(400 + n_trains)
+    for n in range(1, 9):
+        trains = [random_tt(rng, n, max_bond=4) for _ in range(n_trains)]
+        before = [[c.copy() for c in t.cores] for t in trains]
+        for t in trains:
+            for c in t.cores:
+                c.flags.writeable = False
+        coeffs = rng.standard_normal(n_trains) + 1j * rng.standard_normal(
+            n_trains)
+        got = tt_core.canonical_sum(trains, coeffs)
+        want = sum(c * dense(t) for c, t in zip(coeffs, trains))
+        assert (np.linalg.norm(dense(got) - want)
+                <= 1e-12 * np.linalg.norm(want)), n
+        assert got.canonical_form == "left"
+        assert got.truncation_error == 0.0
+        assert max(isometry_residuals(got), default=0.0) <= 1e-12, n
+        assert tt_core.norm(got) == pytest.approx(np.linalg.norm(want),
+                                                  rel=1e-12)
+        # QR cuts the summed bonds only where the rank is lower
+        assert all(b <= sum(t.bond_dims[j] for t in trains)
+                   for j, b in enumerate(got.bond_dims))
+        for t, cores in zip(trains, before):
+            assert all(np.array_equal(x, y) for x, y in zip(t.cores, cores))
+
+
+def test_canonical_sum_argument_guards(rng):
+    a = random_tt(rng, 3)
+    with pytest.raises(ValueError):
+        tt_core.canonical_sum([], [])
+    with pytest.raises(ValueError):
+        tt_core.canonical_sum([a, a], [1.0])
+
+
+def test_round_of_a_canonical_sum_skips_the_qr_sweep(rng, monkeypatch):
+    calls = []
+    original = tt_core.left_canonicalize
+    monkeypatch.setattr(tt_core, "left_canonicalize",
+                        lambda a: calls.append(1) or original(a))
+    trains = [random_tt(rng, 5) for _ in range(3)]
+    tt_core.round(tt_core.canonical_sum(trains, [1.0, 2.0, 3.0]), 1e-3)
+    assert calls == []
 
 
 def test_dense_cap_enforced():

@@ -17,8 +17,10 @@ the output directory replaced by ``<out>``.
 
 ``compare`` prints every file that differs between two run directories.
 Files are split into number and text tokens.  For a differing file it
-prints the largest relative change of any float, and every changed integer
-or text token (bond dimensions, qubit counts, PASS/FAIL/SKIP).  It exits 1
+prints, on one line, the largest relative and the largest absolute change
+of any float (a value at the round-off floor that goes 0 -> 2e-16 changes
+by 1.0 relative but by 2e-16 absolute), and every changed integer or text
+token (bond dimensions, qubit counts, PASS/FAIL/SKIP).  It exits 1
 when anything differs, 0 otherwise.
 """
 
@@ -92,7 +94,7 @@ def compare_file(a: str, b: str) -> list[str]:
         return [f"structure differs: {len(nums_a)} vs {len(nums_b)} numbers"]
     out = [f"text {x!r} -> {y!r}"
            for x, y in zip(text_a, text_b) if x != y]
-    worst = None
+    worst_rel = worst_abs = None
     for x, y in zip(nums_a, nums_b):
         if x == y:
             continue
@@ -100,14 +102,17 @@ def compare_file(a: str, b: str) -> list[str]:
             out.append(f"integer {x} -> {y}")
             continue
         fx, fy = float(x), float(y)
+        change = abs(fx - fy)
         scale = max(abs(fx), abs(fy))
-        rel = abs(fx - fy) / scale if scale else 0.0
-        if worst is None or rel > worst[0]:
-            worst = (rel, x, y)
-    if worst is not None:
-        rel, x, y = worst
-        out.insert(0, f"largest relative float change {rel:.3e} "
-                      f"({x} -> {y})")
+        rel = change / scale if scale else 0.0
+        if worst_rel is None or rel > worst_rel[0]:
+            worst_rel = (rel, x, y)
+        if worst_abs is None or change > worst_abs[0]:
+            worst_abs = (change, x, y)
+    if worst_rel is not None:
+        out.insert(0, "largest relative float change {:.3e} ({} -> {}); "
+                      "largest absolute change {:.3e} ({} -> {})".format(
+                          *worst_rel, *worst_abs))
     return out
 
 

@@ -146,10 +146,12 @@ def overlap_matrix(primitives, grid: PlaneWaveGrid, eps: float = 1e-6,
                    tts=None) -> OverlapMatrix:
     """Gram matrix of the projected primitives, entries from TT overlaps.
 
-    Each primitive is projected at accuracy eps (a unit-norm train); the
-    result is Hermitized (the computed upper triangle is mirrored
-    conjugately).  Already projected trains can be passed through tts to
-    skip the projections.
+    Each primitive is projected at accuracy eps (a unit-norm train).
+    :func:`tt_core.gram` contracts all P = n(n-1)/2 pairs of the upper
+    triangle in one batched sweep (working memory O(P r^2) for the
+    largest bond r) and mirrors it conjugately, so S is Hermitian.
+    Already projected trains can be passed through tts to skip the
+    projections.
     """
     prims = list(primitives)
     if not prims:

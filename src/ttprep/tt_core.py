@@ -266,49 +266,56 @@ def tensor_product(a: TensorTrain, b: TensorTrain) -> TensorTrain:
     return TensorTrain(list(a.cores) + list(b.cores))
 
 
-def _bra(t: TensorTrain) -> list[np.ndarray]:
-    """Conjugated cores as (right, left * 2) matrices, for :func:`_overlap`."""
-    return [c.conj().reshape(-1, c.shape[2]).T for c in t.cores]
+def _overlaps(trains, bra, ket) -> np.ndarray:
+    """<trains[bra[p]], trains[ket[p]]> for every pair p, in one sweep.
 
-
-def _overlap(bra, ket) -> complex:
-    """<bra, ket> as the chain E <- A^H E B over sites, two matmuls each.
-
-    bra comes from :func:`_bra`; ket is the other train's cores.
+    The standard left-to-right contraction, run for all pairs at once.  At
+    each site the cores are zero-padded to the site's largest bonds and
+    stacked as (n, l, 2, r); the padding adds only zero terms.  The pairs'
+    environments are one (P, l, l) array, advanced by two batched matmuls
+    per site, E <- A[bra] @ (E @ B[ket]), where A is the conjugated,
+    transposed stack.  Working memory is O(P r^2) for the largest bond r.
+    The padded stacks are copies: no input core is written.
     """
-    E = np.ones((1, 1), dtype=complex)
-    for A, B in zip(bra, ket):
-        E = A @ (E @ B.reshape(B.shape[0], -1)).reshape(A.shape[1], -1)
-    return complex(E[0, 0])
+    n_sites = trains[0].n_sites
+    for t in trains[1:]:
+        if t.n_sites != n_sites:
+            raise ShapeError(f"site mismatch: {n_sites} vs {t.n_sites}")
+    E = np.ones((len(bra), 1, 1), dtype=complex)
+    for j in range(n_sites):
+        cores = [t.cores[j] for t in trains]
+        l = E.shape[1]
+        r = max(c.shape[2] for c in cores)
+        B = np.zeros((len(cores), l, 2, r), dtype=complex)
+        for b, c in zip(B, cores):
+            b[:c.shape[0], :, :c.shape[2]] = c
+        A = B.reshape(-1, 2 * l, r).conj().transpose(0, 2, 1)
+        T = E @ B.reshape(-1, l, 2 * r)[ket]
+        E = A[bra] @ T.reshape(-1, 2 * l, r)
+    return E[:, 0, 0]
 
 
 def inner_product(a: TensorTrain, b: TensorTrain) -> complex:
     """<a, b>, conjugate-linear in the first argument."""
-    if a.n_sites != b.n_sites:
-        raise ShapeError(f"site mismatch: {a.n_sites} vs {b.n_sites}")
-    return _overlap(_bra(a), b.cores)
+    return complex(_overlaps([a, b], [0], [1])[0])
 
 
 def gram(trains) -> np.ndarray:
     """Gram matrix G[i, j] = <t_i, t_j> of unit-norm trains.
 
     Every caller passes unit-norm trains, so the diagonal is set to exactly
-    1 rather than computed.  Each train's cores are conjugated once; the
-    upper triangle is contracted pair by pair and mirrored conjugately, so
+    1 rather than computed.  The P = n(n-1)/2 pairs of the upper triangle
+    are contracted together in one batched left-to-right sweep (working
+    memory O(P r^2) for the largest bond r) and mirrored conjugately, so
     G is Hermitian bit for bit.
     """
     trains = list(trains)
-    for t in trains[1:]:
-        if t.n_sites != trains[0].n_sites:
-            raise ShapeError(
-                f"site mismatch: {trains[0].n_sites} vs {t.n_sites}")
-    bras = [_bra(t) for t in trains]
     n = len(trains)
     G = np.eye(n, dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            G[i, j] = _overlap(bras[i], trains[j].cores)
-            G[j, i] = np.conj(G[i, j])
+    if n > 1:
+        bra, ket = np.triu_indices(n, 1)
+        G[bra, ket] = _overlaps(trains, bra, ket)
+        G[ket, bra] = G[bra, ket].conj()
     return G
 
 

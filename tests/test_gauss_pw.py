@@ -618,6 +618,26 @@ class TestPrimitive3D:
         ref = np.kron(np.kron(rx, ry), rz)
         assert trace_distance_nonunit(ref, dense(tt)) <= eps
 
+    def test_gram_factors_by_axis(self):
+        """The axes join with bond 1, so the Gram of 3D trains is the
+        elementwise product of the three per-axis Grams."""
+        rng = np.random.default_rng(14)
+        eps, L = 1e-3, 12.0
+        grid = PlaneWaveGrid(L=L, K=choose_cutoff(0.8, 2, L,
+                                                  eps / math.sqrt(3.0)))
+        prims = [PrimitiveGaussian(center=tuple(rng.uniform(-1.5, 1.5, 3)),
+                                   gamma=rng.uniform(0.8, 1.6),
+                                   ang=tuple(rng.integers(0, 3, 3)))
+                 for _ in range(6)]
+        G = tt_core.gram(primitive_3d_mps(g, grid, eps) for g in prims)
+        want = np.ones_like(G)
+        for axis in range(3):
+            want *= tt_core.gram(
+                primitive_1d_mps(g.gamma, g.ang[axis], g.center[axis], grid,
+                                 eps / math.sqrt(3.0)) for g in prims)
+        assert np.abs(G - want).max() <= 1e-14
+        assert np.abs(G - np.eye(len(prims))).max() > 1e-3
+
     def test_connecting_bonds_are_one(self):
         gamma, eps, L = 1.0, 1e-1, 12.0
         grid = PlaneWaveGrid(L=L, K=choose_cutoff(gamma, 0, L, eps / 2.0))

@@ -254,34 +254,42 @@ def _unit(t: TensorTrain) -> TensorTrain:
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gram_matches_pairwise_and_dense(n):
+    """0, 1, 2 and 5 unit trains of n sites, each with its own bond
+    profile, so the batched sweep pads every site."""
     rng = _rng(100 + n)
-    trains = [_unit(random_tt(rng, n, max_bond=int(rng.integers(1, 6))))
-              for _ in range(5)]
-    G = tt_core.gram(trains)
-    vecs = [dense(t) for t in trains]
-    for i, (ti, vi) in enumerate(zip(trains, vecs)):
-        for j, (tj, vj) in enumerate(zip(trains, vecs)):
-            # unit-norm trains: absolute error is relative to |t_i| |t_j|
-            assert abs(G[i, j] - np.vdot(vi, vj)) <= 1e-13
-            assert abs(G[i, j] - tt_core.inner_product(ti, tj)) <= 1e-13
-    assert np.array_equal(np.diag(G), np.ones(5))
-    # Hermitian bit for bit, not just within round-off
-    assert np.array_equal(G, G.conj().T)
+    for n_trains in (0, 1, 2, 5):
+        trains = [_unit(random_tt(rng, n, max_bond=int(rng.integers(1, 6))))
+                  for _ in range(n_trains)]
+        G = tt_core.gram(trains)
+        assert G.shape == (n_trains, n_trains)
+        vecs = [dense(t) for t in trains]
+        for i, (ti, vi) in enumerate(zip(trains, vecs)):
+            for j, (tj, vj) in enumerate(zip(trains, vecs)):
+                # unit-norm trains: absolute error is relative to |t_i| |t_j|
+                assert abs(G[i, j] - np.vdot(vi, vj)) <= 1e-13
+                assert abs(G[i, j] - tt_core.inner_product(ti, tj)) <= 1e-13
+        assert np.array_equal(np.diag(G), np.ones(n_trains))
+        # Hermitian bit for bit, not just within round-off
+        assert np.array_equal(G, G.conj().T)
 
 
 def test_recompression_leaves_read_only_cores_alone(rng):
-    """round, left_canonicalize and norm never write to a core they get.
+    """round, left_canonicalize, norm and gram never write to a core they
+    get.
 
     Cached axis trains are handed out read-only, so a kernel that updated a
     core in place would raise here (or, on a writeable train, corrupt it).
+    gram pads and stacks the cores of trains with different bonds.
     """
     t = random_tt(rng, 7, max_bond=5)
+    other = random_tt(rng, 7, max_bond=2)
     before = [c.copy() for c in t.cores]
     for c in t.cores:
         c.flags.writeable = False
     fresh = TensorTrain([c.copy() for c in before])
     for op in (tt_core.left_canonicalize,
-               lambda x: tt_core.round(x, 1e-3), tt_core.norm):
+               lambda x: tt_core.round(x, 1e-3), tt_core.norm,
+               lambda x: tt_core.gram([other, x, x])):
         got, want = op(t), op(fresh)
         if isinstance(got, TensorTrain):
             assert len(got.cores) == len(want.cores)
@@ -289,7 +297,7 @@ def test_recompression_leaves_read_only_cores_alone(rng):
                        for x, y in zip(got.cores, want.cores))
             assert got.truncation_error == want.truncation_error
         else:
-            assert got == want
+            assert np.array_equal(got, want)
         assert all(np.array_equal(x, y) for x, y in zip(t.cores, before))
     assert all(np.array_equal(x, y) for x, y in zip(fresh.cores, before))
 

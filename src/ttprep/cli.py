@@ -22,13 +22,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
+import re
 import sys
 from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 from pathlib import Path
 
 import click
-import jsonschema
 import numpy as np
 
 from . import (__version__, gauss_pw, oracle, orbital_builder,
@@ -101,28 +102,137 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
+# validation: the draft 2020-12 keywords the shipped schemas use.  A bool is
+# not a number and 2.0 is an integer.  Unlike JSON Schema, every number must
+# also be finite, because json.loads reads NaN, Infinity and -Infinity.
+
+class _Invalid(Exception):
+    def __init__(self, path: str, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+        self.message = message
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int)
+                                            or v.is_integer()),
+}
+
+# numeric bound keyword -> (test that fails the value, message)
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge,
+                         "greater than or equal to the maximum of"),
+}
+
+_KEYWORDS = {"type", "enum", "required", "properties", "additionalProperties",
+             "items", "minItems", "maxItems", "minLength", "pattern", "oneOf",
+             "not", *_BOUNDS}
+_ANNOTATIONS = {"$schema", "title", "description"}
+
+
+def _guarded(schema: dict) -> dict:
+    """Return `schema` once it and every subschema use only the keywords
+    `_check` implements, so that a schema edit cannot silently skip a check;
+    raise ValueError otherwise."""
+    unknown = sorted(schema.keys() - _KEYWORDS - _ANNOTATIONS)
+    if unknown:
+        raise ValueError(f"schema keyword {unknown[0]!r} is not implemented")
+    subs = [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]
+    subs += [schema[k] for k in ("items", "not", "additionalProperties")
+             if isinstance(schema.get(k), dict)]
+    for sub in subs:
+        _guarded(sub)
+    return schema
+
+
+def _check(value, schema: dict, path: str = "$") -> None:
+    """Raise _Invalid at the first part of `value` that `schema` rejects."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise _Invalid(path, f"{value!r} is not a finite number")
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        raise _Invalid(path, f"{value!r} is not of type {kind!r}")
+    if "enum" in schema and not any(
+            v == value and isinstance(v, bool) == isinstance(value, bool)
+            for v in schema["enum"]):
+        raise _Invalid(path, f"{value!r} is not one of {schema['enum']!r}")
+    if _is_number(value):
+        for key, (fails, text) in _BOUNDS.items():
+            if key in schema and fails(value, schema[key]):
+                raise _Invalid(path, f"{value!r} is {text} {schema[key]!r}")
+    elif isinstance(value, str):
+        if len(value) < schema.get("minLength", 0):
+            raise _Invalid(path, f"{value!r} is too short")
+        if "pattern" in schema and not re.search(schema["pattern"], value):
+            raise _Invalid(path,
+                           f"{value!r} does not match {schema['pattern']!r}")
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise _Invalid(path, f"{value!r} is too short")
+        if len(value) > schema.get("maxItems", math.inf):
+            raise _Invalid(path, f"{value!r} is too long")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _check(item, schema["items"], f"{path}[{i}]")
+    elif isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise _Invalid(path, f"{key!r} is a required property")
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        for key, item in value.items():
+            sub = props.get(key, extra)
+            if sub is False:
+                raise _Invalid(path, "Additional properties are not allowed "
+                                     f"({key!r} was unexpected)")
+            if sub is not True:
+                _check(item, sub, f"{path}.{key}")
+    if "oneOf" in schema:
+        n = sum(_passes(value, sub) for sub in schema["oneOf"])
+        if n != 1:
+            raise _Invalid(path, f"{value!r} matches {n} of the oneOf "
+                                 "schemas, not exactly one")
+    if "not" in schema and _passes(value, schema["not"]):
+        raise _Invalid(path, f"{value!r} should not be valid under "
+                             f"{schema['not']!r}")
+
+
+def _passes(value, schema: dict) -> bool:
+    try:
+        _check(value, schema)
+    except _Invalid:
+        return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # config / fixture loading
 
 @functools.lru_cache(maxsize=None)
 def _schema(name: str) -> dict:
+    # the tests check the shipped schemas against their metaschema
     ref = importlib_resources.files("ttprep") / "schemas" / f"{name}.schema.json"
-    return json.loads(ref.read_text(encoding="utf-8"))
-
-
-@functools.lru_cache(maxsize=None)
-def _validator(name: str):
-    # the shipped schemas are checked against their metaschema by the tests,
-    # not on every call
-    schema = _schema(name)
-    return jsonschema.validators.validator_for(schema)(schema)
+    return _guarded(json.loads(ref.read_text(encoding="utf-8")))
 
 
 def _validated(raw: dict, schema_name: str, label: str) -> dict:
-    e = jsonschema.exceptions.best_match(
-        _validator(schema_name).iter_errors(raw))
-    if e is not None:
+    try:
+        _check(raw, _schema(schema_name))
+    except _Invalid as e:
         raise click.ClickException(
-            f"{label} invalid at {e.json_path}: {e.message}") from e
+            f"{label} invalid at {e.path}: {e.message}") from e
     return raw
 
 

@@ -285,6 +285,28 @@ class TestValidation:
         out = self.run_expect_error(tmp_path, fx=fx)
         assert "$.orbitals[0].primitive_indices" in out
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("doc,where", [
+        ("config", ("grid", "L_bohr")),
+        ("fixture", ("primitives", 0, "center", 1)),
+        ("fixture", ("orbitals", 0, "coeffs", 0)),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, doc, where, value):
+        """json.loads reads NaN, Infinity and -Infinity; none gets past
+        validation into the pipeline."""
+        docs = {"config": base_config(), "fixture": base_fixture()}
+        parent = docs[doc]
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        out = self.run_expect_error(tmp_path, cfg=docs["config"],
+                                    fx=docs["fixture"])
+        path = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                             for k in where)
+        assert f"{doc} {tmp_path}" in out
+        assert f"invalid at {path}: " in out
+        assert "not a finite number" in out
+
     def test_eta_mismatch_rejected(self, tmp_path):
         cfg = base_config(resources={"b": 10, "eta": 3})
         out = self.run_expect_error(tmp_path, cfg=cfg)
@@ -696,12 +718,14 @@ def test_pipeline_plans_no_einsum(tmp_path, monkeypatch):
 
 
 def test_import_pulls_no_optional_stack():
-    """Importing the command line loads no scipy, mpmath or numpy.polynomial.
+    """Importing the command line loads no scipy, mpmath, numpy.polynomial
+    or jsonschema.
 
     Every command pays its imports before doing any work, and none of the
-    three serves a command: mpmath is a test-only reference, and the axis
-    trains are sampled through a barycentric interpolant, not a monomial
-    polynomial.
+    four serves a command: mpmath is a test-only reference, the axis trains
+    are sampled through a barycentric interpolant, not a monomial
+    polynomial, and the command checks its inputs with its own interpreter
+    of the shipped schemas' keywords.
     """
     src = str(Path(ttprep.__file__).resolve().parents[1])
     env = {**os.environ,
@@ -710,7 +734,8 @@ def test_import_pulls_no_optional_stack():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, ttprep.cli; "
-         "print(sorted({'scipy', 'mpmath', 'numpy.polynomial'} & "
+         "print(sorted({'scipy', 'mpmath', 'numpy.polynomial', "
+         "'jsonschema'} & "
          "{p for m in sys.modules for p in (m.split('.')[0], "
          "'.'.join(m.split('.')[:2]))}))"],
         env=env, capture_output=True, text=True, check=True)
@@ -719,11 +744,23 @@ def test_import_pulls_no_optional_stack():
 
 @pytest.mark.parametrize("name", ["config", "fixture", "report"])
 def test_shipped_schema_passes_its_metaschema(name):
-    """The command validates against prebuilt validators and never checks
-    the schemas themselves; this is where they are checked."""
+    """The command checks only that a schema uses keywords its validator
+    implements; this is where the schemas themselves are checked."""
     schema = json.loads((importlib_resources.files("ttprep") / "schemas"
                          / f"{name}.schema.json").read_text())
     jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_schema_keyword_guard():
+    """The validator refuses a schema keyword it does not implement, at any
+    depth, so that a schema edit cannot silently weaken validation."""
+    for name in ("config", "fixture", "report"):
+        schema = json.loads((importlib_resources.files("ttprep") / "schemas"
+                             / f"{name}.schema.json").read_text())
+        assert cli._guarded(schema) is schema
+    with pytest.raises(ValueError, match="'uniqueItems'"):
+        cli._guarded({"type": "object", "properties": {
+            "ang": {"type": "array", "uniqueItems": True}}})
 
 
 def test_version_flag():

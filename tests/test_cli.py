@@ -307,6 +307,42 @@ class TestValidation:
         assert f"invalid at {path}: " in out
         assert "not a finite number" in out
 
+    @pytest.mark.parametrize("cfg_over,fx_over,message", [
+        ({"resources": {"b": 10, "eta": 3}}, {},
+         "resources.eta = 3 does not match the fixture's summed "
+         "occupations (1)"),
+        ({}, {"orbitals": [{"occupation": 1, "coeffs": [0.0]}]},
+         "orbital 0: coefficients have zero norm in the projected overlap "
+         "metric"),
+        ({}, {"orbitals": [{"occupation": 1, "coeffs": [1.0],
+                            "primitive_indices": [5]}]},
+         "fixture invalid at $.orbitals[0].primitive_indices: "
+         "index 5 outside 0..0"),
+        ({"grid": {"L_bohr": 10.0, "K_inv_bohr": 1300.0}}, {},
+         "4139 points per axis exceed the dense assembly cap (2^12)"),
+        ({"grid": {"L_bohr": 0.5, "K_inv_bohr": 13.0}},
+         {"primitives": [{"center": [0.0, 0.0, 0.0], "gamma": 1.0,
+                          "ang": [1, 0, 0]}]},
+         "whole-line normalization 0.0000 < 2/3; the cell (L=0.5) is too "
+         "small for gamma=1.0"),
+        ({"grid": {"L_bohr": math.nan, "K_inv_bohr": 10.0}}, {},
+         "config {cfg} invalid at $.grid.L_bohr: nan is not a finite "
+         "number"),
+    ], ids=["eta", "zero_norm", "index", "capacity", "projection", "nan"])
+    def test_library_error_is_clean_exit_1(self, tmp_path, cfg_over, fx_over,
+                                           message):
+        """Each library error ends `estimate` with exit code 1 and one
+        `Error:` line, never a traceback."""
+        cfg_p = write_json(tmp_path / "cfg.json", base_config(**cfg_over))
+        fx_p = write_json(tmp_path / "fx.json", base_fixture(**fx_over))
+        result = CliRunner().invoke(main, [
+            "estimate", "--config", cfg_p, "--fixture", fx_p,
+            "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            "Error: " + message.format(cfg=cfg_p, fx=fx_p) + "\n")
+
     def test_eta_mismatch_rejected(self, tmp_path):
         cfg = base_config(resources={"b": 10, "eta": 3})
         out = self.run_expect_error(tmp_path, cfg=cfg)

@@ -7,7 +7,9 @@ Subpackage map:
 - ``gauss_pw``         Gaussian-to-plane-wave projection and 1D/3D train assembly
 - ``orbital_builder``  molecular-orbital assembly with error accounting
 - ``resource_model``   closed-form Toffoli/qubit cost formulas
-- ``cli``              batch front end (project / estimate / sweep / oracle)
+- ``oracle``           independent referee against exact k-space sums
+- ``pipeline``         input loading and validation, the priced pipeline
+- ``cli``              commands, report writers, error-to-exit-code mapping
 """
 
 from . import (  # noqa: F401

@@ -17,7 +17,7 @@ import numpy as np
 from . import gauss_pw, orbital_builder, tt_core
 
 if TYPE_CHECKING:
-    from .cli import PipelineResult
+    from .pipeline import PipelineResult
     from .gauss_pw import PlaneWaveGrid, PrimitiveGaussian
     from .tt_core import TensorTrain
 

@@ -65,10 +65,6 @@ class OverlapMatrix:
             raise ValueError("diagonal entries must be 1 within 1e-8")
         object.__setattr__(self, "S", S)
 
-    @property
-    def n_basis(self) -> int:
-        return self.S.shape[0]
-
 
 @dataclass(frozen=True)
 class OrthoBasis:

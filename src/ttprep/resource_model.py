@@ -271,14 +271,6 @@ class BondProfile:
         return max(2 ** ceil_log2(self.bond(j - 1)),
                    2 ** ceil_log2(self.bond(j)))
 
-    @classmethod
-    def from_bond_dims(cls, dims) -> "BondProfile":
-        """From a full bond list including the boundary 1s."""
-        dims = list(dims)
-        if len(dims) < 2 or dims[0] != 1 or dims[-1] != 1:
-            raise ValueError("expected a full bond list with boundary 1s")
-        return cls(m=tuple(dims[1:-1]))
-
 
 def toffoli_mps_prep(profile: BondProfile, b: int) -> float:
     """Site-by-site train preparation cost.
@@ -395,6 +387,8 @@ class ResourceReport:
     Totals are exact sums of their listed parts; the antisymmetrization
     estimate is kept out of both totals and reported on its own.  All cost
     values are the real-valued bounds; rendering applies floors.
+    prep_toffoli and prep_error hold each orbital's train-preparation cost
+    and error, one entry per orbital however many electrons occupy it.
     """
 
     toffoli: dict = field(repr=False)
@@ -403,29 +397,34 @@ class ResourceReport:
     eps2: float = 0.0
     totals: dict = field(default_factory=dict, repr=False)
     antisym: float = 0.0
+    prep_toffoli: tuple = field(default=(), repr=False)
+    prep_error: tuple = field(default=(), repr=False)
 
 
-def estimate_resources(params: ResourceParams, profiles,
+def estimate_resources(params: ResourceParams, profiles, occupations,
                        eps1: float = 0.0) -> ResourceReport:
-    """Assemble the full estimate from measured per-electron bond profiles.
+    """Assemble the full estimate from measured per-orbital bond profiles.
 
-    profiles must hold one BondProfile per electron (occupation-2 orbitals
-    appear twice).  eps1 is the summation/truncation infidelity bound from
-    orbital construction; eps2 is derived here from the preparation-error
-    formula.  The naive baseline is evaluated at the same N (total modes)
-    carried by params.
+    occupations[i] electrons fill orbital i, eta in all.  Each orbital is
+    priced once; mps_prep_orbital_<i> and the Slater sum take one copy per
+    electron, in electron order.  eps1 is the summation/truncation
+    infidelity bound from orbital construction; eps2 is derived here from
+    the preparation-error formula.  The naive baseline is evaluated at the
+    same N (total modes) carried by params.
     """
     profiles = list(profiles)
-    if len(profiles) != params.eta:
-        raise ValueError(
-            f"expected {params.eta} bond profiles, got {len(profiles)}")
-    per_orbital = [toffoli_mps_prep(p, params.b) for p in profiles]
-    prep_errors = [mps_prep_error(p, params.b) for p in profiles]
-    eps2 = max(prep_errors)
-    mps_total = toffoli_slater(params.eta, params.n_system, per_orbital)
+    if len(occupations) != len(profiles) or sum(occupations) != params.eta:
+        raise ValueError(f"expected {params.eta} electrons in "
+                         f"{len(profiles)} orbitals, got {list(occupations)}")
+    prep_toffoli = tuple(toffoli_mps_prep(p, params.b) for p in profiles)
+    prep_error = tuple(mps_prep_error(p, params.b) for p in profiles)
+    per_electron = [c for c, occ in zip(prep_toffoli, occupations)
+                    for _ in range(occ)]
+    eps2 = max(prep_error)
+    mps_total = toffoli_slater(params.eta, params.n_system, per_electron)
     naive_total = toffoli_naive_slater(params.N, params.eta, params.b)
 
-    toffoli = {f"mps_prep_orbital_{i}": c for i, c in enumerate(per_orbital)}
+    toffoli = {f"mps_prep_orbital_{i}": c for i, c in enumerate(per_electron)}
     toffoli["slater_reflection_overhead"] = params.eta ** 2 * params.n_system
     toffoli["slater_total_mps"] = mps_total
     toffoli["naive_slater"] = naive_total
@@ -440,5 +439,5 @@ def estimate_resources(params: ResourceParams, profiles,
     }
     return ResourceReport(
         toffoli=toffoli, qubits=qubits, eps1=float(eps1), eps2=float(eps2),
-        totals=totals,
-        antisym=float(antisym_estimate(params.eta, params.N)))
+        totals=totals, antisym=float(antisym_estimate(params.eta, params.N)),
+        prep_toffoli=prep_toffoli, prep_error=prep_error)

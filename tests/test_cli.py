@@ -22,7 +22,7 @@ from click.testing import CliRunner
 
 import ttprep
 from ttprep import (__version__, cli, gauss_pw, oracle, orbital_builder,
-                    resource_model, tt_core)
+                    pipeline, resource_model, tt_core)
 from ttprep.cli import main
 
 FIXTURE_DIR = Path(str(importlib_resources.files("ttprep") / "fixtures"))
@@ -569,7 +569,7 @@ class TestSweepCommand:
                 assert kind == "dense_window"
                 row = ("svd_cutoff", float(value), r.index, r.occupation,
                        res.grid.L, res.grid.K, res.grid.points_per_axis,
-                       res.grid.qubits_per_axis, res.n_padded, r.max_bond,
+                       res.grid.qubits_per_axis, res.params.N, r.max_bond,
                        r.mps.raw_norm_sq, r.mps.infidelity,
                        orbital_builder.infidelity_estimate(r.mps), err,
                        kind, r.prep_toffoli, totals["mps_method"],
@@ -763,19 +763,33 @@ def test_import_pulls_no_optional_stack():
     polynomial, and the command checks its inputs with its own interpreter
     of the shipped schemas' keywords.
     """
+    assert _loaded_in_fresh_interpreter(
+        "ttprep.cli", {"scipy", "mpmath", "numpy.polynomial",
+                       "jsonschema"}) == "[]"
+
+
+def test_library_imports_no_command_line():
+    """The pipeline and the oracle run without click or jsonschema."""
+    assert _loaded_in_fresh_interpreter(
+        "ttprep.pipeline, ttprep.oracle", {"click", "jsonschema"}) == "[]"
+
+
+def _loaded_in_fresh_interpreter(modules: str, names: set) -> str:
+    """Which of `names` (top-level packages or their first submodules)
+    `import <modules>` loads in a fresh interpreter, printed as a sorted
+    list."""
     src = str(Path(ttprep.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, ttprep.cli; "
-         "print(sorted({'scipy', 'mpmath', 'numpy.polynomial', "
-         "'jsonschema'} & "
+         f"import sys, {modules}; "
+         f"print(sorted(set({sorted(names)!r}) & "
          "{p for m in sys.modules for p in (m.split('.')[0], "
          "'.'.join(m.split('.')[:2]))}))"],
         env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
 
 
 @pytest.mark.parametrize("name", ["config", "fixture", "report"])
@@ -793,9 +807,9 @@ def test_schema_keyword_guard():
     for name in ("config", "fixture", "report"):
         schema = json.loads((importlib_resources.files("ttprep") / "schemas"
                              / f"{name}.schema.json").read_text())
-        assert cli._guarded(schema) is schema
+        assert pipeline._guarded(schema) is schema
     with pytest.raises(ValueError, match="'uniqueItems'"):
-        cli._guarded({"type": "object", "properties": {
+        pipeline._guarded({"type": "object", "properties": {
             "ang": {"type": "array", "uniqueItems": True}}})
 
 

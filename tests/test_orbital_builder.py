@@ -46,10 +46,6 @@ class TestOverlapMatrixType:
         with pytest.raises(ValueError):
             OverlapMatrix(S=bad_diag)
 
-    def test_n_basis(self):
-        m = OverlapMatrix(S=np.eye(3))
-        assert m.n_basis == 3
-
 
 class TestMolecularOrbitalType:
     def test_shape_checks(self):

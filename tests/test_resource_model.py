@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from ttprep import resource_model
 from ttprep.resource_model import (BondProfile, ResourceParams,
                                    antisym_estimate, arb_prep_error,
                                    ceil_log2, estimate_resources,
@@ -364,6 +365,8 @@ class TestBondProfile:
         assert p.bond(1) == 3 and p.bond(2) == 5
         with pytest.raises(ValueError):
             p.bond(4)
+        with pytest.raises(ValueError):
+            BondProfile(m=(0, 2))
 
     def test_mbar_padding(self):
         p = BondProfile(m=(3, 5))
@@ -372,14 +375,6 @@ class TestBondProfile:
         assert p.mbar(3) == max(8, 1) == 8
         with pytest.raises(ValueError):
             p.mbar(0)
-
-    def test_from_bond_dims(self):
-        p = BondProfile.from_bond_dims([1, 2, 4, 1])
-        assert p.m == (2, 4)
-        with pytest.raises(ValueError):
-            BondProfile.from_bond_dims([2, 4])
-        with pytest.raises(ValueError):
-            BondProfile(m=(0, 2))
 
     def test_single_site(self):
         p = BondProfile(m=())
@@ -434,7 +429,7 @@ class TestEstimateResources:
     def test_hand_summed_totals(self):
         params = ResourceParams(b=10, eta=2, n_system=21, N=4096)
         profiles = [BondProfile(m=(2, 4, 2)), BondProfile(m=(3, 3, 3))]
-        rep = estimate_resources(params, profiles, eps1=1e-3)
+        rep = estimate_resources(params, profiles, [1, 1], eps1=1e-3)
 
         per = [toffoli_mps_prep(p, 10) for p in profiles]
         assert rep.toffoli["mps_prep_orbital_0"] == per[0]
@@ -455,7 +450,28 @@ class TestEstimateResources:
         assert rep.eps2 == max(mps_prep_error(p, 10) for p in profiles)
         assert rep.antisym == antisym_estimate(2, 4096)
 
+    def test_doubly_occupied_orbital_priced_once(self, monkeypatch):
+        """An occupation-2 orbital is priced once and counted twice: the
+        report equals the one for two singly occupied copies of it."""
+        params = ResourceParams(b=10, eta=3, n_system=21, N=4096)
+        a, b = BondProfile(m=(2, 4, 2)), BondProfile(m=(3, 3, 3))
+        pairs = estimate_resources(params, [a, a, b], [1, 1, 1], eps1=1e-3)
+        calls = []
+        monkeypatch.setattr(resource_model, "toffoli_mps_prep",
+                            lambda *args: calls.append(1)
+                            or toffoli_mps_prep(*args))
+        rep = estimate_resources(params, [a, b], [2, 1], eps1=1e-3)
+        assert len(calls) == 2
+        assert rep.prep_toffoli == (toffoli_mps_prep(a, 10),
+                                    toffoli_mps_prep(b, 10))
+        assert rep.prep_error == (mps_prep_error(a, 10),
+                                  mps_prep_error(b, 10))
+        assert (rep.toffoli, rep.totals, rep.eps2) == (
+            pairs.toffoli, pairs.totals, pairs.eps2)
+
     def test_profile_count_mismatch(self):
         params = ResourceParams(b=10, eta=2, n_system=21, N=4096)
         with pytest.raises(ValueError):
-            estimate_resources(params, [BondProfile(m=(2,))])
+            estimate_resources(params, [BondProfile(m=(2,))], [1])
+        with pytest.raises(ValueError):
+            estimate_resources(params, [BondProfile(m=(2,))] * 2, [2])

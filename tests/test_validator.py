@@ -23,7 +23,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from ttprep import cli
+from ttprep import cli, pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_DIR = Path(cli.__file__).resolve().parent / "fixtures"
@@ -136,8 +136,8 @@ def _assert_agree(doc, schema: dict) -> None:
     validator = jsonschema.validators.validator_for(schema)(schema)
     paths = {e.json_path for e in validator.iter_errors(doc)}
     try:
-        cli._check(doc, schema)
-    except cli._Invalid as e:
+        pipeline._check(doc, schema)
+    except pipeline._Invalid as e:
         assert e.path in paths, (e, paths)
     else:
         assert not paths, paths
@@ -145,7 +145,7 @@ def _assert_agree(doc, schema: dict) -> None:
 
 @pytest.mark.parametrize("name", SCHEMA_NAMES)
 def test_every_single_edit_agrees(name):
-    schema = cli._schema(name)
+    schema = pipeline._schema(name)
     for doc in _documents(name):
         _assert_agree(doc, schema)
         for path, value in _edits(doc, schema):
@@ -157,7 +157,7 @@ def test_every_single_edit_agrees(name):
 @given(data=st.data())
 def test_combined_edits_agree(name, data):
     """Up to three edits in a row, some with arbitrary values."""
-    schema = cli._schema(name)
+    schema = pipeline._schema(name)
     doc = data.draw(st.sampled_from(_documents(name)))
     for _ in range(data.draw(st.integers(1, 3))):
         path, value = data.draw(st.sampled_from(list(_edits(doc, schema))))

@@ -101,11 +101,28 @@ def _unit_axes(g: PrimitiveGaussian, k, L: float) -> list[np.ndarray]:
             / _axis_norm(g.gamma, g.ang[ax], L) for ax in range(3)]
 
 
-def exact_axes(g: PrimitiveGaussian, grid: PlaneWaveGrid) -> list[np.ndarray]:
-    """Axis factors of g's exact projection on the signed-grid window."""
+def _frozen(vectors) -> np.ndarray:
+    """The vectors as the rows of one read-only array, for a cache to share."""
+    rows = np.array(list(vectors))
+    rows.flags.writeable = False
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
+def exact_axes(g: PrimitiveGaussian, grid: PlaneWaveGrid) -> np.ndarray:
+    """Axis factors of g's exact projection on the signed-grid window, one
+    row per axis, computed once per primitive and grid."""
     sgrid = grid.axis_grid()
-    return [sgrid.embed(v) for v in
-            _unit_axes(g, sgrid.index_values() * grid.dk, grid.L)]
+    return _frozen(sgrid.embed(v) for v in
+                   _unit_axes(g, sgrid.index_values() * grid.dk, grid.L))
+
+
+@functools.lru_cache(maxsize=None)
+def _window_axes(g: PrimitiveGaussian, i_far: int,
+                 grid: PlaneWaveGrid) -> np.ndarray:
+    """g's unit axis factors at the momenta |i| <= i_far, once per window."""
+    return _frozen(_unit_axes(g, np.arange(-i_far, i_far + 1) * grid.dk,
+                              grid.L))
 
 
 @functools.lru_cache(maxsize=None)
@@ -114,9 +131,8 @@ def _whole_line_overlap(g_a: PrimitiveGaussian, g_b: PrimitiveGaussian,
     """Inner product of two unit-normalized full-lattice projections."""
     reach = 14.0 * math.sqrt(2.0 * max(g_a.gamma, g_b.gamma))
     i_far = int(math.ceil(reach / grid.dk)) + 1
-    k = np.arange(-i_far, i_far + 1) * grid.dk
-    return product_overlap(_unit_axes(g_a, k, grid.L),
-                           _unit_axes(g_b, k, grid.L))
+    return product_overlap(_window_axes(g_a, i_far, grid),
+                           _window_axes(g_b, i_far, grid))
 
 
 def exact_orbital(coeffs, prims, grid: PlaneWaveGrid) -> list[tuple]:

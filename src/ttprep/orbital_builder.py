@@ -3,8 +3,8 @@
 Workflow: project every primitive Gaussian onto the grid (one train each),
 form their Gram matrix with train inner products, canonically orthogonalize
 it (drop eigenvalues below sigma), then assemble each orbital as a weighted
-train sum: each half of its primitives is summed exactly in one QR sweep and
-rounded, and the two halves are added and rounded once more.
+train sum, exact in one QR sweep shared by the orbitals over one primitive
+list and rounded once, or in halves when the list is over MAX_SUM_WIDTH.
 The squared norm of the summed train, recorded before the final
 renormalization, drives all error reporting: truncations only remove
 weight, so 1 - raw_norm_sq tracks the discarded probability and
@@ -32,6 +32,7 @@ __all__ = [
     "OverlapMatrix",
     "build_mo_mps",
     "canonical_orthogonalize",
+    "exact_sums",
     "infidelity_estimate",
     "mo_bond_bound",
     "overlap_matrix",
@@ -39,6 +40,11 @@ __all__ = [
 ]
 
 DEGENERATE_NORM_SQ = 1e-10
+
+# The widest direct sum summed exactly in one piece: its QR sweep holds
+# O(width^2) entries per site.  106 is the widest half that summing in halves
+# builds on basis-scaling's 36-primitive inputs, so no sum needs more memory.
+MAX_SUM_WIDTH = 106
 
 
 class EmptyBasisError(ValueError):
@@ -181,6 +187,16 @@ def canonical_orthogonalize(S, sigma: float) -> OrthoBasis:
     return OrthoBasis(x_tilde=X, eigenvalues=wk, sigma=float(sigma))
 
 
+def exact_sums(tts, coeff_rows) -> list[TensorTrain] | None:
+    """canonical_sum of tts with each coefficient row, from one QR sweep,
+    if tts has two or more trains and its direct sum (the largest, over
+    sites, of their summed bonds) is at most MAX_SUM_WIDTH wide; else None."""
+    width = max(map(sum, zip(*(t.bond_dims for t in tts))), default=0)
+    if len(tts) < 2 or width > MAX_SUM_WIDTH:
+        return None
+    return tt_core.canonical_sum(tts, np.atleast_2d(coeff_rows))
+
+
 def _half_sum(coeffs, tts, eps_sum: float) -> TensorTrain:
     """sum_g coeffs[g] * tts[g], summed exactly and rounded at eps_sum; a
     single train is only scaled."""
@@ -191,18 +207,19 @@ def _half_sum(coeffs, tts, eps_sum: float) -> TensorTrain:
 
 def build_mo_mps(mo: MolecularOrbital, grid: PlaneWaveGrid,
                  eps_primitive: float, eps_sum: float = 1e-9,
-                 primitive_tts=None) -> OrbitalMPS:
-    """Weighted train sum over the orbital's primitives, rounded in halves.
+                 primitive_tts=None, *, exact_sum=None) -> OrbitalMPS:
+    """Weighted train sum over the orbital's primitives, exact then rounded.
 
-    The G primitives are split at h = G // 2.  Each half with more than
-    one primitive is summed exactly by tt_core.canonical_sum, one QR sweep
-    whose "left" result round truncates at eps_sum without a QR sweep of
-    its own; a one-primitive half is its scaled train.  The two halves are
-    then added and rounded once more at eps_sum.  So an orbital costs
-    min(G - 1, 3) roundings, and for G <= 2 the sum equals the
-    add-then-round chain bit for bit.  Halves rather than one exact sum
-    of all G: an exact sum's bonds grow with the number of trains it
-    holds, so halving it bounds the largest train built.
+    G >= 2 primitives whose direct sum is at most MAX_SUM_WIDTH wide (see
+    exact_sums) are summed exactly by one tt_core.canonical_sum, a QR
+    sweep whose "left" result round truncates at eps_sum without a QR
+    sweep of its own.  exact_sum, when given, is that sum as exact_sums
+    returned it for this orbital's coefficients, so that orbitals over
+    one primitive list share one sweep.  A wider list is split at
+    h = G // 2: each half is summed exactly and rounded (a one-primitive
+    half is its scaled train), then the halves are added and rounded once
+    more, so no train is built wider than a half.  One primitive is its
+    scaled train.
 
     The sum is then left-canonicalized once, its squared norm read off
     its last core, and the last core renormalized, so the unit train is
@@ -214,17 +231,19 @@ def build_mo_mps(mo: MolecularOrbital, grid: PlaneWaveGrid,
     """
     if eps_sum < 0:
         raise ValueError("eps_sum must be nonnegative")
-    if primitive_tts is None:
-        parts = [gauss_pw.primitive_3d_mps(g, grid, eps_primitive)
-                 for g in mo.primitives]
-    else:
-        parts = list(primitive_tts)
+    if exact_sum is None:
+        parts = list(primitive_tts) if primitive_tts is not None else [
+            gauss_pw.primitive_3d_mps(g, grid, eps_primitive)
+            for g in mo.primitives]
         if len(parts) != len(mo.primitives):
             raise ValueError("primitive_tts must match primitives one to one")
-    h = len(parts) // 2
-    if h == 0:
+        exact_sum = (exact_sums(parts, mo.coeffs) or [None])[0]
+    if exact_sum is not None:
+        acc = tt_core.round(exact_sum, eps_sum)
+    elif len(parts) == 1:
         acc = tt_core.scale(parts[0], complex(mo.coeffs[0]))
     else:
+        h = len(parts) // 2
         acc = tt_core.round(
             tt_core.add(_half_sum(mo.coeffs[:h], parts[:h], eps_sum),
                         _half_sum(mo.coeffs[h:], parts[h:], eps_sum)),

@@ -319,7 +319,7 @@ def grid_stage(cfg: dict, fx: Fixture, *, L=None, K=None,
             f"resources.eta = {res_cfg['eta']} does not match the fixture's "
             f"summed occupations ({eta})")
 
-    coeffs, mos = [], []
+    coeffs, by_list = [], {}
     for i, o in enumerate(fx.orbitals):
         sub = overlap.S[np.ix_(o.indices, o.indices)]
         nrm_sq = float(np.real(np.conj(o.coeffs) @ (sub @ o.coeffs)))
@@ -327,13 +327,18 @@ def grid_stage(cfg: dict, fx: Fixture, *, L=None, K=None,
             raise InputError(
                 f"orbital {i}: coefficients have zero norm in the projected "
                 f"overlap metric")
-        c = o.coeffs / math.sqrt(nrm_sq)
-        mo = MolecularOrbital(coeffs=c, primitives=tuple(
-            fx.primitives[j] for j in o.indices))
-        coeffs.append(c)
-        mos.append(orbital_builder.build_mo_mps(
-            mo, grid, eps_p, eps_s,
-            primitive_tts=[prim_tts[j] for j in o.indices]))
+        coeffs.append(o.coeffs / math.sqrt(nrm_sq))
+        by_list.setdefault(o.indices, []).append(i)
+    mos = [None] * len(coeffs)
+    for indices, members in by_list.items():
+        # one QR sweep per narrow primitive list, for all the orbitals on it
+        tts = [prim_tts[j] for j in indices]
+        sums = orbital_builder.exact_sums(tts, [coeffs[i] for i in members])
+        for i, exact in zip(members, sums or [None] * len(members)):
+            mos[i] = orbital_builder.build_mo_mps(
+                MolecularOrbital(coeffs=coeffs[i], primitives=tuple(
+                    fx.primitives[j] for j in indices)),
+                grid, eps_p, eps_s, primitive_tts=tts, exact_sum=exact)
     n_system = 3 * grid.qubits_per_axis
     params = ResourceParams(b=int(res_cfg["b"]), eta=eta, n_system=n_system,
                             N=2 ** n_system, n_mo=len(mos))

@@ -202,7 +202,7 @@ def add(a: TensorTrain, b: TensorTrain) -> TensorTrain:
     return TensorTrain(cores)
 
 
-def canonical_sum(trains, coeffs) -> TensorTrain:
+def canonical_sum(trains, coeffs) -> TensorTrain | list[TensorTrain]:
     """Left-canonical form of sum_g coeffs[g] * trains[g], exactly.
 
     One left-to-right QR sweep over the direct sum of the trains, done
@@ -213,14 +213,19 @@ def canonical_sum(trains, coeffs) -> TensorTrain:
     the result is "left" with the summed bonds, cut only where QR finds
     a rank below them, so :func:`round` can truncate it without a QR
     sweep of its own.
+
+    Coefficients enter only at the last site: a matrix of them returns
+    one sum per row from the same n - 1 QR factorizations, each equal to
+    its row's one-row sum bit for bit, sharing the read-only cores.
     """
     trains = list(trains)
-    coeffs = [complex(c) for c in coeffs]
+    matrix = np.ndim(coeffs) == 2
+    rows = np.atleast_2d(np.asarray(coeffs, dtype=complex))
     if not trains:
         raise ValueError("need at least one train")
-    if len(coeffs) != len(trains):
+    if rows.shape[1] != len(trains):
         raise ValueError(
-            f"{len(coeffs)} coefficients for {len(trains)} trains")
+            f"{rows.shape[1]} coefficients for {len(trains)} trains")
     n = trains[0].n_sites
     for t in trains[1:]:
         if t.n_sites != n:
@@ -235,11 +240,14 @@ def canonical_sum(trains, coeffs) -> TensorTrain:
              for B, t, w in zip(blocks, trains, widths)], axis=1)
         Q, R = np.linalg.qr(M)
         cores.append(Q.reshape(-1, 2, Q.shape[1]))
+        cores[-1].flags.writeable = False
         blocks = np.split(R, np.cumsum(widths)[:-1], axis=1)
-    last = sum(c * (B @ t.cores[-1].reshape(B.shape[1], 2))
-               for c, B, t in zip(coeffs, blocks, trains))
-    cores.append(last.reshape(-1, 2, 1))
-    return TensorTrain(cores, canonical_form="left")
+    lasts = [B @ t.cores[-1].reshape(B.shape[1], 2)
+             for B, t in zip(blocks, trains)]
+    sums = [TensorTrain(cores + [sum(c * P for c, P in zip(row, lasts))
+                                 .reshape(-1, 2, 1)], canonical_form="left")
+            for row in rows]
+    return sums if matrix else sums[0]
 
 
 def _centre(a: TensorTrain) -> int:

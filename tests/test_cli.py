@@ -597,12 +597,41 @@ class TestSweepCommand:
         assert len(rows) == 6 * n_orbitals
         assert len(calls) == n_orbitals
 
+    def test_orbitals_over_one_list_share_one_sum(self, monkeypatch):
+        """synthetic_diatomic's two orbitals use one primitive list: one
+        canonical_sum for both, then one round and one left_canonicalize
+        per orbital, and each orbital equals its own build bit for bit."""
+        name = "synthetic_diatomic"
+        cfg = cli.load_config(config_path(name))
+        fx = cli.load_fixture(fixture_path(name))
+        assert len({o.indices for o in fx.orbitals}) == 1
+        calls = {"canonical_sum": 0, "round": 0, "left_canonicalize": 0}
+        for fn in calls:
+            def counting(*args, _fn=getattr(tt_core, fn), _name=fn):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(tt_core, fn, counting)
+        stage = pipeline.grid_stage(cfg, fx)
+        n = len(fx.orbitals)
+        assert calls == {"canonical_sum": 1, "round": n,
+                         "left_canonicalize": n}
+        comp = cfg["compression"]
+        for o, c, mps in zip(fx.orbitals, stage.coeffs, stage.mos):
+            own = orbital_builder.build_mo_mps(
+                orbital_builder.MolecularOrbital(
+                    coeffs=c, primitives=[fx.primitives[j]
+                                          for j in o.indices]),
+                stage.grid, comp["eps_primitive"], comp["eps_sum"],
+                primitive_tts=[stage.prim_tts[j] for j in o.indices])
+            assert own.raw_norm_sq == mps.raw_norm_sq
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(own.tt.cores, mps.tt.cores))
+
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_svd_points_add_no_qr_sweep(self, tmp_path, monkeypatch, k):
-        """Each orbital over G primitives is left-canonicalized min(G, 2)
-        times (the QR sweep of the rounding that merges its two halves,
-        then its sum once), however many nonzero svd_cutoff points truncate
-        it, and as often as an estimate does."""
+        """Each orbital is left-canonicalized once (its rounded exact sum),
+        however many nonzero svd_cutoff points truncate it, and as often as
+        an estimate does."""
         calls = []
         original = tt_core.left_canonicalize
 
@@ -613,8 +642,7 @@ class TestSweepCommand:
         monkeypatch.setattr(tt_core, "left_canonicalize", counting)
         name = "synthetic_diatomic"
         cfg = cli.load_config(config_path(name))
-        want = sum(min(len(o.indices), 2)
-                   for o in cli.load_fixture(fixture_path(name)).orbitals)
+        want = len(cli.load_fixture(fixture_path(name)).orbitals)
         cfg["compression"]["svd_cutoff"] = 3e-3
         cfg["sweep"] = {"svd_cutoff": [0.3 / 10 ** j for j in range(k)]}
         path = write_json(tmp_path / "cfg.json", cfg)

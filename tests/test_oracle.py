@@ -262,3 +262,41 @@ def test_oracle_passes_above_the_dense_cap(tmp_path):
         assert statuses[name] == "PASS", result.output
     assert set(statuses.values()) == {"PASS"}
     assert elapsed < 30.0
+
+
+def test_referee_computes_each_axis_vector_once(tmp_path):
+    """sweep_errors on three centres with two exponents each and three
+    orbitals over all six primitives builds one exact axis set per
+    primitive, not one per orbital and primitive, and one whole-line set
+    per primitive and window, not two per ordered pair; all read-only."""
+    cfg = {
+        "grid": {"L_bohr": 10.0, "K_inv_bohr": 14.0},
+        "compression": {"svd_cutoff": 0.0, "eps_primitive": 1e-3},
+        "resources": {"b": 10},
+        "oracle": {"enabled": True, "max_points_per_axis": 64},
+    }
+    fx = {
+        "name": "chain",
+        "primitives": [{"center": [x, 0.0, 0.0], "gamma": g,
+                        "ang": [0, 0, 0]}
+                       for x in (-1.8, 0.0, 1.8) for g in (1.0, 0.3)],
+        "orbitals": [{"occupation": 1,
+                      "coeffs": [s * c for s in signs for c in (0.62, 0.45)]}
+                     for signs in ((1, 1, 1), (1, 0, -1), (1, -2, 1))],
+    }
+    cfg_path, fx_path = tmp_path / "cfg.json", tmp_path / "fx.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    fx_path.write_text(json.dumps(fx), encoding="utf-8")
+    result = cli.run_pipeline(cli.load_config(cfg_path),
+                              cli.load_fixture(fx_path))
+    caches = (oracle.exact_axes, oracle._window_axes,
+              oracle._whole_line_overlap)
+    for cache in caches:
+        cache.cache_clear()
+    oracle.sweep_errors([result])
+    assert oracle.exact_axes.cache_info().misses == 6
+    assert oracle._window_axes.cache_info().misses <= 12
+    assert oracle._whole_line_overlap.cache_info().misses <= 30
+    for g in result.fixture.primitives:
+        assert not any(v.flags.writeable
+                       for v in oracle.exact_axes(g, result.grid))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ttprep import oracle, tt_core
+from ttprep import oracle, orbital_builder, tt_core
 from ttprep.gauss_pw import (PlaneWaveGrid, PrimitiveGaussian, choose_cutoff,
                              primitive_3d_mps)
 from ttprep.orbital_builder import (DegenerateOrbitalError, EmptyBasisError,
@@ -234,7 +234,7 @@ def random_coeffs(rng, n):
 
 
 class TestMergeOrder:
-    @pytest.mark.parametrize("n_prims", [1, 2])
+    @pytest.mark.parametrize("n_prims", [1])
     def test_few_primitives_equal_the_chain_bit_for_bit(self, rng, n_prims):
         grid = PlaneWaveGrid(L=10.0, K=10.0)
         prims = random_primitives(rng, n_prims)
@@ -276,12 +276,16 @@ class TestMergeOrder:
 
     @pytest.mark.parametrize("n_prims", [1, 2, 3, 4, 5, 8, 9])
     def test_rounds_once_per_merge(self, rng, monkeypatch, n_prims):
-        """A half of two or more primitives is merged by one exact
-        canonical_sum and the two halves by one add, each rounded once:
-        min(G - 1, 3) roundings and at most one add."""
+        """A list at most MAX_SUM_WIDTH wide is summed by one exact
+        canonical_sum and rounded once, with no add.  One column wider, each
+        half of two or more primitives is summed exactly and the halves are
+        added, each rounded once: min(G - 1, 3) roundings and at most one
+        add."""
         leaves = [random_tt(rng, 6, max_bond=3) for _ in range(n_prims)]
         c = random_coeffs(rng, n_prims)
-        calls = {"round": [], "add": 0}
+        width = max(sum(t.cores[j].shape[2] for t in leaves)
+                    for j in range(5))
+        want = sum(ci * dense(t) for ci, t in zip(c, leaves))
         original_round, original_add = tt_core.round, tt_core.add
 
         def counting_round(a, svd_cutoff):
@@ -295,18 +299,71 @@ class TestMergeOrder:
         monkeypatch.setattr(tt_core, "round", counting_round)
         monkeypatch.setattr(tt_core, "add", counting_add)
         prims = (s_prim((0.0, 0.0, 0.0)),) * n_prims
+        for cap, rounds, adds in ((width, min(n_prims - 1, 1), 0),
+                                  (width - 1, min(n_prims - 1, 3),
+                                   min(n_prims - 1, 1))):
+            monkeypatch.setattr(orbital_builder, "MAX_SUM_WIDTH", cap)
+            calls = {"round": [], "add": 0}
+            o = build_mo_mps(MolecularOrbital(coeffs=c, primitives=prims),
+                             small_grid(), eps_primitive=1e-3,
+                             eps_sum=1e-12, primitive_tts=leaves)
+            assert len(calls["round"]) == rounds, cap
+            assert calls["add"] == adds, cap
+            # every rounding but the halves' merge gets a "left" exact sum
+            assert (calls["round"][:rounds - adds]
+                    == ["left"] * (rounds - adds)), cap
+            assert o.raw_norm_sq == pytest.approx(
+                float(np.vdot(want, want).real), rel=1e-10)
+            got = dense(o.tt) * math.sqrt(o.raw_norm_sq)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_wide_list_keeps_the_halves_bit_for_bit(self, rng):
+        """40 bond-3 trains are 120 wide, over MAX_SUM_WIDTH: each half of
+        20 is one exact sum, rounded, and the halves are added and rounded."""
+        n_prims, eps = 40, 1e-9
+        bonds = [1, 3, 3, 3, 3, 3, 1]
+        leaves = [tt_core.TensorTrain(
+            [rng.standard_normal((l, 2, r)) + 1j * rng.standard_normal(
+                (l, 2, r)) for l, r in zip(bonds, bonds[1:])])
+            for _ in range(n_prims)]
+        assert 3 * n_prims > orbital_builder.MAX_SUM_WIDTH
+        c = random_coeffs(rng, n_prims)
+        prims = (s_prim((0.0, 0.0, 0.0)),) * n_prims
         o = build_mo_mps(MolecularOrbital(coeffs=c, primitives=prims),
-                         small_grid(), eps_primitive=1e-3, eps_sum=1e-12,
+                         small_grid(), eps_primitive=1e-3, eps_sum=eps,
                          primitive_tts=leaves)
-        assert len(calls["round"]) == min(n_prims - 1, 3)
-        assert calls["add"] == min(n_prims - 1, 1)
-        # every rounding but the final merge's gets a "left" exact sum
-        assert calls["round"][:-1] == ["left"] * (len(calls["round"]) - 1)
-        want = sum(ci * dense(t) for ci, t in zip(c, leaves))
-        assert o.raw_norm_sq == pytest.approx(
-            float(np.vdot(want, want).real), rel=1e-10)
-        got = dense(o.tt) * math.sqrt(o.raw_norm_sq)
-        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        halves = [tt_core.round(tt_core.canonical_sum(leaves[s], c[s]), eps)
+                  for s in (slice(0, 20), slice(20, None))]
+        acc = tt_core.left_canonicalize(
+            tt_core.round(tt_core.add(*halves), eps))
+        raw = float(np.linalg.norm(acc.cores[-1])) ** 2
+        assert o.raw_norm_sq == raw
+        want = tt_core.scale(acc, 1.0 / math.sqrt(raw))
+        assert len(o.tt.cores) == len(want.cores)
+        for got, ref in zip(o.tt.cores, want.cores):
+            assert np.array_equal(got, ref)
+
+    def test_no_exact_sum_wider_than_the_cap(self, rng, monkeypatch):
+        """36 random l <= 2 primitives on a 7-qubit grid: the whole list is
+        too wide to sum at once, and each half fits under MAX_SUM_WIDTH."""
+        grid = PlaneWaveGrid(L=10.0, K=20.5)
+        assert grid.qubits_per_axis == 7
+        prims = random_primitives(rng, 36)
+        tts = [primitive_3d_mps(g, grid, 1e-3) for g in prims]
+        widths = []
+        original = tt_core.canonical_sum
+
+        def recording(trains, coeffs):
+            widths.append(max(sum(t.cores[j].shape[2] for t in trains)
+                              for j in range(len(trains[0].cores) - 1)))
+            return original(trains, coeffs)
+
+        monkeypatch.setattr(tt_core, "canonical_sum", recording)
+        build_mo_mps(MolecularOrbital(coeffs=random_coeffs(rng, 36),
+                                      primitives=prims),
+                     grid, eps_primitive=1e-3, primitive_tts=tts)
+        assert len(widths) == 2
+        assert max(widths) <= orbital_builder.MAX_SUM_WIDTH
 
 
 class TestTruncateMo:

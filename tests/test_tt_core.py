@@ -364,6 +364,30 @@ def test_canonical_sum_matches_dense(n_trains):
             assert all(np.array_equal(x, y) for x, y in zip(t.cores, cores))
 
 
+@pytest.mark.parametrize("n_rows", [1, 3])
+def test_canonical_sum_of_coefficient_rows(rng, monkeypatch, n_rows):
+    """A coefficient matrix gives each row's one-row sum bit for bit, from
+    one QR sweep (n - 1 factorizations whatever the row count), and the
+    sums share their first n - 1 cores, read-only."""
+    n = 6
+    trains = [random_tt(rng, n, max_bond=4) for _ in range(4)]
+    rows = rng.standard_normal((n_rows, 4)) + 1j * rng.standard_normal(
+        (n_rows, 4))
+    want = [tt_core.canonical_sum(trains, row) for row in rows]
+    calls = []
+    original = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda a: calls.append(1) or original(a))
+    got = tt_core.canonical_sum(trains, rows)
+    assert len(calls) == n - 1
+    assert isinstance(got, list) and len(got) == n_rows
+    for g, w in zip(got, want):
+        assert g.canonical_form == "left"
+        assert all(np.array_equal(x, y) for x, y in zip(g.cores, w.cores))
+        assert all(x is y for x, y in zip(g.cores[:-1], got[0].cores[:-1]))
+    assert not any(c.flags.writeable for c in got[0].cores[:-1])
+
+
 def test_canonical_sum_argument_guards(rng):
     a = random_tt(rng, 3)
     with pytest.raises(ValueError):

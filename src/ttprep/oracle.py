@@ -7,6 +7,7 @@ checks contract trains against axis vectors over their raw cores."""
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from pathlib import Path
@@ -138,9 +139,10 @@ def _whole_line_overlap(g_a: PrimitiveGaussian, g_b: PrimitiveGaussian,
 def exact_orbital(coeffs, prims, grid: PlaneWaveGrid) -> list[tuple]:
     """Terms (c_g, exact_axes(g)) of the exact orbital sum_g c_g e_g, unit
     over the full lattice: the tail outside the window counts as distance."""
-    gram = np.array([[_whole_line_overlap(a, b, grid) if i != j else 1.0
-                      for j, b in enumerate(prims)]
-                     for i, a in enumerate(prims)])
+    gram = np.eye(len(prims), dtype=complex)
+    for i, j in itertools.combinations(range(len(prims)), 2):
+        gram[i, j] = _whole_line_overlap(prims[i], prims[j], grid)
+        gram[j, i] = np.conj(gram[i, j])
     nrm_sq = float(np.real(np.conj(coeffs) @ gram @ coeffs))
     if nrm_sq <= 0:
         raise ValueError("dense oracle produced a zero orbital")

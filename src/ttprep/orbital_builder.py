@@ -3,8 +3,11 @@
 Workflow: project every primitive Gaussian onto the grid (one train each),
 form their Gram matrix with train inner products, canonically orthogonalize
 it (drop eigenvalues below sigma), then assemble each orbital as a weighted
-train sum, exact in one QR sweep shared by the orbitals over one primitive
-list and rounded once, or in halves when the list is over MAX_SUM_WIDTH.
+train sum (build_orbitals).  Each primitive list is summed by one rule: a
+single train is only scaled; a list at most MAX_SUM_WIDTH wide is summed
+exactly by one QR sweep, shared by the orbitals over that list and rounded
+once per orbital; a wider list is split in two halves, each summed by this
+same rule, and the halves are added and rounded.
 The squared norm of the summed train, recorded before the final
 renormalization, drives all error reporting: truncations only remove
 weight, so 1 - raw_norm_sq tracks the discarded probability and
@@ -20,19 +23,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import gauss_pw, tt_core
-from .gauss_pw import PlaneWaveGrid, PrimitiveGaussian
+from .gauss_pw import PlaneWaveGrid
 from .tt_core import TensorTrain
 
 __all__ = [
     "DegenerateOrbitalError",
     "EmptyBasisError",
-    "MolecularOrbital",
     "OrbitalMPS",
     "OrthoBasis",
     "OverlapMatrix",
     "build_mo_mps",
+    "build_orbitals",
     "canonical_orthogonalize",
-    "exact_sums",
     "infidelity_estimate",
     "mo_bond_bound",
     "overlap_matrix",
@@ -42,8 +44,9 @@ __all__ = [
 DEGENERATE_NORM_SQ = 1e-10
 
 # The widest direct sum summed exactly in one piece: its QR sweep holds
-# O(width^2) entries per site.  106 is the widest half that summing in halves
-# builds on basis-scaling's 36-primitive inputs, so no sum needs more memory.
+# O(width^2) entries per site.  A wider list is halved until every piece
+# fits, so no exact sum of any list is wider.  106 is the widest half that
+# basis-scaling's 36-primitive inputs build.
 MAX_SUM_WIDTH = 106
 
 
@@ -89,39 +92,6 @@ class OrthoBasis:
 
 
 @dataclass(frozen=True)
-class MolecularOrbital:
-    """Coefficient vector over an explicit primitive list.
-
-    When sigma is given (the orbital came out of a canonical
-    orthogonalization with that eigenvalue cutoff) the 2-norm of the
-    coefficients is checked against the 1/sigma bound it implies.
-    """
-
-    coeffs: np.ndarray = field(repr=False)
-    primitives: tuple[PrimitiveGaussian, ...]
-    sigma: float | None = None
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        prims = tuple(self.primitives)
-        if c.ndim != 1 or c.size != len(prims):
-            raise ValueError(
-                f"{c.size} coefficients for {len(prims)} primitives")
-        if c.size == 0:
-            raise ValueError("orbital needs at least one primitive")
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "primitives", prims)
-        if self.sigma is not None:
-            if self.sigma <= 0:
-                raise ValueError("sigma must be positive")
-            bound = 1.0 / self.sigma
-            nrm = float(np.linalg.norm(c))
-            if nrm > bound * (1.0 + 1e-9):
-                raise ValueError(
-                    f"coefficient norm {nrm:.6g} exceeds 1/sigma = {bound:.6g}")
-
-
-@dataclass(frozen=True)
 class OrbitalMPS:
     """A unit-norm orbital train plus its compression bookkeeping.
 
@@ -132,8 +102,6 @@ class OrbitalMPS:
 
     tt: TensorTrain
     raw_norm_sq: float
-    eps_sum_used: float
-    svd_cutoff_used: float
 
     @property
     def infidelity(self) -> float:
@@ -187,75 +155,68 @@ def canonical_orthogonalize(S, sigma: float) -> OrthoBasis:
     return OrthoBasis(x_tilde=X, eigenvalues=wk, sigma=float(sigma))
 
 
-def exact_sums(tts, coeff_rows) -> list[TensorTrain] | None:
-    """canonical_sum of tts with each coefficient row, from one QR sweep,
-    if tts has two or more trains and its direct sum (the largest, over
-    sites, of their summed bonds) is at most MAX_SUM_WIDTH wide; else None."""
-    width = max(map(sum, zip(*(t.bond_dims for t in tts))), default=0)
-    if len(tts) < 2 or width > MAX_SUM_WIDTH:
-        return None
-    return tt_core.canonical_sum(tts, np.atleast_2d(coeff_rows))
-
-
-def _half_sum(coeffs, tts, eps_sum: float) -> TensorTrain:
-    """sum_g coeffs[g] * tts[g], summed exactly and rounded at eps_sum; a
-    single train is only scaled."""
+def _sums(tts, rows, eps_sum: float):
+    """Yield sum_g row[g] * tts[g] for each coefficient row, by the width
+    rule of build_orbitals.  A wide list is summed row by row, and nothing
+    here holds a yielded sum or a half once it is used."""
     if len(tts) == 1:
-        return tt_core.scale(tts[0], complex(coeffs[0]))
-    return tt_core.round(tt_core.canonical_sum(tts, coeffs), eps_sum)
+        for row in rows:
+            yield tt_core.scale(tts[0], complex(row[0]))
+    elif max(map(sum, zip(*(t.bond_dims for t in tts)))) <= MAX_SUM_WIDTH:
+        for exact in tt_core.canonical_sum(tts, rows):
+            yield tt_core.round(exact, eps_sum)
+    else:
+        h = len(tts) // 2
+        for row in rows:
+            yield tt_core.round(tt_core.add(
+                next(_sums(tts[:h], [row[:h]], eps_sum)),
+                next(_sums(tts[h:], [row[h:]], eps_sum))), eps_sum)
 
 
-def build_mo_mps(mo: MolecularOrbital, grid: PlaneWaveGrid,
-                 eps_primitive: float, eps_sum: float = 1e-9,
-                 primitive_tts=None, *, exact_sum=None) -> OrbitalMPS:
-    """Weighted train sum over the orbital's primitives, exact then rounded.
+def build_orbitals(tts, orbitals, eps_sum: float) -> list[OrbitalMPS]:
+    """One OrbitalMPS per (primitive indices, coefficients) pair of orbitals,
+    summing coeffs[k] * tts[indices[k]] and rounding at eps_sum.
 
-    G >= 2 primitives whose direct sum is at most MAX_SUM_WIDTH wide (see
-    exact_sums) are summed exactly by one tt_core.canonical_sum, a QR
-    sweep whose "left" result round truncates at eps_sum without a QR
-    sweep of its own.  exact_sum, when given, is that sum as exact_sums
-    returned it for this orbital's coefficients, so that orbitals over
-    one primitive list share one sweep.  A wider list is split at
-    h = G // 2: each half is summed exactly and rounded (a one-primitive
-    half is its scaled train), then the halves are added and rounded once
-    more, so no train is built wider than a half.  One primitive is its
-    scaled train.
-
-    The sum is then left-canonicalized once, its squared norm read off
-    its last core, and the last core renormalized, so the unit train is
-    "left" and a later truncate_mo needs no orthogonalization sweep.  The
-    pre-normalization squared norm is kept on the result; a (numerically)
-    vanishing norm is an error rather than a silent zero state.
-    primitive_tts, when given, must hold the already projected train for
-    each primitive in order.
+    The orbitals are grouped by primitive list, and each list is summed by
+    one rule.  A single train is only scaled.  A list whose direct sum (the
+    largest, over sites, of the trains' summed bonds) is at most
+    MAX_SUM_WIDTH wide is one tt_core.canonical_sum, a QR sweep shared by
+    all the list's orbitals, whose "left" result round truncates once per
+    orbital without a QR sweep of its own.  A wider list is split at
+    G // 2, each half is summed by this same rule (so split again while it
+    is too wide), and the two halves are added and rounded, orbital by
+    orbital.  Each sum is finished by build_mo_mps and released before the
+    next is summed.
     """
     if eps_sum < 0:
         raise ValueError("eps_sum must be nonnegative")
-    if exact_sum is None:
-        parts = list(primitive_tts) if primitive_tts is not None else [
-            gauss_pw.primitive_3d_mps(g, grid, eps_primitive)
-            for g in mo.primitives]
-        if len(parts) != len(mo.primitives):
-            raise ValueError("primitive_tts must match primitives one to one")
-        exact_sum = (exact_sums(parts, mo.coeffs) or [None])[0]
-    if exact_sum is not None:
-        acc = tt_core.round(exact_sum, eps_sum)
-    elif len(parts) == 1:
-        acc = tt_core.scale(parts[0], complex(mo.coeffs[0]))
-    else:
-        h = len(parts) // 2
-        acc = tt_core.round(
-            tt_core.add(_half_sum(mo.coeffs[:h], parts[:h], eps_sum),
-                        _half_sum(mo.coeffs[h:], parts[h:], eps_sum)),
-            eps_sum)
-    acc = tt_core.left_canonicalize(acc)
+    by_list = {}
+    for i, (indices, _) in enumerate(orbitals):
+        by_list.setdefault(tuple(indices), []).append(i)
+    mos = {}
+    for indices, members in by_list.items():
+        mos.update(zip(members, map(build_mo_mps, _sums(
+            [tts[j] for j in indices], [orbitals[i][1] for i in members],
+            eps_sum))))
+    return [mos[i] for i in range(len(orbitals))]
+
+
+def build_mo_mps(summed: TensorTrain) -> OrbitalMPS:
+    """The unit orbital of one summed train, with its squared norm.
+
+    The train is left-canonicalized once, its squared norm read off its
+    last core, and the last core renormalized, so the unit train is "left"
+    and a later truncate_mo needs no orthogonalization sweep.  The
+    pre-normalization squared norm is kept on the result; a (numerically)
+    vanishing norm is an error rather than a silent zero state.
+    """
+    acc = tt_core.left_canonicalize(summed)
     raw = float(tt_core.norm(acc)) ** 2
     if raw < DEGENERATE_NORM_SQ:
         raise DegenerateOrbitalError(
             f"orbital norm^2 = {raw:.3e} after summation; coefficients cancel")
-    unit = tt_core.scale(acc, 1.0 / math.sqrt(raw))
-    return OrbitalMPS(tt=unit, raw_norm_sq=raw, eps_sum_used=float(eps_sum),
-                      svd_cutoff_used=0.0)
+    return OrbitalMPS(tt=tt_core.scale(acc, 1.0 / math.sqrt(raw)),
+                      raw_norm_sq=raw)
 
 
 def truncate_mo(o: OrbitalMPS, eps: float) -> OrbitalMPS:
@@ -276,8 +237,7 @@ def truncate_mo(o: OrbitalMPS, eps: float) -> OrbitalMPS:
         raise DegenerateOrbitalError(
             f"truncation at eps = {eps} removed the whole state")
     unit = tt_core.scale(rounded, 1.0 / rho)
-    return OrbitalMPS(tt=unit, raw_norm_sq=o.raw_norm_sq * rho ** 2,
-                      eps_sum_used=o.eps_sum_used, svd_cutoff_used=float(eps))
+    return OrbitalMPS(tt=unit, raw_norm_sq=o.raw_norm_sq * rho ** 2)
 
 
 def infidelity_estimate(o: OrbitalMPS) -> float:

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import gauss_pw, orbital_builder, resource_model, tt_core
 from .gauss_pw import PlaneWaveGrid, PrimitiveGaussian
-from .orbital_builder import MolecularOrbital
 from .resource_model import BondProfile, ResourceParams
 
 
@@ -319,7 +318,7 @@ def grid_stage(cfg: dict, fx: Fixture, *, L=None, K=None,
             f"resources.eta = {res_cfg['eta']} does not match the fixture's "
             f"summed occupations ({eta})")
 
-    coeffs, by_list = [], {}
+    coeffs = []
     for i, o in enumerate(fx.orbitals):
         sub = overlap.S[np.ix_(o.indices, o.indices)]
         nrm_sq = float(np.real(np.conj(o.coeffs) @ (sub @ o.coeffs)))
@@ -328,17 +327,9 @@ def grid_stage(cfg: dict, fx: Fixture, *, L=None, K=None,
                 f"orbital {i}: coefficients have zero norm in the projected "
                 f"overlap metric")
         coeffs.append(o.coeffs / math.sqrt(nrm_sq))
-        by_list.setdefault(o.indices, []).append(i)
-    mos = [None] * len(coeffs)
-    for indices, members in by_list.items():
-        # one QR sweep per narrow primitive list, for all the orbitals on it
-        tts = [prim_tts[j] for j in indices]
-        sums = orbital_builder.exact_sums(tts, [coeffs[i] for i in members])
-        for i, exact in zip(members, sums or [None] * len(members)):
-            mos[i] = orbital_builder.build_mo_mps(
-                MolecularOrbital(coeffs=coeffs[i], primitives=tuple(
-                    fx.primitives[j] for j in indices)),
-                grid, eps_p, eps_s, primitive_tts=tts, exact_sum=exact)
+    mos = orbital_builder.build_orbitals(
+        prim_tts, [(o.indices, c) for o, c in zip(fx.orbitals, coeffs)],
+        eps_s)
     n_system = 3 * grid.qubits_per_axis
     params = ResourceParams(b=int(res_cfg["b"]), eta=eta, n_system=n_system,
                             N=2 ** n_system, n_mo=len(mos))

@@ -225,13 +225,9 @@ def test_criterion_05_canonical_orthogonalization():
             X = basis.x_tilde
             resid = np.abs(X.conj().T @ S @ X - np.eye(basis.kept)).max()
             assert resid <= 1e-9
-            prims = (gauss_pw.PrimitiveGaussian(
-                center=(0.0, 0.0, 0.0), gamma=1.0, ang=(0, 0, 0)),) * n
             for jcol in range(basis.kept):
                 col = X[:, jcol]
                 assert np.linalg.norm(col) <= 1.0 / sigma * (1 + 1e-12)
-                orbital_builder.MolecularOrbital(
-                    coeffs=col, primitives=prims, sigma=sigma)
 
 
 def _random_train(rng, n_sites, bond):

@@ -615,17 +615,60 @@ class TestSweepCommand:
         n = len(fx.orbitals)
         assert calls == {"canonical_sum": 1, "round": n,
                          "left_canonicalize": n}
-        comp = cfg["compression"]
         for o, c, mps in zip(fx.orbitals, stage.coeffs, stage.mos):
-            own = orbital_builder.build_mo_mps(
-                orbital_builder.MolecularOrbital(
-                    coeffs=c, primitives=[fx.primitives[j]
-                                          for j in o.indices]),
-                stage.grid, comp["eps_primitive"], comp["eps_sum"],
-                primitive_tts=[stage.prim_tts[j] for j in o.indices])
+            (own,) = orbital_builder.build_orbitals(
+                stage.prim_tts, [(o.indices, c)],
+                cfg["compression"]["eps_sum"])
             assert own.raw_norm_sq == mps.raw_norm_sq
             assert all(np.array_equal(a, b)
                        for a, b in zip(own.tt.cores, mps.tt.cores))
+
+    def test_wide_list_sums_each_orbital_in_halves(self, tmp_path, rng,
+                                                   monkeypatch):
+        """Two orbitals over 24 random l <= 2 primitives on a 6-qubit grid
+        (basis-scaling's basis24 shape) are too wide for one exact sum.
+        Each orbital is its own round(add(half, half)) bit for bit, from two
+        canonical_sum calls of its own: no wide list shares a sweep."""
+        n_prims, eps = 24, 1e-9
+        prims = [{"center": [float(x) for x in rng.uniform(-1.5, 1.5, 3)],
+                  "gamma": float(rng.uniform(0.6, 1.6)),
+                  "ang": [int(a) for a in rng.integers(0, 3, 3)]}
+                 for _ in range(n_prims)]
+        orbitals = [{"occupation": 1,
+                     "coeffs": [float(c) for c in rng.uniform(0.3, 1.0,
+                                                              n_prims)]}
+                    for _ in range(2)]
+        cfg = cli.load_config(write_json(tmp_path / "cfg.json", base_config(
+            grid={"K_inv_bohr": 19.5}, compression={"eps_sum": eps})))
+        fx = cli.load_fixture(write_json(tmp_path / "fx.json", base_fixture(
+            primitives=prims, orbitals=orbitals)))
+        widths = []
+        original = tt_core.canonical_sum
+
+        def recording(trains, coeffs):
+            widths.append(max(map(sum, zip(*(t.bond_dims for t in trains)))))
+            return original(trains, coeffs)
+
+        monkeypatch.setattr(tt_core, "canonical_sum", recording)
+        stage = pipeline.grid_stage(cfg, fx)
+        monkeypatch.undo()
+        assert stage.grid.qubits_per_axis == 6
+        assert len(widths) == 2 * len(orbitals)
+        assert max(widths) <= orbital_builder.MAX_SUM_WIDTH
+        tts = stage.prim_tts
+        assert (max(map(sum, zip(*(t.bond_dims for t in tts))))
+                > orbital_builder.MAX_SUM_WIDTH)
+        for c, mps in zip(stage.coeffs, stage.mos):
+            halves = [tt_core.round(tt_core.canonical_sum(tts[s], c[s]), eps)
+                      for s in (slice(0, 12), slice(12, None))]
+            acc = tt_core.left_canonicalize(
+                tt_core.round(tt_core.add(*halves), eps))
+            raw = float(np.linalg.norm(acc.cores[-1])) ** 2
+            assert mps.raw_norm_sq == raw
+            want = tt_core.scale(acc, 1.0 / math.sqrt(raw))
+            assert len(mps.tt.cores) == len(want.cores)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(mps.tt.cores, want.cores))
 
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_svd_points_add_no_qr_sweep(self, tmp_path, monkeypatch, k):

@@ -267,8 +267,9 @@ def test_oracle_passes_above_the_dense_cap(tmp_path):
 def test_referee_computes_each_axis_vector_once(tmp_path):
     """sweep_errors on three centres with two exponents each and three
     orbitals over all six primitives builds one exact axis set per
-    primitive, not one per orbital and primitive, and one whole-line set
-    per primitive and window, not two per ordered pair; all read-only."""
+    primitive, not one per orbital and primitive, one whole-line set per
+    primitive and window, not two per ordered pair, and one whole-line
+    overlap per unordered pair (15), not per ordered pair; all read-only."""
     cfg = {
         "grid": {"L_bohr": 10.0, "K_inv_bohr": 14.0},
         "compression": {"svd_cutoff": 0.0, "eps_primitive": 1e-3},
@@ -296,7 +297,7 @@ def test_referee_computes_each_axis_vector_once(tmp_path):
     oracle.sweep_errors([result])
     assert oracle.exact_axes.cache_info().misses == 6
     assert oracle._window_axes.cache_info().misses <= 12
-    assert oracle._whole_line_overlap.cache_info().misses <= 30
+    assert oracle._whole_line_overlap.cache_info().misses == 15
     for g in result.fixture.primitives:
         assert not any(v.flags.writeable
                        for v in oracle.exact_axes(g, result.grid))

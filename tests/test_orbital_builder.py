@@ -9,9 +9,8 @@ from ttprep import oracle, orbital_builder, tt_core
 from ttprep.gauss_pw import (PlaneWaveGrid, PrimitiveGaussian, choose_cutoff,
                              primitive_3d_mps)
 from ttprep.orbital_builder import (DegenerateOrbitalError, EmptyBasisError,
-                                    MolecularOrbital, OrbitalMPS,
-                                    OverlapMatrix, build_mo_mps,
-                                    canonical_orthogonalize,
+                                    OrbitalMPS, OverlapMatrix,
+                                    build_orbitals, canonical_orthogonalize,
                                     infidelity_estimate, mo_bond_bound,
                                     overlap_matrix, truncate_mo)
 
@@ -24,6 +23,16 @@ def s_prim(center, gamma=1.0):
 
 def small_grid(gamma=1.0, L=14.0, eps=1e-4):
     return PlaneWaveGrid(L=L, K=choose_cutoff(gamma, 0, L, eps / math.sqrt(3)))
+
+
+def orbital(tts, coeffs, eps_sum=1e-9):
+    """The orbital sum_g coeffs[g] * tts[g], built by build_orbitals."""
+    (o,) = build_orbitals(tts, [(range(len(tts)), coeffs)], eps_sum)
+    return o
+
+
+def projected(prims, grid, eps=1e-4):
+    return [primitive_3d_mps(g, grid, eps) for g in prims]
 
 
 def random_unit_diag_spd(rng, n):
@@ -45,26 +54,6 @@ class TestOverlapMatrixType:
         bad_diag = np.array([[2.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             OverlapMatrix(S=bad_diag)
-
-
-class TestMolecularOrbitalType:
-    def test_shape_checks(self):
-        p = s_prim((0.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            MolecularOrbital(coeffs=np.ones(2), primitives=(p,))
-        with pytest.raises(ValueError):
-            MolecularOrbital(coeffs=np.zeros(0), primitives=())
-
-    def test_coefficient_bound(self):
-        p = s_prim((0.0, 0.0, 0.0))
-        MolecularOrbital(coeffs=np.array([9.0]), primitives=(p,))  # no sigma
-        MolecularOrbital(coeffs=np.array([9.0]), primitives=(p,), sigma=0.1)
-        with pytest.raises(ValueError):
-            MolecularOrbital(coeffs=np.array([11.0]), primitives=(p,),
-                             sigma=0.1)
-        with pytest.raises(ValueError):
-            MolecularOrbital(coeffs=np.array([1.0]), primitives=(p,),
-                             sigma=-0.3)
 
 
 class TestCanonicalOrthogonalize:
@@ -101,11 +90,9 @@ class TestCanonicalOrthogonalize:
             assert basis.kept == int(np.sum(w >= sigma))
             assert np.all(np.diff(basis.eigenvalues) <= 1e-14)
             # every column respects the coefficient bound sigma implies
-            prims = (s_prim((0.0, 0.0, 0.0)),) * int(n)
             for j in range(basis.kept):
                 col = basis.x_tilde[:, j]
                 assert np.linalg.norm(col) <= 1.0 / sigma * (1 + 1e-9)
-                MolecularOrbital(coeffs=col, primitives=prims, sigma=sigma)
 
     def test_empty_basis(self):
         with pytest.raises(EmptyBasisError):
@@ -141,16 +128,13 @@ class TestOverlapMatrixBuild:
 class TestBuildMoMps:
     def test_single_primitive_unit_norm(self):
         grid = small_grid()
-        mo = MolecularOrbital(coeffs=np.array([1.0]),
-                              primitives=(s_prim((0.0, 0.0, 0.0)),))
-        o = build_mo_mps(mo, grid, eps_primitive=1e-4)
+        tts = projected((s_prim((0.0, 0.0, 0.0)),), grid)
+        o = orbital(tts, np.array([1.0]))
         assert abs(o.raw_norm_sq - 1.0) < 1e-4
         assert abs(tt_core.norm(o.tt) - 1.0) < 1e-10
         assert o.infidelity == abs(1.0 - o.raw_norm_sq)
-        assert o.svd_cutoff_used == 0.0
         # coefficient 1 on one primitive reproduces the primitive train
-        direct = primitive_3d_mps(mo.primitives[0], grid, 1e-4)
-        assert np.abs(dense(o.tt) - dense(direct)).max() < 1e-10
+        assert np.abs(dense(o.tt) - dense(tts[0])).max() < 1e-10
 
     def test_distant_pair_has_unit_raw_norm(self):
         # centers 6 Bohr apart: overlap exp(-18), numerically orthogonal
@@ -158,17 +142,15 @@ class TestBuildMoMps:
             L=20.0, K=choose_cutoff(1.0, 0, 20.0, 1e-4 / math.sqrt(3)))
         prims = (s_prim((-3.0, 0.0, 0.0)), s_prim((3.0, 0.0, 0.0)))
         c = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        mo = MolecularOrbital(coeffs=c, primitives=prims)
-        o = build_mo_mps(mo, grid, eps_primitive=1e-4)
+        o = orbital(projected(prims, grid), c)
         assert abs(o.raw_norm_sq - 1.0) < 1e-4
 
     def test_matches_dense_combination(self):
         grid = small_grid()
         prims = (s_prim((0.0, 0.0, 0.0)), s_prim((1.2, 0.0, 0.0)))
-        tts = [primitive_3d_mps(g, grid, 1e-4) for g in prims]
+        tts = projected(prims, grid)
         c = np.array([0.6, -0.8])
-        mo = MolecularOrbital(coeffs=c, primitives=prims)
-        o = build_mo_mps(mo, grid, eps_primitive=1e-4, primitive_tts=tts)
+        o = orbital(tts, c)
         ref = c[0] * dense(tts[0]) + c[1] * dense(tts[1])
         assert o.raw_norm_sq == pytest.approx(
             float(np.linalg.norm(ref)) ** 2, rel=1e-7)
@@ -184,10 +166,7 @@ class TestBuildMoMps:
         S = overlap_matrix(prims, grid, tts=tts)
         basis = canonical_orthogonalize(S, sigma=1e-6)
         for j in range(basis.kept):
-            mo = MolecularOrbital(coeffs=basis.x_tilde[:, j],
-                                  primitives=prims, sigma=basis.sigma)
-            o = build_mo_mps(mo, grid, eps_primitive=1e-4,
-                             primitive_tts=tts)
+            o = orbital(tts, basis.x_tilde[:, j])
             assert abs(o.raw_norm_sq - 1.0) < 1e-4
             assert infidelity_estimate(o) < 1e-2
 
@@ -195,20 +174,13 @@ class TestBuildMoMps:
         grid = small_grid()
         p = s_prim((0.0, 0.0, 0.0))
         tt = primitive_3d_mps(p, grid, 1e-4)
-        mo = MolecularOrbital(coeffs=np.array([1.0, -1.0]),
-                              primitives=(p, p))
         with pytest.raises(DegenerateOrbitalError):
-            build_mo_mps(mo, grid, eps_primitive=1e-4,
-                         primitive_tts=[tt, tt])
+            orbital([tt, tt], np.array([1.0, -1.0]))
 
     def test_argument_guards(self):
-        grid = small_grid()
-        p = s_prim((0.0, 0.0, 0.0))
-        mo = MolecularOrbital(coeffs=np.array([1.0]), primitives=(p,))
+        tts = projected((s_prim((0.0, 0.0, 0.0)),), small_grid())
         with pytest.raises(ValueError):
-            build_mo_mps(mo, grid, eps_primitive=1e-4, eps_sum=-1.0)
-        with pytest.raises(ValueError):
-            build_mo_mps(mo, grid, eps_primitive=1e-4, primitive_tts=[])
+            orbital(tts, np.array([1.0]), eps_sum=-1.0)
 
 
 def chain_sum(coeffs, tts, eps_sum):
@@ -238,10 +210,9 @@ class TestMergeOrder:
     def test_few_primitives_equal_the_chain_bit_for_bit(self, rng, n_prims):
         grid = PlaneWaveGrid(L=10.0, K=10.0)
         prims = random_primitives(rng, n_prims)
-        tts = [primitive_3d_mps(g, grid, 1e-3) for g in prims]
+        tts = projected(prims, grid, 1e-3)
         c = random_coeffs(rng, n_prims)
-        o = build_mo_mps(MolecularOrbital(coeffs=c, primitives=prims), grid,
-                         eps_primitive=1e-3, eps_sum=1e-6, primitive_tts=tts)
+        o = orbital(tts, c, eps_sum=1e-6)
         acc = tt_core.left_canonicalize(chain_sum(c, tts, 1e-6))
         raw = float(np.linalg.norm(acc.cores[-1])) ** 2
         assert o.raw_norm_sq == raw
@@ -257,12 +228,10 @@ class TestMergeOrder:
         grid = PlaneWaveGrid(L=10.0, K=K)
         assert grid.qubits_per_axis in (5, 6)
         prims = random_primitives(rng, n_prims)
-        tts = [primitive_3d_mps(g, grid, 1e-3) for g in prims]
+        tts = projected(prims, grid, 1e-3)
         c = random_coeffs(rng, n_prims)
         eps_sum = 1e-9
-        o = build_mo_mps(MolecularOrbital(coeffs=c, primitives=prims), grid,
-                         eps_primitive=1e-3, eps_sum=eps_sum,
-                         primitive_tts=tts)
+        o = orbital(tts, c, eps_sum=eps_sum)
         axes = [oracle.axis_vectors(tt, grid.qubits_per_axis) for tt in tts]
         nrm_sq = sum((np.conj(ci) * cj * oracle.product_overlap(u, v)).real
                      for ci, u in zip(c, axes) for cj, v in zip(c, axes))
@@ -298,15 +267,12 @@ class TestMergeOrder:
 
         monkeypatch.setattr(tt_core, "round", counting_round)
         monkeypatch.setattr(tt_core, "add", counting_add)
-        prims = (s_prim((0.0, 0.0, 0.0)),) * n_prims
         for cap, rounds, adds in ((width, min(n_prims - 1, 1), 0),
                                   (width - 1, min(n_prims - 1, 3),
                                    min(n_prims - 1, 1))):
             monkeypatch.setattr(orbital_builder, "MAX_SUM_WIDTH", cap)
             calls = {"round": [], "add": 0}
-            o = build_mo_mps(MolecularOrbital(coeffs=c, primitives=prims),
-                             small_grid(), eps_primitive=1e-3,
-                             eps_sum=1e-12, primitive_tts=leaves)
+            o = orbital(leaves, c, eps_sum=1e-12)
             assert len(calls["round"]) == rounds, cap
             assert calls["add"] == adds, cap
             # every rounding but the halves' merge gets a "left" exact sum
@@ -328,10 +294,7 @@ class TestMergeOrder:
             for _ in range(n_prims)]
         assert 3 * n_prims > orbital_builder.MAX_SUM_WIDTH
         c = random_coeffs(rng, n_prims)
-        prims = (s_prim((0.0, 0.0, 0.0)),) * n_prims
-        o = build_mo_mps(MolecularOrbital(coeffs=c, primitives=prims),
-                         small_grid(), eps_primitive=1e-3, eps_sum=eps,
-                         primitive_tts=leaves)
+        o = orbital(leaves, c, eps_sum=eps)
         halves = [tt_core.round(tt_core.canonical_sum(leaves[s], c[s]), eps)
                   for s in (slice(0, 20), slice(20, None))]
         acc = tt_core.left_canonicalize(
@@ -345,11 +308,18 @@ class TestMergeOrder:
 
     def test_no_exact_sum_wider_than_the_cap(self, rng, monkeypatch):
         """36 random l <= 2 primitives on a 7-qubit grid: the whole list is
-        too wide to sum at once, and each half fits under MAX_SUM_WIDTH."""
+        too wide to sum at once, and each half fits under MAX_SUM_WIDTH.
+        80 bond-3 trains are 240 wide, over twice the cap: each half is
+        halved again, into four exact sums of 60, and the orbital is still
+        the dense sum."""
         grid = PlaneWaveGrid(L=10.0, K=20.5)
         assert grid.qubits_per_axis == 7
-        prims = random_primitives(rng, 36)
-        tts = [primitive_3d_mps(g, grid, 1e-3) for g in prims]
+        tts = projected(random_primitives(rng, 36), grid, 1e-3)
+        bonds = [1, 3, 3, 3, 3, 3, 1]
+        leaves = [tt_core.TensorTrain(
+            [rng.standard_normal((l, 2, r)) + 1j * rng.standard_normal(
+                (l, 2, r)) for l, r in zip(bonds, bonds[1:])])
+            for _ in range(80)]
         widths = []
         original = tt_core.canonical_sum
 
@@ -359,26 +329,30 @@ class TestMergeOrder:
             return original(trains, coeffs)
 
         monkeypatch.setattr(tt_core, "canonical_sum", recording)
-        build_mo_mps(MolecularOrbital(coeffs=random_coeffs(rng, 36),
-                                      primitives=prims),
-                     grid, eps_primitive=1e-3, primitive_tts=tts)
+        orbital(tts, random_coeffs(rng, 36))
         assert len(widths) == 2
         assert max(widths) <= orbital_builder.MAX_SUM_WIDTH
+        widths.clear()
+        c = random_coeffs(rng, 80)
+        o = orbital(leaves, c, eps_sum=1e-12)
+        assert 3 * len(leaves) > 2 * orbital_builder.MAX_SUM_WIDTH
+        assert widths == [60] * 4
+        want = sum(ci * dense(t) for ci, t in zip(c, leaves))
+        got = dense(o.tt) * math.sqrt(o.raw_norm_sq)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestTruncateMo:
     def _orbital(self):
         grid = small_grid()
         prims = (s_prim((0.0, 0.0, 0.0)), s_prim((0.9, 0.4, 0.0)))
-        mo = MolecularOrbital(coeffs=np.array([0.7, 0.7]), primitives=prims)
-        return build_mo_mps(mo, grid, eps_primitive=1e-4)
+        return orbital(projected(prims, grid), np.array([0.7, 0.7]))
 
     def test_zero_eps_is_identity(self):
         o = self._orbital()
         same = truncate_mo(o, 0.0)
         assert same.tt is o.tt
         assert same.raw_norm_sq == o.raw_norm_sq
-        assert same.svd_cutoff_used == o.svd_cutoff_used
 
     def test_monotone_in_eps(self):
         o = self._orbital()
@@ -392,7 +366,6 @@ class TestTruncateMo:
             bond = tt_core.max_bond_dim(t.tt)
             if last_bond is not None:
                 assert bond <= last_bond
-            assert t.svd_cutoff_used == eps
             last_inf, last_bond = inf, bond
 
     def test_full_cutoff_collapses_bonds(self):
@@ -409,12 +382,11 @@ class TestTruncateMo:
         grid = PlaneWaveGrid(L=10.0, K=10.0)
         assert grid.qubits_per_axis == 5
         prims = (s_prim((0.0, 0.0, 0.0)), s_prim((1.5, 0.0, 0.0)))
-        tts = [primitive_3d_mps(g, grid, 1e-3) for g in prims]
+        tts = projected(prims, grid, 1e-3)
         S = overlap_matrix(prims, grid, tts=tts)
         basis = canonical_orthogonalize(S, sigma=1e-6)
         c = basis.x_tilde[:, 0]
-        mo = MolecularOrbital(coeffs=c, primitives=prims, sigma=basis.sigma)
-        o = build_mo_mps(mo, grid, eps_primitive=1e-3, primitive_tts=tts)
+        o = orbital(tts, c)
         t = truncate_mo(o, 1e-3)
 
         u = c[0] * dense(tts[0]) + c[1] * dense(tts[1])
@@ -427,8 +399,7 @@ class TestTruncateMo:
 class TestInfidelityEstimate:
     def _wrap(self, raw):
         t = tt_core.from_dense(np.array([1.0, 0.0], dtype=complex), 1e-14)
-        return OrbitalMPS(tt=t, raw_norm_sq=raw, eps_sum_used=0.0,
-                          svd_cutoff_used=0.0)
+        return OrbitalMPS(tt=t, raw_norm_sq=raw)
 
     def test_values(self):
         assert infidelity_estimate(self._wrap(0.99)) == pytest.approx(
@@ -457,8 +428,7 @@ class TestCertifiedBounds:
     def test_measured_bond_under_certified_bound(self):
         grid = small_grid()
         prims = (s_prim((0.0, 0.0, 0.0)), s_prim((1.0, 0.0, 0.0)))
-        mo = MolecularOrbital(coeffs=np.array([0.6, 0.5]), primitives=prims)
-        o = build_mo_mps(mo, grid, eps_primitive=1e-3)
+        o = orbital(projected(prims, grid, 1e-3), np.array([0.6, 0.5]))
         assert tt_core.max_bond_dim(o.tt) <= mo_bond_bound(
             len(prims), 1e-3, 0.1, 0)
 

@@ -34,9 +34,8 @@ from .pipeline import (cutoff_stage, grid_stage, load_config, load_fixture,
 if TYPE_CHECKING:
     from .pipeline import Fixture, OrbitalRecord, PipelineResult
 
-# sweep axis (config key, in run order) -> run_pipeline keyword
-SWEEP_AXES = {"L_bohr": "L", "K_inv_bohr": "K", "E_cut_hartree": "e_cut",
-              "svd_cutoff": "svd_cutoff"}
+# sweep axes (config keys), in run order
+SWEEP_AXES = ("L_bohr", "K_inv_bohr", "E_cut_hartree", "svd_cutoff")
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +277,21 @@ def _sweep_groups(cfg: dict, fx: Fixture, axes):
     """Yield (axis, [(value, result), ...]), one group per grid.
 
     svd_cutoff points all run on the config's grid, so they share one grid
-    stage and differ only in their cutoff stage; every other axis moves the
-    grid with each point.
+    stage and differ only in their cutoff stage.  Every other point runs on
+    a shallow copy of the config with that grid key set; a cutoff key
+    (K_inv_bohr or E_cut_hartree) replaces the other.
     """
     for axis, values in axes:
-        key = SWEEP_AXES[axis]
-        if key == "svd_cutoff":
+        if axis == "svd_cutoff":
             stage = grid_stage(cfg, fx)
             yield axis, [(value, cutoff_stage(stage, value))
                          for value in values]
         else:
+            kept = {k: v for k, v in cfg["grid"].items()
+                    if axis == "L_bohr" or k == "L_bohr"}
             for value in values:
-                yield axis, [(value, run_pipeline(cfg, fx, **{key: value}))]
+                point = {**cfg, "grid": {**kept, axis: value}}
+                yield axis, [(value, run_pipeline(point, fx))]
 
 
 @main.command("sweep")

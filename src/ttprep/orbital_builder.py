@@ -1,13 +1,16 @@
 """Molecular orbitals as compressed trains over the plane-wave basis.
 
-Workflow: project every primitive Gaussian onto the grid (one train each),
-form their Gram matrix with train inner products, canonically orthogonalize
-it (drop eigenvalues below sigma), then assemble each orbital as a weighted
-train sum (build_orbitals).  Each primitive list is summed by one rule: a
-single train is only scaled; a list at most MAX_SUM_WIDTH wide is summed
-exactly by one QR sweep, shared by the orbitals over that list and rounded
-once per orbital; a wider list is split in two halves, each summed by this
-same rule, and the halves are added and rounded.
+Workflow: the pipeline projects every primitive Gaussian onto the grid (one
+train each), forms their Gram matrix S from those trains (overlap_matrix),
+normalizes each orbital's coefficients in the S metric, then assembles each
+orbital as a weighted train sum (build_orbitals).  No command canonically
+orthogonalizes S: canonical_orthogonalize (drop eigenvalues below sigma,
+whiten the rest) is kept for the paper's whitening guarantee, which the
+tests check.  Each primitive list is summed by one rule: a single train is
+only scaled; a list at most MAX_SUM_WIDTH wide is summed exactly by one QR
+sweep, shared by the orbitals over that list and rounded once per orbital;
+a wider list is split in two halves, each summed by this same rule, and the
+halves are added and rounded.
 The squared norm of the summed train, recorded before the final
 renormalization, drives all error reporting: truncations only remove
 weight, so 1 - raw_norm_sq tracks the discarded probability and
@@ -22,8 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import gauss_pw, tt_core
-from .gauss_pw import PlaneWaveGrid
+from . import tt_core
 from .tt_core import TensorTrain
 
 __all__ = [
@@ -107,28 +109,18 @@ class OrbitalMPS:
     def infidelity(self) -> float:
         return abs(1.0 - self.raw_norm_sq)
 
-    @property
-    def n_sites(self) -> int:
-        return len(self.tt.cores)
 
+def overlap_matrix(primitives, tts) -> OverlapMatrix:
+    """Gram matrix of the primitives from their projected trains.
 
-def overlap_matrix(primitives, grid: PlaneWaveGrid, eps: float = 1e-6,
-                   tts=None) -> OverlapMatrix:
-    """Gram matrix of the projected primitives, entries from TT overlaps.
-
-    Each primitive is projected at accuracy eps (a unit-norm train).
-    :func:`tt_core.gram` contracts all P = n(n-1)/2 pairs of the upper
-    triangle in one batched sweep (working memory O(P r^2) for the
-    largest bond r) and mirrors it conjugately, so S is Hermitian.
-    Already projected trains can be passed through tts to skip the
-    projections.
+    tts[g] is primitive g's unit-norm train.  :func:`tt_core.gram`
+    contracts all P = n(n-1)/2 pairs of the upper triangle in one batched
+    sweep (working memory O(P r^2) for the largest bond r) and mirrors it
+    conjugately, so S is Hermitian.
     """
-    prims = list(primitives)
-    if not prims:
+    if not primitives:
         raise ValueError("need at least one primitive")
-    if tts is None:
-        tts = [gauss_pw.primitive_3d_mps(g, grid, eps) for g in prims]
-    elif len(tts) != len(prims):
+    if len(tts) != len(primitives):
         raise ValueError("tts must match primitives one to one")
     return OverlapMatrix(S=tt_core.gram(tts))
 

@@ -227,13 +227,9 @@ def load_fixture(path) -> Fixture:
                    orbitals=tuple(orbitals))
 
 
-def grid_from_config(cfg: dict, L=None, K=None, e_cut=None) -> PlaneWaveGrid:
+def grid_from_config(cfg: dict) -> PlaneWaveGrid:
     g = cfg["grid"]
-    L = float(g["L_bohr"]) if L is None else float(L)
-    if K is not None:
-        return PlaneWaveGrid(L=L, K=float(K))
-    if e_cut is not None:
-        return PlaneWaveGrid.from_energy_cutoff(L, float(e_cut))
+    L = float(g["L_bohr"])
     if "K_inv_bohr" in g:
         return PlaneWaveGrid(L=L, K=float(g["K_inv_bohr"]))
     return PlaneWaveGrid.from_energy_cutoff(L, float(g["E_cut_hartree"]))
@@ -290,19 +286,14 @@ class PipelineResult:
     report: resource_model.ResourceReport
 
 
-def run_pipeline(cfg: dict, fx: Fixture, *, L=None, K=None, e_cut=None,
-                 svd_cutoff=None) -> PipelineResult:
-    if svd_cutoff is None:
-        svd_cutoff = cfg["compression"]["svd_cutoff"]
-    return cutoff_stage(grid_stage(cfg, fx, L=L, K=K, e_cut=e_cut),
-                        svd_cutoff)
+def run_pipeline(cfg: dict, fx: Fixture) -> PipelineResult:
+    return cutoff_stage(grid_stage(cfg, fx), cfg["compression"]["svd_cutoff"])
 
 
-def grid_stage(cfg: dict, fx: Fixture, *, L=None, K=None,
-               e_cut=None) -> GridStage:
+def grid_stage(cfg: dict, fx: Fixture) -> GridStage:
     """Primitive trains, their Gram matrix, the untruncated orbitals and
     the cost parameters: all that svd_cutoff leaves unchanged."""
-    grid = grid_from_config(cfg, L=L, K=K, e_cut=e_cut)
+    grid = grid_from_config(cfg)
     comp = cfg["compression"]
     eps_p = float(comp["eps_primitive"])
     eps_s = float(comp["eps_sum"])
@@ -310,8 +301,7 @@ def grid_stage(cfg: dict, fx: Fixture, *, L=None, K=None,
 
     prim_tts = [gauss_pw.primitive_3d_mps(g, grid, eps_p)
                 for g in fx.primitives]
-    overlap = orbital_builder.overlap_matrix(fx.primitives, grid, eps_p,
-                                             tts=prim_tts)
+    overlap = orbital_builder.overlap_matrix(fx.primitives, prim_tts)
     eta = sum(o.occupation for o in fx.orbitals)
     if "eta" in res_cfg and int(res_cfg["eta"]) != eta:
         raise InputError(
@@ -340,8 +330,7 @@ def grid_stage(cfg: dict, fx: Fixture, *, L=None, K=None,
 def cutoff_stage(stage: GridStage, svd_cutoff: float) -> PipelineResult:
     """Truncate the stage's orbitals at svd_cutoff, then cost and report."""
     svd = float(svd_cutoff)
-    mos = [orbital_builder.truncate_mo(mps, svd) if svd > 0 else mps
-           for mps in stage.mos]
+    mos = [orbital_builder.truncate_mo(mps, svd) for mps in stage.mos]
     profiles = [BondProfile(m=mps.tt.bond_dims) for mps in mos]
     orbitals = stage.fixture.orbitals
     report = resource_model.estimate_resources(

@@ -402,7 +402,7 @@ class ResourceReport:
 
 
 def estimate_resources(params: ResourceParams, profiles, occupations,
-                       eps1: float = 0.0) -> ResourceReport:
+                       eps1: float) -> ResourceReport:
     """Assemble the full estimate from measured per-orbital bond profiles.
 
     occupations[i] electrons fill orbital i, eta in all.  Each orbital is

@@ -395,7 +395,8 @@ def test_criterion_08_volume_doubling_cost_trend():
         fx = load_fixture(FIXTURE_DIR / "synthetic_diatomic.json")
         totals = []
         for L in (30.0, 60.0, 120.0, 240.0):
-            rep = run_pipeline(cfg, fx, L=L).report
+            point = {**cfg, "grid": {**cfg["grid"], "L_bohr": L}}
+            rep = run_pipeline(point, fx).report
             totals.append((rep.totals["naive_method"],
                            rep.totals["mps_method"],
                            rep.totals["ratio_naive_over_mps"]))

@@ -490,6 +490,48 @@ class TestSweepCommand:
                     "trace_distance_estimate"]:
             assert srows[0][col] == prows[0][col]
 
+    @pytest.mark.parametrize("grid,sweep", [
+        ({"L_bohr": 10.0, "E_cut_hartree": 18.0},
+         {"L_bohr": [8.0, 12.0], "K_inv_bohr": [5.0, 7.0],
+          "E_cut_hartree": [12.5, 24.5]}),
+        ({"L_bohr": 10.0, "K_inv_bohr": 6.0}, {"E_cut_hartree": [12.5, 24.5]}),
+    ])
+    def test_grid_points_run_the_config_with_that_key_set(self, tmp_path,
+                                                           grid, sweep):
+        """Each L/K/E_cut row equals run_pipeline on the config with that one
+        grid key set: a cutoff key replaces the other, and a cutoff point
+        keeps the config's own L, not the last L point.  The loaded config
+        is left as it was."""
+        raw = base_config(sweep=sweep)
+        raw["grid"] = grid
+        path = write_json(tmp_path / "cfg.json", raw)
+        fx_path = write_json(tmp_path / "fx.json", base_fixture())
+        run_cli(["sweep", "--config", path, "--fixture", fx_path,
+                 "--out", str(tmp_path)])
+        _, rows = read_csv(tmp_path / "tiny_sweep.csv")
+        assert [(r["axis"], float(r["value"])) for r in rows] == [
+            (axis, v) for axis in cli.SWEEP_AXES for v in sweep.get(axis, ())]
+        cfg = cli.load_config(path)
+        fx = cli.load_fixture(fx_path)
+        for row in rows:
+            axis, value = row["axis"], float(row["value"])
+            if axis == "L_bohr":
+                point = {**grid, "L_bohr": value}
+            else:
+                point = {"L_bohr": grid["L_bohr"], axis: value}
+                assert float(row["L_bohr"]) == grid["L_bohr"]
+            point_cfg = pipeline.validated({**cfg, "grid": point}, "config",
+                                           "point")
+            res = cli.run_pipeline(point_cfg, fx)
+            (r,) = res.orbitals
+            assert float(row["L_bohr"]) == res.grid.L
+            assert float(row["K_inv_bohr"]) == res.grid.K
+            assert int(row["points_per_axis"]) == res.grid.points_per_axis
+            assert float(row["mps_prep_toffoli"]) == r.prep_toffoli
+        axes = [(axis, cfg["sweep"][axis]) for axis in sweep]
+        list(cli._sweep_groups(cfg, fx, axes))
+        assert cfg == cli.load_config(path)
+
     def test_localized_needs_larger_cutoff_than_diffuse(self, tmp_path):
         """Momentum-cutoff ladder: the tight Gaussian converges much later."""
         first_ok = {}
@@ -561,7 +603,8 @@ class TestSweepCommand:
         assert list(cfg["sweep"]) == ["svd_cutoff"]
         lines = [",".join(SWEEP_COLUMNS)]
         for value in cfg["sweep"]["svd_cutoff"]:
-            res = cli.run_pipeline(cfg, fx, svd_cutoff=value)
+            comp = {**cfg["compression"], "svd_cutoff": value}
+            res = cli.run_pipeline({**cfg, "compression": comp}, fx)
             assert res.grid.points_per_axis <= 64  # the oracle cap applies
             totals = res.report.totals
             (errors,) = oracle.sweep_errors([res])

@@ -107,7 +107,7 @@ class TestOverlapMatrixBuild:
         gamma, d = 1.0, 2.0
         grid = small_grid(gamma=gamma)
         prims = [s_prim((0.0, 0.0, 0.0), gamma), s_prim((d, 0.0, 0.0), gamma)]
-        S = overlap_matrix(prims, grid, eps=1e-4).S
+        S = overlap_matrix(prims, projected(prims, grid)).S
         assert abs(S[0, 1] - math.exp(-2.0)) < 1e-6
         assert S[1, 0] == np.conj(S[0, 1])
         assert S[0, 0] == 1.0 and S[1, 1] == 1.0
@@ -115,14 +115,11 @@ class TestOverlapMatrixBuild:
     def test_precomputed_trains_shortcut(self):
         grid = small_grid()
         prims = [s_prim((0.0, 0.0, 0.0)), s_prim((1.0, 0.5, 0.0))]
-        tts = [primitive_3d_mps(g, grid, 1e-4) for g in prims]
-        a = overlap_matrix(prims, grid, eps=1e-4, tts=tts).S
-        b = overlap_matrix(prims, grid, eps=1e-4).S
-        assert np.abs(a - b).max() < 1e-12
+        tts = projected(prims, grid)
         with pytest.raises(ValueError):
-            overlap_matrix(prims, grid, tts=tts[:1])
+            overlap_matrix(prims, tts[:1])
         with pytest.raises(ValueError):
-            overlap_matrix([], grid)
+            overlap_matrix([], [])
 
 
 class TestBuildMoMps:
@@ -163,7 +160,7 @@ class TestBuildMoMps:
         grid = small_grid()
         prims = (s_prim((0.0, 0.0, 0.0)), s_prim((1.0, 0.0, 0.0)))
         tts = [primitive_3d_mps(g, grid, 1e-4) for g in prims]
-        S = overlap_matrix(prims, grid, tts=tts)
+        S = overlap_matrix(prims, tts)
         basis = canonical_orthogonalize(S, sigma=1e-6)
         for j in range(basis.kept):
             o = orbital(tts, basis.x_tilde[:, j])
@@ -383,7 +380,7 @@ class TestTruncateMo:
         assert grid.qubits_per_axis == 5
         prims = (s_prim((0.0, 0.0, 0.0)), s_prim((1.5, 0.0, 0.0)))
         tts = projected(prims, grid, 1e-3)
-        S = overlap_matrix(prims, grid, tts=tts)
+        S = overlap_matrix(prims, tts)
         basis = canonical_orthogonalize(S, sigma=1e-6)
         c = basis.x_tilde[:, 0]
         o = orbital(tts, c)

@@ -472,6 +472,8 @@ class TestEstimateResources:
     def test_profile_count_mismatch(self):
         params = ResourceParams(b=10, eta=2, n_system=21, N=4096)
         with pytest.raises(ValueError):
-            estimate_resources(params, [BondProfile(m=(2,))], [1])
+            estimate_resources(params, [BondProfile(m=(2,))], [1],
+                               eps1=1e-3)
         with pytest.raises(ValueError):
-            estimate_resources(params, [BondProfile(m=(2,))] * 2, [2])
+            estimate_resources(params, [BondProfile(m=(2,))] * 2, [2],
+                               eps1=1e-3)

@@ -121,7 +121,7 @@ def _orbital_summary(r: OrbitalRecord) -> dict:
         "index": r.index,
         "occupation": r.occupation,
         "n_primitives": len(r.indices),
-        "bond_dims": list(r.profile.m),
+        "bond_dims": list(r.mps.tt.bond_dims),
         "max_bond": r.max_bond,
         "raw_norm_sq": r.mps.raw_norm_sq,
         "infidelity": r.mps.infidelity,
@@ -198,7 +198,7 @@ def _emit_project(result: PipelineResult, out_dir: Path) -> None:
                 "trace_distance_estimate"], rows)
     for r in result.orbitals:
         bond_rows = [(j + 1, m, math.log2(m))
-                     for j, m in enumerate(r.profile.m)]
+                     for j, m in enumerate(r.mps.tt.bond_dims)]
         _write_csv(out_dir / f"{name}_orbital_{r.index}_bonds.csv",
                    ["bond_index", "bond_dim", "log2_bond_dim"], bond_rows)
         if result.config["oracle"]["dump_tt"]:
@@ -245,9 +245,6 @@ def cmd_estimate(config_path, fixture_path, out):
 def _report_dict(result: PipelineResult) -> dict:
     rep = result.report
     params = result.params
-    eb = {mode: resource_model.slater_error_bound(
-        params.eta, params.n_mo, rep.eps1, rep.eps2, mode)
-        for mode in ("approx", "spectral")}
     return {
         "fixture": result.fixture.name,
         "grid": _grid_summary(result),
@@ -255,11 +252,11 @@ def _report_dict(result: PipelineResult) -> dict:
             "b": params.b,
             "eta": params.eta,
             "n_system": params.n_system,
-            "n_mo": params.n_mo,
+            "n_mo": len(result.orbitals),
         },
         "eps1": rep.eps1,
         "eps2": rep.eps2,
-        "error_bounds": eb,
+        "error_bounds": dict(rep.error_bounds),
         "toffoli": dict(rep.toffoli),
         "toffoli_floor": {k: math.floor(v) for k, v in rep.toffoli.items()},
         "qubits": dict(rep.qubits),

@@ -33,7 +33,6 @@ from .tt_core import TensorTrain
 __all__ = [
     "AxisProfile",
     "ChebyshevInterpolant",
-    "HermiteExpansion",
     "PlaneWaveGrid",
     "PrimitiveGaussian",
     "ProjectionError",
@@ -147,20 +146,6 @@ class PlaneWaveGrid:
         return cls(L=L, K=math.sqrt(2.0 * e_cut))
 
 
-@dataclass(frozen=True)
-class HermiteExpansion:
-    """Coefficients h_0..h_l of x^l exp(-x^2/2) over Hermite functions."""
-
-    l: int
-    h: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        if h.shape != (self.l + 1,):
-            raise ValueError("h must have length l+1")
-        object.__setattr__(self, "h", h)
-
-
 def _hermite_gaussian_table(n_max: int, x: np.ndarray) -> np.ndarray:
     """psi_0..psi_n_max at x, stacked; stable normalized recurrence."""
     x = np.asarray(x, dtype=float)
@@ -188,8 +173,8 @@ def hermite_gaussian(n: int, x):
     return val if arr.ndim else float(val[0])
 
 
-def h_coeffs(l: int) -> HermiteExpansion:
-    """Expansion of x^l exp(-x^2/2) over psi_0..psi_l, unit 2-norm.
+def h_coeffs(l: int) -> np.ndarray:
+    """Coefficients h_0..h_l of x^l exp(-x^2/2) over psi_0..psi_l, unit 2-norm.
 
     Only parities matching l contribute: h_n = 2^(n/2) / (((l-n)/2)! sqrt(n!))
     up to overall normalization, zero for l-n odd.
@@ -201,14 +186,14 @@ def h_coeffs(l: int) -> HermiteExpansion:
         h[n] = 2.0 ** (n / 2) / (math.factorial((l - n) // 2)
                                  * math.sqrt(math.factorial(n)))
     h /= np.linalg.norm(h)
-    return HermiteExpansion(l=l, h=h)
+    return h
 
 
 def _real_profile_coeffs(l: int) -> np.ndarray:
     """(-1)^((n-l)/2) h_n: sum_n i^n h_n psi_n = i^l sum_n these * psi_n,
     because h_n vanishes unless n has l's parity."""
     signs = np.array([(-1.0) ** ((n - l) // 2) for n in range(l + 1)])
-    return signs * h_coeffs(l).h
+    return signs * h_coeffs(l)
 
 
 def pw_overlap(gamma: float, l: int, a: float, k, L: float):
@@ -337,11 +322,11 @@ class ChebyshevInterpolant:
 
 
 def _lattice_weight(gamma: float, l: int, L: float, i_from: int,
-                    i_to: int, a: float = 0.0) -> float:
+                    i_to: int) -> float:
     """Sum of squared overlaps over lattice indices i_from..i_to."""
     dk = 2.0 * math.pi / L
     idx = np.arange(i_from, i_to + 1)
-    c = pw_overlap(gamma, l, a, idx * dk, L)
+    c = pw_overlap(gamma, l, 0.0, idx * dk, L)
     return float(np.sum(np.abs(c) ** 2))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gauss_pw, orbital_builder, resource_model, tt_core
 from .gauss_pw import PlaneWaveGrid, PrimitiveGaussian
-from .resource_model import BondProfile, ResourceParams
+from .resource_model import ResourceParams
 
 
 class InputError(ValueError):
@@ -245,7 +245,6 @@ class OrbitalRecord:
     coeffs: np.ndarray
     indices: tuple[int, ...]
     mps: orbital_builder.OrbitalMPS
-    profile: BondProfile
     prep_toffoli: float
     prep_error: float
 
@@ -320,9 +319,8 @@ def grid_stage(cfg: dict, fx: Fixture) -> GridStage:
     mos = orbital_builder.build_orbitals(
         prim_tts, [(o.indices, c) for o, c in zip(fx.orbitals, coeffs)],
         eps_s)
-    n_system = 3 * grid.qubits_per_axis
-    params = ResourceParams(b=int(res_cfg["b"]), eta=eta, n_system=n_system,
-                            N=2 ** n_system, n_mo=len(mos))
+    params = ResourceParams(b=int(res_cfg["b"]), eta=eta,
+                            n_system=3 * grid.qubits_per_axis)
     return GridStage(grid=grid, fixture=fx, config=cfg, prim_tts=prim_tts,
                      overlap=overlap, params=params, coeffs=coeffs, mos=mos)
 
@@ -331,16 +329,16 @@ def cutoff_stage(stage: GridStage, svd_cutoff: float) -> PipelineResult:
     """Truncate the stage's orbitals at svd_cutoff, then cost and report."""
     svd = float(svd_cutoff)
     mos = [orbital_builder.truncate_mo(mps, svd) for mps in stage.mos]
-    profiles = [BondProfile(m=mps.tt.bond_dims) for mps in mos]
     orbitals = stage.fixture.orbitals
     report = resource_model.estimate_resources(
-        stage.params, profiles, [o.occupation for o in orbitals],
+        stage.params, [mps.tt.bond_dims for mps in mos],
+        [o.occupation for o in orbitals],
         eps1=max(orbital_builder.infidelity_estimate(mps) for mps in mos))
     records = [OrbitalRecord(index=i, occupation=o.occupation, coeffs=c,
-                             indices=o.indices, mps=mps, profile=p,
+                             indices=o.indices, mps=mps,
                              prep_toffoli=cost, prep_error=err)
-               for i, (o, c, mps, p, cost, err) in enumerate(zip(
-                   orbitals, stage.coeffs, mos, profiles,
+               for i, (o, c, mps, cost, err) in enumerate(zip(
+                   orbitals, stage.coeffs, mos,
                    report.prep_toffoli, report.prep_error))]
     return PipelineResult(grid=stage.grid, fixture=stage.fixture,
                           config=stage.config, svd_cutoff=svd,

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 __all__ = [
-    "BondProfile",
     "ResourceParams",
     "ResourceReport",
     "antisym_estimate",
@@ -235,66 +234,46 @@ def optimal_lambda(p: int, b: int) -> int:
     return max(1, min(lam, 2 ** p))
 
 
-@dataclass(frozen=True)
-class BondProfile:
-    """Interior bond dimensions m_1..m_{n-1} of an n-site train.
+def _sites(bonds):
+    """Yield (m_j, mbar_j) for sites j = 1..n of a train with interior
+    bonds m_1..m_{n-1}; the boundary bonds m_0 = m_n = 1 are implicit.
 
-    Boundary values m_0 = m_n = 1 are implicit.  mbar(j) is the padded
-    neighborhood dimension max(2^ceil(log2 m_{j-1}), 2^ceil(log2 m_j)),
-    always a power of two >= m_j.
+    mbar_j is the padded neighborhood dimension
+    max(2^ceil(log2 m_{j-1}), 2^ceil(log2 m_j)), a power of two >= m_j.
+    A bond below 1 raises ValueError.
     """
-
-    m: tuple = ()
-
-    def __post_init__(self):
-        m = tuple(int(x) for x in self.m)
-        if any(x < 1 for x in m):
-            raise ValueError("bond dimensions must be >= 1")
-        object.__setattr__(self, "m", m)
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.m) + 1
-
-    def bond(self, j: int) -> int:
-        """m_j with the boundary convention, for 0 <= j <= n_sites."""
-        if j < 0 or j > self.n_sites:
-            raise ValueError(f"bond index {j} outside [0, {self.n_sites}]")
-        if j == 0 or j == self.n_sites:
-            return 1
-        return self.m[j - 1]
-
-    def mbar(self, j: int) -> int:
-        """Padded dimension for site j, 1 <= j <= n_sites."""
-        if j < 1 or j > self.n_sites:
-            raise ValueError(f"site index {j} outside [1, {self.n_sites}]")
-        return max(2 ** ceil_log2(self.bond(j - 1)),
-                   2 ** ceil_log2(self.bond(j)))
+    padded = (1, *bonds, 1)
+    for left, mj in zip(padded, padded[1:]):
+        yield mj, max(2 ** ceil_log2(left), 2 ** ceil_log2(mj))
 
 
-def toffoli_mps_prep(profile: BondProfile, b: int) -> float:
-    """Site-by-site train preparation cost.
+def toffoli_mps_prep(bonds, b: int) -> float:
+    """Site-by-site train preparation cost for interior bonds `bonds`.
 
     Sum over sites j of 32 (1 + sqrt 2) (b+1)^{1/2} m_j mbar_j^{1/2}
     + (8b - 15) m_j log2(2 mbar_j); b >= 5.
     """
     _check_b_min5(b)
     total = 0.0
-    for j in range(1, profile.n_sites + 1):
-        mj = profile.bond(j)
-        mbar = profile.mbar(j)
+    for mj, mbar in _sites(bonds):
         total += (32.0 * (1.0 + math.sqrt(2.0)) * math.sqrt(b + 1)
                   * mj * math.sqrt(mbar)
                   + (8 * b - 15) * mj * math.log2(2 * mbar))
     return total
 
 
-def mps_prep_error(profile: BondProfile, b: int) -> float:
-    """State-vector error of train preparation: 2^{7/2-b} sum m_j log2(2 mbar_j)."""
+def mps_prep_error(bonds, b: int) -> float:
+    """State-vector error of train preparation: 2^{7/2-b} sum m_j log2(2 mbar_j).
+
+    Per site this equals m_j synthesis_error(n_j, b) / 2^{n_j} / pi
+    with 2^{n_j} = 2 mbar_j: it lacks the factor pi that every other
+    rotation-error counter here (zrot_error, arb_prep_error,
+    synthesis_error) carries.
+    """
     _check_b_min5(b)
     acc = 0.0
-    for j in range(1, profile.n_sites + 1):
-        acc += profile.bond(j) * math.log2(2 * profile.mbar(j))
+    for mj, mbar in _sites(bonds):
+        acc += mj * math.log2(2 * mbar)
     return 2.0 ** (3.5 - b) * acc
 
 
@@ -360,13 +339,11 @@ def antisym_estimate(eta: int, N: int) -> int:
 
 @dataclass(frozen=True)
 class ResourceParams:
-    """Validated knobs for a resource estimate."""
+    """Validated knobs for a resource estimate; N = 2^n_system modes."""
 
     b: int
     eta: int
     n_system: int
-    N: int
-    n_mo: int = 1
 
     def __post_init__(self):
         _check_b_min5(self.b)
@@ -374,10 +351,10 @@ class ResourceParams:
             raise ValueError("eta must be at least 1")
         if self.n_system < 1:
             raise ValueError("n_system must be at least 1")
-        if self.N < 1:
-            raise ValueError("N must be at least 1")
-        if self.n_mo < 1:
-            raise ValueError("n_mo must be at least 1")
+
+    @property
+    def N(self) -> int:
+        return 2 ** self.n_system
 
 
 @dataclass(frozen=True)
@@ -387,40 +364,45 @@ class ResourceReport:
     Totals are exact sums of their listed parts; the antisymmetrization
     estimate is kept out of both totals and reported on its own.  All cost
     values are the real-valued bounds; rendering applies floors.
-    prep_toffoli and prep_error hold each orbital's train-preparation cost
-    and error, one entry per orbital however many electrons occupy it.
+    error_bounds holds the Slater bound of each mode ("approx",
+    "spectral") built from eps1 and eps2.  prep_toffoli and prep_error
+    hold each orbital's train-preparation cost and error, one entry per
+    orbital however many electrons occupy it.
     """
 
     toffoli: dict = field(repr=False)
     qubits: dict = field(repr=False)
-    eps1: float = 0.0
-    eps2: float = 0.0
-    totals: dict = field(default_factory=dict, repr=False)
-    antisym: float = 0.0
-    prep_toffoli: tuple = field(default=(), repr=False)
-    prep_error: tuple = field(default=(), repr=False)
+    eps1: float
+    eps2: float
+    error_bounds: dict
+    totals: dict = field(repr=False)
+    antisym: float
+    prep_toffoli: tuple = field(repr=False)
+    prep_error: tuple = field(repr=False)
 
 
-def estimate_resources(params: ResourceParams, profiles, occupations,
+def estimate_resources(params: ResourceParams, bonds, occupations,
                        eps1: float) -> ResourceReport:
-    """Assemble the full estimate from measured per-orbital bond profiles.
+    """Assemble the full estimate from each orbital's measured bond tuple.
 
-    occupations[i] electrons fill orbital i, eta in all.  Each orbital is
+    bonds[i] is orbital i's interior bond tuple (TensorTrain.bond_dims),
+    and occupations[i] electrons fill it, eta in all.  Each orbital is
     priced once; mps_prep_orbital_<i> and the Slater sum take one copy per
     electron, in electron order.  eps1 is the summation/truncation
     infidelity bound from orbital construction; eps2 is derived here from
-    the preparation-error formula.  The naive baseline is evaluated at the
-    same N (total modes) carried by params.
+    the preparation-error formula, and both Slater error bounds from the
+    two with n_mo = len(bonds).  The naive baseline is evaluated at the
+    params' N = 2^n_system modes.
     """
-    profiles = list(profiles)
-    if len(occupations) != len(profiles) or sum(occupations) != params.eta:
+    bonds = list(bonds)
+    if len(occupations) != len(bonds) or sum(occupations) != params.eta:
         raise ValueError(f"expected {params.eta} electrons in "
-                         f"{len(profiles)} orbitals, got {list(occupations)}")
-    prep_toffoli = tuple(toffoli_mps_prep(p, params.b) for p in profiles)
-    prep_error = tuple(mps_prep_error(p, params.b) for p in profiles)
+                         f"{len(bonds)} orbitals, got {list(occupations)}")
+    prep_toffoli = tuple(toffoli_mps_prep(m, params.b) for m in bonds)
+    prep_error = tuple(mps_prep_error(m, params.b) for m in bonds)
     per_electron = [c for c, occ in zip(prep_toffoli, occupations)
                     for _ in range(occ)]
-    eps2 = max(prep_error)
+    eps1, eps2 = float(eps1), float(max(prep_error))
     mps_total = toffoli_slater(params.eta, params.n_system, per_electron)
     naive_total = toffoli_naive_slater(params.N, params.eta, params.b)
 
@@ -437,7 +419,11 @@ def estimate_resources(params: ResourceParams, profiles, occupations,
         "naive_method": naive_total,
         "ratio_naive_over_mps": naive_total / mps_total,
     }
+    error_bounds = {mode: slater_error_bound(params.eta, len(bonds), eps1,
+                                             eps2, mode)
+                    for mode in ("approx", "spectral")}
     return ResourceReport(
-        toffoli=toffoli, qubits=qubits, eps1=float(eps1), eps2=float(eps2),
-        totals=totals, antisym=float(antisym_estimate(params.eta, params.N)),
+        toffoli=toffoli, qubits=qubits, eps1=eps1, eps2=eps2,
+        error_bounds=error_bounds, totals=totals,
+        antisym=float(antisym_estimate(params.eta, params.N)),
         prep_toffoli=prep_toffoli, prep_error=prep_error)

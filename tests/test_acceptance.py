@@ -362,9 +362,8 @@ def test_criterion_07_resource_formula_identities():
                          * mj * math.sqrt(mbar)
                          + (8 * b - 15) * mj * math.log2(2 * mbar))
                 want_err += mj * math.log2(2 * mbar)
-            profile = rm.BondProfile(m=m)
-            assert rm.toffoli_mps_prep(profile, b) == want
-            assert rm.mps_prep_error(profile, b) == 2.0 ** (3.5 - b) * want_err
+            assert rm.toffoli_mps_prep(m, b) == want
+            assert rm.mps_prep_error(m, b) == 2.0 ** (3.5 - b) * want_err
         for _ in range(1000):
             eta = int(rng.integers(1, 31))                           # 12
             n_sys = int(rng.integers(1, 501))

@@ -81,17 +81,17 @@ class TestHermite:
 class TestHermiteExpansion:
     def test_monomial_reconstruction(self):
         l = 4
-        exp = h_coeffs(l)
+        h = h_coeffs(l)
         x = np.linspace(-3.5, 3.5, 20)
         target = (x ** l * np.exp(-x ** 2 / 2.0)
                   / math.sqrt(math.sqrt(math.pi) * math.factorial(2 * l)
                               / (4.0 ** l * math.factorial(l))))
-        got = sum(exp.h[n] * hermite_gaussian(n, x) for n in range(l + 1))
+        got = sum(h[n] * hermite_gaussian(n, x) for n in range(l + 1))
         assert np.abs(got - target).max() < 1e-10
 
     def test_unit_norm_and_parity(self):
         for l in range(MAX_ANGULAR_MOMENTUM + 1):
-            h = h_coeffs(l).h
+            h = h_coeffs(l)
             assert abs(np.sum(h * h) - 1.0) < 1e-12
             for n in range(l + 1):
                 if (l - n) % 2 == 1:
@@ -141,7 +141,7 @@ class TestPwOverlap:
         k = np.arange(-200, 201) * 2.0 * math.pi / L
         u = k / math.sqrt(2.0 * gamma)
         table = np.array([hermite_gaussian(n, u) for n in range(l + 1)])
-        terms = np.array([1j ** n for n in range(l + 1)]) * h_coeffs(l).h
+        terms = np.array([1j ** n for n in range(l + 1)]) * h_coeffs(l)
         pref = (2.0 ** 0.25 * math.sqrt(math.pi)
                 / (gamma ** 0.25 * math.sqrt(L)))
         want = np.exp(1j * k * a) * pref * (terms @ table)
@@ -464,7 +464,7 @@ class TestProjection1D:
         last_node = half_width * math.cos((2 * m - 1) * math.pi / (2 * m + 2))
         assert -half_width <= -u < last_node
 
-        h = h_coeffs(l).h
+        h = h_coeffs(l)
 
         def exact(x):
             return (1j ** l) * sum((-1.0) ** ((k - l) // 2) * h[k]
@@ -583,7 +583,7 @@ class TestPrimitive1D:
         prof = axis_profile(gamma, l, grid, 1e-3)
         u = (np.arange(-prof.i_cut, prof.i_cut + 1) * grid.dk
              / math.sqrt(2.0 * gamma))
-        h = h_coeffs(l).h
+        h = h_coeffs(l)
         want = sum(1j ** n * h[n] * hermite_gaussian(n, u)
                    for n in range(l + 1))
         assert np.abs(prof.values - want).max() < 1e-12

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ttprep import resource_model
-from ttprep.resource_model import (BondProfile, ResourceParams,
+from ttprep.resource_model import (ResourceParams,
                                    antisym_estimate, arb_prep_error,
                                    ceil_log2, estimate_resources,
                                    mps_prep_error, optimal_lambda,
@@ -158,9 +158,8 @@ class TestRandomTupleOracles:
             n_sites = int(rng.integers(1, 13))
             m = tuple(int(x) for x in rng.integers(1, 301, size=n_sites - 1))
             b = int(rng.integers(5, 81))
-            profile = BondProfile(m=m)
-            assert toffoli_mps_prep(profile, b) == ref_toffoli_mps(m, b)
-            assert mps_prep_error(profile, b) == ref_mps_error(m, b)
+            assert toffoli_mps_prep(m, b) == ref_toffoli_mps(m, b)
+            assert mps_prep_error(m, b) == ref_mps_error(m, b)
 
     def test_slater(self):
         rng = np.random.default_rng(111)
@@ -249,11 +248,11 @@ class TestWorkedValues:
 
     def test_mps_prep_values(self):
         n = 7
-        flat = BondProfile(m=(1,) * (n - 1))
+        flat = (1,) * (n - 1)
         per_site = 32.0 * (1.0 + math.sqrt(2.0)) * 3.0 + 49.0
         assert toffoli_mps_prep(flat, 8) == pytest.approx(
             n * per_site, rel=1e-13)
-        prof = BondProfile(m=(1, 2, 4, 2, 1))
+        prof = (1, 2, 4, 2, 1)
         assert toffoli_mps_prep(prof, 10) == pytest.approx(
             6364.226039171402, rel=1e-15)
         assert mps_prep_error(prof, 10) == pytest.approx(
@@ -261,6 +260,18 @@ class TestWorkedValues:
         # error scales exactly with 2^-b
         assert mps_prep_error(prof, 11) == pytest.approx(
             mps_prep_error(prof, 10) / 2.0, rel=1e-15)
+
+    def test_mps_prep_padding(self):
+        # bonds (3, 5) at b = 10: sites m_j = 3, 5, 1 with mbar_j = 4, 8, 8,
+        # so m_j sqrt(mbar_j) sums to 6 + 6 sqrt 8 and m_j log2(2 mbar_j)
+        # to 9 + 20 + 4
+        c = 32.0 * (1.0 + math.sqrt(2.0)) * math.sqrt(11)
+        assert toffoli_mps_prep((3, 5), 10) == pytest.approx(
+            c * (6 + 6 * math.sqrt(8)) + 65 * 33, rel=1e-15)
+        assert mps_prep_error((3, 5), 10) == pytest.approx(
+            2.0 ** -6.5 * 33, rel=1e-15)
+        # one site, m_1 = mbar_1 = 1
+        assert toffoli_mps_prep((), 10) == pytest.approx(c + 65, rel=1e-15)
 
     def test_slater_values(self):
         assert toffoli_slater(1, 12, [100.0]) == 12 + 200.0
@@ -327,7 +338,7 @@ class TestInvariants:
     def test_nonnegative(self):
         assert toffoli_arbitrary_state_prep(1, 5) > 0
         assert toffoli_unitary_synthesis(1, 5) > 0
-        assert toffoli_mps_prep(BondProfile(m=()), 5) > 0
+        assert toffoli_mps_prep((), 5) > 0
 
 
 class TestOptimalLambda:
@@ -357,31 +368,6 @@ class TestOptimalLambda:
             assert lam & (lam - 1) == 0
 
 
-class TestBondProfile:
-    def test_boundary_convention(self):
-        p = BondProfile(m=(3, 5))
-        assert p.n_sites == 3
-        assert p.bond(0) == 1 and p.bond(3) == 1
-        assert p.bond(1) == 3 and p.bond(2) == 5
-        with pytest.raises(ValueError):
-            p.bond(4)
-        with pytest.raises(ValueError):
-            BondProfile(m=(0, 2))
-
-    def test_mbar_padding(self):
-        p = BondProfile(m=(3, 5))
-        assert p.mbar(1) == max(1, 4) == 4
-        assert p.mbar(2) == max(4, 8) == 8
-        assert p.mbar(3) == max(8, 1) == 8
-        with pytest.raises(ValueError):
-            p.mbar(0)
-
-    def test_single_site(self):
-        p = BondProfile(m=())
-        assert p.n_sites == 1
-        assert p.mbar(1) == 1
-
-
 class TestCeilLog2:
     def test_values(self):
         assert [ceil_log2(x) for x in (1, 2, 3, 4, 5, 8, 9)] == [
@@ -407,7 +393,9 @@ class TestGuards:
         with pytest.raises(ValueError):
             toffoli_unitary_synthesis(4, 4)
         with pytest.raises(ValueError):
-            toffoli_mps_prep(BondProfile(m=(2,)), 4)
+            toffoli_mps_prep((2,), 4)
+        with pytest.raises(ValueError):
+            toffoli_mps_prep((0, 2), 10)  # a bond below 1
         with pytest.raises(ValueError):
             slater_error_bound(1, 1, 0.1, 0.1, "exact")
         with pytest.raises(ValueError):
@@ -416,26 +404,30 @@ class TestGuards:
 
 class TestResourceParams:
     def test_valid(self):
-        ResourceParams(b=10, eta=2, n_system=21, N=1000)
+        params = ResourceParams(b=10, eta=2, n_system=12)
+        assert params.N == 2 ** params.n_system == 4096
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            ResourceParams(b=4, eta=2, n_system=21, N=1000)
+            ResourceParams(b=4, eta=2, n_system=12)
         with pytest.raises(ValueError):
-            ResourceParams(b=10, eta=0, n_system=21, N=1000)
+            ResourceParams(b=10, eta=0, n_system=12)
+        with pytest.raises(ValueError):
+            ResourceParams(b=10, eta=2, n_system=0)
 
 
 class TestEstimateResources:
     def test_hand_summed_totals(self):
-        params = ResourceParams(b=10, eta=2, n_system=21, N=4096)
-        profiles = [BondProfile(m=(2, 4, 2)), BondProfile(m=(3, 3, 3))]
-        rep = estimate_resources(params, profiles, [1, 1], eps1=1e-3)
+        params = ResourceParams(b=10, eta=2, n_system=12)
+        assert params.N == 2 ** params.n_system
+        bonds = [(2, 4, 2), (3, 3, 3)]
+        rep = estimate_resources(params, bonds, [1, 1], eps1=1e-3)
 
-        per = [toffoli_mps_prep(p, 10) for p in profiles]
+        per = [toffoli_mps_prep(m, 10) for m in bonds]
         assert rep.toffoli["mps_prep_orbital_0"] == per[0]
         assert rep.toffoli["mps_prep_orbital_1"] == per[1]
-        assert rep.toffoli["slater_reflection_overhead"] == 4 * 21
-        want_total = toffoli_slater(2, 21, per)
+        assert rep.toffoli["slater_reflection_overhead"] == 4 * 12
+        want_total = toffoli_slater(2, 12, per)
         assert rep.toffoli["slater_total_mps"] == want_total
         assert rep.totals["mps_method"] == want_total
 
@@ -444,17 +436,28 @@ class TestEstimateResources:
         assert rep.totals["naive_method"] == want_naive
         assert rep.totals["ratio_naive_over_mps"] == want_naive / want_total
 
-        assert rep.qubits["system_mps"] == 2 * 21
+        assert rep.qubits["system_mps"] == 2 * 12
         assert rep.qubits["system_naive"] == 4096
         assert rep.eps1 == 1e-3
-        assert rep.eps2 == max(mps_prep_error(p, 10) for p in profiles)
+        assert rep.eps2 == max(mps_prep_error(m, 10) for m in bonds)
         assert rep.antisym == antisym_estimate(2, 4096)
+
+    def test_error_bounds_use_orbital_count(self):
+        """Three electrons in two orbitals: the spectral bound takes
+        n_mo = 2 orbitals, not eta = 3."""
+        params = ResourceParams(b=10, eta=3, n_system=12)
+        rep = estimate_resources(params, [(2, 4, 2), (3, 3, 3)], [2, 1],
+                                 eps1=1e-3)
+        assert set(rep.error_bounds) == {"approx", "spectral"}
+        for mode in ("approx", "spectral"):
+            assert rep.error_bounds[mode] == slater_error_bound(
+                3, 2, rep.eps1, rep.eps2, mode)
 
     def test_doubly_occupied_orbital_priced_once(self, monkeypatch):
         """An occupation-2 orbital is priced once and counted twice: the
         report equals the one for two singly occupied copies of it."""
-        params = ResourceParams(b=10, eta=3, n_system=21, N=4096)
-        a, b = BondProfile(m=(2, 4, 2)), BondProfile(m=(3, 3, 3))
+        params = ResourceParams(b=10, eta=3, n_system=12)
+        a, b = (2, 4, 2), (3, 3, 3)
         pairs = estimate_resources(params, [a, a, b], [1, 1, 1], eps1=1e-3)
         calls = []
         monkeypatch.setattr(resource_model, "toffoli_mps_prep",
@@ -470,10 +473,8 @@ class TestEstimateResources:
             pairs.toffoli, pairs.totals, pairs.eps2)
 
     def test_profile_count_mismatch(self):
-        params = ResourceParams(b=10, eta=2, n_system=21, N=4096)
+        params = ResourceParams(b=10, eta=2, n_system=12)
         with pytest.raises(ValueError):
-            estimate_resources(params, [BondProfile(m=(2,))], [1],
-                               eps1=1e-3)
+            estimate_resources(params, [(2,)], [1], eps1=1e-3)
         with pytest.raises(ValueError):
-            estimate_resources(params, [BondProfile(m=(2,))] * 2, [2],
-                               eps1=1e-3)
+            estimate_resources(params, [(2,)] * 2, [2], eps1=1e-3)

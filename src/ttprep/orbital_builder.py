@@ -7,10 +7,11 @@ orbital as a weighted train sum (build_orbitals).  No command canonically
 orthogonalizes S: canonical_orthogonalize (drop eigenvalues below sigma,
 whiten the rest) is kept for the paper's whitening guarantee, which the
 tests check.  Each primitive list is summed by one rule: a single train is
-only scaled; a list at most MAX_SUM_WIDTH wide is summed exactly by one QR
-sweep, shared by the orbitals over that list and rounded once per orbital;
-a wider list is split in two halves, each summed by this same rule, and the
-halves are added and rounded.
+only scaled; a list at most MAX_SUM_WIDTH wide is summed exactly by one
+tt_core.canonical_sum, whose QR sweep is shared by all the orbitals over
+that list, and rounded once per orbital; a wider list is split in two
+halves, each summed by this same rule for all the orbitals at once, and
+each orbital's halves are added and rounded.
 The squared norm of the summed train, recorded before the final
 renormalization, drives all error reporting: truncations only remove
 weight, so 1 - raw_norm_sq tracks the discarded probability and
@@ -45,11 +46,14 @@ __all__ = [
 
 DEGENERATE_NORM_SQ = 1e-10
 
-# The widest direct sum summed exactly in one piece: its QR sweep holds
-# O(width^2) entries per site.  A wider list is halved until every piece
-# fits, so no exact sum of any list is wider.  106 is the widest half that
-# basis-scaling's 36-primitive inputs build.
-MAX_SUM_WIDTH = 106
+# The widest direct sum summed exactly in one piece.  A wider list is halved
+# until every piece fits.  The cap is set by time: on random l <= 2
+# primitives over 7 qubits per axis, one piece was as fast as one halving
+# up to a width of about 250-300 for one orbital and 400-500 for two or
+# four, because each orbital's halves must be added and rounded again.  The
+# price is memory: the QR sweep holds O(width^2) entries per site, and the
+# exact sum's cores are held until every orbital over the list is rounded.
+MAX_SUM_WIDTH = 256
 
 
 class EmptyBasisError(ValueError):
@@ -147,22 +151,22 @@ def canonical_orthogonalize(S, sigma: float) -> OrthoBasis:
     return OrthoBasis(x_tilde=X, eigenvalues=wk, sigma=float(sigma))
 
 
-def _sums(tts, rows, eps_sum: float):
-    """Yield sum_g row[g] * tts[g] for each coefficient row, by the width
-    rule of build_orbitals.  A wide list is summed row by row, and nothing
-    here holds a yielded sum or a half once it is used."""
+def _sums(tts, rows, eps_sum: float) -> list[TensorTrain]:
+    """sum_g row[g] * tts[g], rounded at eps_sum, for each coefficient row,
+    by the width rule of build_orbitals.  Every exact sum is one
+    canonical_sum for all the rows, so its QR sweep is shared; the price is
+    that the rounded sums of all the rows (and, on a wide list, of both
+    halves) are held at once."""
     if len(tts) == 1:
-        for row in rows:
-            yield tt_core.scale(tts[0], complex(row[0]))
-    elif max(map(sum, zip(*(t.bond_dims for t in tts)))) <= MAX_SUM_WIDTH:
-        for exact in tt_core.canonical_sum(tts, rows):
-            yield tt_core.round(exact, eps_sum)
-    else:
-        h = len(tts) // 2
-        for row in rows:
-            yield tt_core.round(tt_core.add(
-                next(_sums(tts[:h], [row[:h]], eps_sum)),
-                next(_sums(tts[h:], [row[h:]], eps_sum))), eps_sum)
+        return [tt_core.scale(tts[0], complex(row[0])) for row in rows]
+    if max(map(sum, zip(*(t.bond_dims for t in tts)))) <= MAX_SUM_WIDTH:
+        return [tt_core.round(exact, eps_sum)
+                for exact in tt_core.canonical_sum(tts, rows)]
+    h = len(tts) // 2
+    rows = np.asarray(rows)
+    return [tt_core.round(tt_core.add(a, b), eps_sum) for a, b in zip(
+        _sums(tts[:h], rows[:, :h], eps_sum),
+        _sums(tts[h:], rows[:, h:], eps_sum))]
 
 
 def build_orbitals(tts, orbitals, eps_sum: float) -> list[OrbitalMPS]:
@@ -172,13 +176,14 @@ def build_orbitals(tts, orbitals, eps_sum: float) -> list[OrbitalMPS]:
     The orbitals are grouped by primitive list, and each list is summed by
     one rule.  A single train is only scaled.  A list whose direct sum (the
     largest, over sites, of the trains' summed bonds) is at most
-    MAX_SUM_WIDTH wide is one tt_core.canonical_sum, a QR sweep shared by
-    all the list's orbitals, whose "left" result round truncates once per
-    orbital without a QR sweep of its own.  A wider list is split at
-    G // 2, each half is summed by this same rule (so split again while it
-    is too wide), and the two halves are added and rounded, orbital by
-    orbital.  Each sum is finished by build_mo_mps and released before the
-    next is summed.
+    MAX_SUM_WIDTH wide is one tt_core.canonical_sum for all the list's
+    orbitals: one QR sweep shared by them, no bond wider than the sites to
+    its right, and a "left" result that round truncates once per orbital
+    without a QR sweep of its own.  A wider list is split at G // 2, each
+    half is summed by this same rule for all the orbitals at once (so split
+    again while it is too wide), and each orbital's two halves are added
+    and rounded.  The rounded sums of all a list's orbitals are held at
+    once; each is then finished by build_mo_mps.
     """
     if eps_sum < 0:
         raise ValueError("eps_sum must be nonnegative")

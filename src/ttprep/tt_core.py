@@ -203,20 +203,27 @@ def add(a: TensorTrain, b: TensorTrain) -> TensorTrain:
 
 
 def canonical_sum(trains, coeffs) -> TensorTrain | list[TensorTrain]:
-    """Left-canonical form of sum_g coeffs[g] * trains[g], exactly.
+    """Left-canonical form of sum_g coeffs[g] * trains[g], exactly, with no
+    bond wider than the sites to its right.
 
-    One left-to-right QR sweep over the direct sum of the trains, done
-    block by block: at each site the carried R multiplies every train's
-    core, the products are concatenated along the right bond and
-    factored, and at the last site the products (each scaled by its
-    coefficient) are summed in place.  No block-diagonal core is built;
-    the result is "left" with the summed bonds, cut only where QR finds
-    a rank below them, so :func:`round` can truncate it without a QR
+    A left-to-right QR sweep over the direct sum of the trains, done block
+    by block: at each site the carried R multiplies every train's core and
+    the products are concatenated along the right bond and factored.  No
+    block-diagonal core is built.  The sweep stops at the first site j
+    whose new bond, min(2 * left bond, summed right bonds), would be wider
+    than 2^p, the dimension of the p = n - j - 1 sites to its right; the
+    stopping site depends on the trains' shapes only.  Each train's tail,
+    sites j..n-1, is contracted into a (left bond, 2^(p+1)) block.  The
+    carried R times the blocks, each scaled by its coefficient, is the
+    summed tail, which p QRs refactor into cores.  So bond k is at most
+    min(2^(k+1), 2^(n-k-1)), and before site j at most the summed bonds.
+    The result is "left", so :func:`round` can truncate it without a QR
     sweep of its own.
 
-    Coefficients enter only at the last site: a matrix of them returns
-    one sum per row from the same n - 1 QR factorizations, each equal to
-    its row's one-row sum bit for bit, sharing the read-only cores.
+    Coefficients enter only in the tail: a matrix of them returns one sum
+    per row, each equal to its row's one-row sum bit for bit.  The rows
+    share the sweep's j QRs and its j read-only cores; each row adds its
+    own p tail QRs.
     """
     trains = list(trains)
     matrix = np.ndim(coeffs) == 2
@@ -230,11 +237,14 @@ def canonical_sum(trains, coeffs) -> TensorTrain | list[TensorTrain]:
     for t in trains[1:]:
         if t.n_sites != n:
             raise ShapeError(f"site mismatch: {n} vs {t.n_sites}")
-    # the R factor carried into the next site, one column block per train
+    # the R factor carried into site j, one column block per train
     blocks = [np.ones((1, 1), dtype=complex)] * len(trains)
     cores = []
-    for j in range(n - 1):
+    j = 0
+    while j < n - 1:
         widths = [t.cores[j].shape[2] for t in trains]
+        if min(2 * len(blocks[0]), sum(widths)) > 2 ** (n - j - 1):
+            break
         M = np.concatenate(
             [(B @ t.cores[j].reshape(B.shape[1], -1)).reshape(-1, w)
              for B, t, w in zip(blocks, trains, widths)], axis=1)
@@ -242,12 +252,29 @@ def canonical_sum(trains, coeffs) -> TensorTrain | list[TensorTrain]:
         cores.append(Q.reshape(-1, 2, Q.shape[1]))
         cores[-1].flags.writeable = False
         blocks = np.split(R, np.cumsum(widths)[:-1], axis=1)
-    lasts = [B @ t.cores[-1].reshape(B.shape[1], 2)
-             for B, t in zip(blocks, trains)]
-    sums = [TensorTrain(cores + [sum(c * P for c, P in zip(row, lasts))
-                                 .reshape(-1, 2, 1)], canonical_form="left")
-            for row in rows]
+        j += 1
+    R = np.concatenate(blocks, axis=1)
+    tails = [_tail(t.cores[j:]) for t in trains]
+    T = np.concatenate(tails)
+    sizes = [len(x) for x in tails]
+    sums = []
+    for row in rows:
+        X = R @ (np.repeat(row, sizes)[:, None] * T)
+        tail = []
+        for _ in range(n - j - 1):
+            Q, X = np.linalg.qr(X.reshape(2 * len(X), -1))
+            tail.append(Q.reshape(-1, 2, Q.shape[1]))
+        sums.append(TensorTrain(cores + tail + [X.reshape(-1, 2, 1)],
+                                canonical_form="left"))
     return sums if matrix else sums[0]
+
+
+def _tail(cores) -> np.ndarray:
+    """The cores' contraction as a (left bond, 2^sites) matrix."""
+    T = cores[-1].reshape(-1, 2)
+    for c in reversed(cores[:-1]):
+        T = (c.reshape(-1, c.shape[2]) @ T).reshape(c.shape[0], -1)
+    return T
 
 
 def _centre(a: TensorTrain) -> int:

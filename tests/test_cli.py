@@ -105,6 +105,24 @@ def write_json(path, obj):
     return str(path)
 
 
+def basis24_inputs(tmp_path, rng, eps_sum):
+    """Config and fixture of basis-scaling's basis24 shape: two orbitals
+    over 24 random l <= 2 primitives on a 6-qubit grid."""
+    n_prims = 24
+    prims = [{"center": [float(x) for x in rng.uniform(-1.5, 1.5, 3)],
+              "gamma": float(rng.uniform(0.6, 1.6)),
+              "ang": [int(a) for a in rng.integers(0, 3, 3)]}
+             for _ in range(n_prims)]
+    orbitals = [{"occupation": 1,
+                 "coeffs": [float(c) for c in rng.uniform(0.3, 1.0, n_prims)]}
+                for _ in range(2)]
+    cfg = cli.load_config(write_json(tmp_path / "cfg.json", base_config(
+        grid={"K_inv_bohr": 19.5}, compression={"eps_sum": eps_sum})))
+    fx = cli.load_fixture(write_json(tmp_path / "fx.json", base_fixture(
+        primitives=prims, orbitals=orbitals)))
+    return cfg, fx
+
+
 class TestProjectCommand:
     def test_emits_expected_files(self, tmp_path):
         run_cli(["project", "--config", config_path("h_like_1s"),
@@ -669,22 +687,12 @@ class TestSweepCommand:
     def test_wide_list_sums_each_orbital_in_halves(self, tmp_path, rng,
                                                    monkeypatch):
         """Two orbitals over 24 random l <= 2 primitives on a 6-qubit grid
-        (basis-scaling's basis24 shape) are too wide for one exact sum.
-        Each orbital is its own round(add(half, half)) bit for bit, from two
-        canonical_sum calls of its own: no wide list shares a sweep."""
-        n_prims, eps = 24, 1e-9
-        prims = [{"center": [float(x) for x in rng.uniform(-1.5, 1.5, 3)],
-                  "gamma": float(rng.uniform(0.6, 1.6)),
-                  "ang": [int(a) for a in rng.integers(0, 3, 3)]}
-                 for _ in range(n_prims)]
-        orbitals = [{"occupation": 1,
-                     "coeffs": [float(c) for c in rng.uniform(0.3, 1.0,
-                                                              n_prims)]}
-                    for _ in range(2)]
-        cfg = cli.load_config(write_json(tmp_path / "cfg.json", base_config(
-            grid={"K_inv_bohr": 19.5}, compression={"eps_sum": eps})))
-        fx = cli.load_fixture(write_json(tmp_path / "fx.json", base_fixture(
-            primitives=prims, orbitals=orbitals)))
+        (basis-scaling's basis24 shape) are too wide for one exact sum
+        under a cap of 106.  Each half is one canonical_sum for both
+        orbitals, and each orbital is its own round(add(half, half)) bit for
+        bit."""
+        eps = 1e-9
+        cfg, fx = basis24_inputs(tmp_path, rng, eps)
         widths = []
         original = tt_core.canonical_sum
 
@@ -693,10 +701,10 @@ class TestSweepCommand:
             return original(trains, coeffs)
 
         monkeypatch.setattr(tt_core, "canonical_sum", recording)
+        monkeypatch.setattr(orbital_builder, "MAX_SUM_WIDTH", 106)
         stage = pipeline.grid_stage(cfg, fx)
-        monkeypatch.undo()
         assert stage.grid.qubits_per_axis == 6
-        assert len(widths) == 2 * len(orbitals)
+        assert len(widths) == 2
         assert max(widths) <= orbital_builder.MAX_SUM_WIDTH
         tts = stage.prim_tts
         assert (max(map(sum, zip(*(t.bond_dims for t in tts))))
@@ -710,6 +718,35 @@ class TestSweepCommand:
             assert mps.raw_norm_sq == raw
             want = tt_core.scale(acc, 1.0 / math.sqrt(raw))
             assert len(mps.tt.cores) == len(want.cores)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(mps.tt.cores, want.cores))
+
+    def test_basis24_list_is_one_sum_at_the_default_cap(self, tmp_path, rng,
+                                                       monkeypatch):
+        """At the default MAX_SUM_WIDTH the same basis24-shaped list is one
+        canonical_sum for both orbitals, and each orbital is its own
+        rounded one-row sum bit for bit."""
+        eps = 1e-9
+        cfg, fx = basis24_inputs(tmp_path, rng, eps)
+        widths = []
+        original = tt_core.canonical_sum
+
+        def recording(trains, coeffs):
+            widths.append(max(map(sum, zip(*(t.bond_dims for t in trains)))))
+            return original(trains, coeffs)
+
+        monkeypatch.setattr(tt_core, "canonical_sum", recording)
+        stage = pipeline.grid_stage(cfg, fx)
+        monkeypatch.undo()
+        assert len(widths) == 1
+        assert widths[0] > 106
+        assert widths[0] <= orbital_builder.MAX_SUM_WIDTH
+        for c, mps in zip(stage.coeffs, stage.mos):
+            acc = tt_core.left_canonicalize(tt_core.round(
+                tt_core.canonical_sum(stage.prim_tts, c), eps))
+            raw = float(np.linalg.norm(acc.cores[-1])) ** 2
+            assert mps.raw_norm_sq == raw
+            want = tt_core.scale(acc, 1.0 / math.sqrt(raw))
             assert all(np.array_equal(a, b)
                        for a, b in zip(mps.tt.cores, want.cores))
 

@@ -280,15 +280,16 @@ class TestMergeOrder:
             got = dense(o.tt) * math.sqrt(o.raw_norm_sq)
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
-    def test_wide_list_keeps_the_halves_bit_for_bit(self, rng):
-        """40 bond-3 trains are 120 wide, over MAX_SUM_WIDTH: each half of
-        20 is one exact sum, rounded, and the halves are added and rounded."""
+    def test_wide_list_keeps_the_halves_bit_for_bit(self, rng, monkeypatch):
+        """40 bond-3 trains are 120 wide, over a cap of 106: each half of 20
+        is one exact sum, rounded, and the halves are added and rounded."""
         n_prims, eps = 40, 1e-9
         bonds = [1, 3, 3, 3, 3, 3, 1]
         leaves = [tt_core.TensorTrain(
             [rng.standard_normal((l, 2, r)) + 1j * rng.standard_normal(
                 (l, 2, r)) for l, r in zip(bonds, bonds[1:])])
             for _ in range(n_prims)]
+        monkeypatch.setattr(orbital_builder, "MAX_SUM_WIDTH", 106)
         assert 3 * n_prims > orbital_builder.MAX_SUM_WIDTH
         c = random_coeffs(rng, n_prims)
         o = orbital(leaves, c, eps_sum=eps)
@@ -304,11 +305,12 @@ class TestMergeOrder:
             assert np.array_equal(got, ref)
 
     def test_no_exact_sum_wider_than_the_cap(self, rng, monkeypatch):
-        """36 random l <= 2 primitives on a 7-qubit grid: the whole list is
-        too wide to sum at once, and each half fits under MAX_SUM_WIDTH.
+        """At a cap of 106, 36 random l <= 2 primitives on a 7-qubit grid
+        are too wide to sum at once, and each half fits under the cap.
         80 bond-3 trains are 240 wide, over twice the cap: each half is
         halved again, into four exact sums of 60, and the orbital is still
         the dense sum."""
+        monkeypatch.setattr(orbital_builder, "MAX_SUM_WIDTH", 106)
         grid = PlaneWaveGrid(L=10.0, K=20.5)
         assert grid.qubits_per_axis == 7
         tts = projected(random_primitives(rng, 36), grid, 1e-3)

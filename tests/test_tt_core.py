@@ -366,11 +366,18 @@ def test_canonical_sum_matches_dense(n_trains):
 
 @pytest.mark.parametrize("n_rows", [1, 3])
 def test_canonical_sum_of_coefficient_rows(rng, monkeypatch, n_rows):
-    """A coefficient matrix gives each row's one-row sum bit for bit, from
-    one QR sweep (n - 1 factorizations whatever the row count), and the
-    sums share their first n - 1 cores, read-only."""
-    n = 6
-    trains = [random_tt(rng, n, max_bond=4) for _ in range(4)]
+    """A coefficient matrix gives each row's one-row sum bit for bit.  Four
+    trains with bonds (2, 4, 4, 4, 2) sum to bonds (8, 16, 16, 16, 8); bond 3
+    would be min(2 * 8, 16) = 16 wide with only 2^2 dimensions to its right,
+    so the shared sweep stops at site 3 and the last p = 3 sites are summed
+    per row: n - p shared QRs plus p - 1 per row, and the sums share their
+    first n - p cores, read-only."""
+    n, p = 6, 3
+    bonds = [1, 2, 4, 4, 4, 2, 1]
+    trains = [TensorTrain([rng.standard_normal((l, 2, r))
+                           + 1j * rng.standard_normal((l, 2, r))
+                           for l, r in zip(bonds, bonds[1:])])
+              for _ in range(4)]
     rows = rng.standard_normal((n_rows, 4)) + 1j * rng.standard_normal(
         (n_rows, 4))
     want = [tt_core.canonical_sum(trains, row) for row in rows]
@@ -379,13 +386,40 @@ def test_canonical_sum_of_coefficient_rows(rng, monkeypatch, n_rows):
     monkeypatch.setattr(np.linalg, "qr",
                         lambda a: calls.append(1) or original(a))
     got = tt_core.canonical_sum(trains, rows)
-    assert len(calls) == n - 1
+    assert len(calls) == n - p + n_rows * (p - 1)
     assert isinstance(got, list) and len(got) == n_rows
     for g, w in zip(got, want):
         assert g.canonical_form == "left"
+        assert g.bond_dims == (2, 4, 8, 4, 2)
         assert all(np.array_equal(x, y) for x, y in zip(g.cores, w.cores))
-        assert all(x is y for x, y in zip(g.cores[:-1], got[0].cores[:-1]))
-    assert not any(c.flags.writeable for c in got[0].cores[:-1])
+        assert all(x is y for x, y in zip(g.cores[:n - p],
+                                          got[0].cores[:n - p]))
+    assert not any(c.flags.writeable for c in got[0].cores[:n - p])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_canonical_sum_bonds_fit_the_sites_on_either_side(seed):
+    """Trains whose summed bonds outgrow the sites to their right: no bond
+    k of the sum is wider than min(2^(k+1), 2^(n-k-1)), and each row of a
+    coefficient matrix equals its one-row sum bit for bit and the dense
+    sum to 1e-12."""
+    rng = _rng(500 + seed)
+    n = 8
+    trains = [random_tt(rng, n, max_bond=6) for _ in range(5)]
+    assert any(sum(t.bond_dims[k] for t in trains) > 2 ** (n - k - 1)
+               for k in range(n - 1))
+    rows = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    got = tt_core.canonical_sum(trains, rows)
+    for row, g in zip(rows, got):
+        assert all(b <= min(2 ** (k + 1), 2 ** (n - k - 1))
+                   for k, b in enumerate(g.bond_dims)), g.bond_dims
+        assert g.canonical_form == "left"
+        assert max(isometry_residuals(g)) <= 1e-12
+        one = tt_core.canonical_sum(trains, row)
+        assert all(np.array_equal(x, y) for x, y in zip(g.cores, one.cores))
+        want = sum(c * dense(t) for c, t in zip(row, trains))
+        assert np.linalg.norm(dense(g) - want) <= 1e-12 * np.linalg.norm(
+            want)
 
 
 def test_canonical_sum_argument_guards(rng):

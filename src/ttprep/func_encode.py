@@ -2,8 +2,11 @@
 
 A plane-wave axis holds the momenta k = i dk for signed indices
 i in [-M..M].  :class:`SignedGrid1D` maps them onto the codewords of n
-qubits, sign bit first, so a coefficient vector over the grid becomes a
-dense length-2^n vector that :func:`ttprep.tt_core.from_dense` can factor.
+qubits, sign bit first.  :meth:`SignedGrid1D.embed` states that layout as
+a dense length-2^n vector; the referee (:func:`ttprep.oracle.exact_axes`)
+and the tests use it.  The library never builds that vector: an axis train
+is factored from its live window and padded with identity sites (see
+:func:`ttprep.gauss_pw.primitive_1d_mps`).
 """
 
 from __future__ import annotations

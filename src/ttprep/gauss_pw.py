@@ -4,8 +4,16 @@ The plane-wave basis lives on a cubic cell of side L: momenta k = 2*pi*p/L
 for signed integers p, truncated at |k| <= K.  A one-dimensional Gaussian
 factor x^l exp(-gamma x^2) (normalized over the real line) has an analytic
 overlap with each plane wave, expressible through Hermite functions; a
-degree m-1 polynomial fitted to that momentum profile turns the coefficient
-vector into a low-rank train.
+degree m-1 polynomial fitted to that momentum profile gives its values at
+the lattice momenta.
+
+Only the window |i| <= i_cut below the certified cutoff is nonzero, and
+i_cut stops growing with K at fixed L.  In the sign-magnitude layout of
+:class:`ttprep.func_encode.SignedGrid1D` (sign bit first, magnitude most
+significant bit first) the axis vector is |0>|0...0>|a> + |1>|0...0>|b>,
+with a and b of length 2^p, p = i_cut.bit_length().  So an axis train is
+factored from that 2 x 2^p block and padded with identity sites for the
+idle magnitude bits: its cost grows with the window, not with the 2^n grid.
 
 Cutoff and degree selection implement certified formulas: with
 
@@ -49,8 +57,8 @@ __all__ = [
 MAX_HERMITE_ORDER = 40
 MAX_ANGULAR_MOMENTUM = 12
 
-# primitive_1d_mps builds the coefficient vector densely; this bounds the
-# per-axis qubit count so the expansion stays cheap.
+# primitive_1d_mps factors its live window densely; this bounds the
+# window's site count p + 1, so the block has at most 2^12 entries.
 DENSE_AXIS_QUBIT_CAP = 12
 
 # ChebyshevInterpolant evaluates this many (point, node) entries at a time:
@@ -126,7 +134,9 @@ class PlaneWaveGrid:
 
     @property
     def qubits_per_axis(self) -> int:
-        return math.ceil(math.log2(self.points_per_axis))
+        # ceil(log2(points)) in integers: a float log2 rounds 2^k + 1 down
+        # to k once the point count passes 2^53
+        return (self.points_per_axis - 1).bit_length()
 
     @property
     def n_total(self) -> int:
@@ -356,11 +366,14 @@ class AxisProfile:
     """The centre-free part of one axis projection.
 
     values holds i^l sum_n (-1)^((n-l)/2) h_n psi_n(k / sqrt(2 gamma))
-    interpolated at the lattice momenta |k| <= cutoff (index |i| <= i_cut),
-    in ascending order.  n_tilde is the whole-line normalization (root of
-    the summed squared overlaps over the infinite lattice) and n_t the
-    fraction of it kept below the cutoff; both feed the certified error
-    bounds.  degree is that of the fitted interpolant, m-1.
+    interpolated at the lattice momenta k = i dk for i = 0..i_cut, the
+    u >= 0 half only: the profile at -k is (-1)^l times that at k, so the
+    other half is fixed by parity and is never stored.  n_tilde is the
+    whole-line normalization (root of the summed squared overlaps over the
+    infinite lattice) and n_t the fraction of it kept below the cutoff.
+    Only n_tilde's 2/3 precondition is used today; nothing in the library
+    reads either value otherwise.  They are kept for a grid-window line of
+    the error ledger.  degree is that of the fitted interpolant, m-1.
     """
 
     values: np.ndarray = field(repr=False)
@@ -381,9 +394,9 @@ def axis_profile(gamma: float, l: int, grid: PlaneWaveGrid,
     shared by every centre.  The profile sum_n i^n h_n psi_n(u) has only
     terms of l's parity, so it equals i^l times the real sum
     sum_n (-1)^((n-l)/2) h_n psi_n(u); that real sum is fitted with one
-    degree m-1 interpolant, evaluated at the lattice points u >= 0 and
-    mirrored to u < 0 by its parity (-1)^l, so the profile is
-    parity-symmetric bit for bit.  The values array is read-only.
+    degree m-1 interpolant and evaluated at the lattice points u >= 0
+    only; the u < 0 half is (-1)^l times it by parity, so it is not
+    stored (see AxisProfile).  The values array is read-only.
 
     Raises ProjectionError when the whole-line normalization factor drops
     below 2/3 (cell too small relative to the Gaussian's extent).
@@ -406,14 +419,12 @@ def axis_profile(gamma: float, l: int, grid: PlaneWaveGrid,
         lambda t: np.tensordot(coeffs, _hermite_gaussian_table(l, t),
                                axes=([0], [0])),
         max(K, k_cut) / scale, m)
-    # the fit is evaluated on u >= 0 only and mirrored by the parity
-    # (-1)^l: past its last kept node, near u = -C, it is less accurate;
-    # an odd profile vanishes at u = 0
+    # the fit is evaluated on u >= 0 only: past its last kept node, near
+    # u = -C, it is less accurate; an odd profile vanishes at u = 0
     half = interp(np.arange(i_cut + 1) * dk / scale)
     if l % 2:
         half[0] = 0.0
-    real = np.concatenate([(-1.0) ** l * half[:0:-1], half])
-    values = (1j ** l) * real
+    values = (1j ** l) * half
     values.flags.writeable = False
 
     w_below = _lattice_weight(gamma, l, grid.L, -i_cut, i_cut)
@@ -427,12 +438,18 @@ def primitive_1d_mps(gamma: float, l: int, a: float, grid: PlaneWaveGrid,
                      eps: float) -> TensorTrain:
     """Unit-norm train of polynomial plane-wave coefficients for one axis.
 
-    Takes the certified cutoff, degree and interpolated momentum profile
-    from :func:`axis_profile`, applies the translation phase exp(i k a) on
-    the signed momentum lattice (zero beyond the cutoff), and factors the
-    normalized coefficient vector into a train.  The train's bond dimension
-    is bounded by 2m+3 (at the grids this routine accepts, the measured
-    ranks are far below the bound).
+    Takes the certified cutoff, degree and interpolated half profile from
+    :func:`axis_profile` and fills the live block of the sign-magnitude
+    layout: row 0 (sign bit 0) holds values * exp(i k a) at k = i dk,
+    i = 0..i_cut; row 1 (sign bit 1) holds the mirrored (-1)^l values *
+    exp(-i k a), with entry 0, the "-0" codeword, left zero.  Each row has
+    2^p entries, p = i_cut.bit_length().  The normalized block is factored
+    into p + 1 sites, and n-1-p padding sites follow the sign site: each is
+    (r, 2, r) with the identity on bit 0 and zero on bit 1, r the bond
+    after the sign site (r <= 2).  Those are the idle magnitude bits above
+    the window, |0> in every primitive.  The train is left-canonical, and
+    its bond dimension is bounded by 2m+3 (at the grids measured, the
+    ranks are far below the bound).  No array of 2^n entries is made.
 
     Two cache levels: the profile is memoized on (gamma, l, grid, eps) and
     shared by every centre, so it is fitted and evaluated once per
@@ -443,29 +460,35 @@ def primitive_1d_mps(gamma: float, l: int, a: float, grid: PlaneWaveGrid,
 
     Raises ProjectionError when the whole-line normalization factor drops
     below 2/3 (cell too small relative to the Gaussian's extent) and
-    CapacityError when the per-axis grid exceeds the dense-assembly cap.
+    CapacityError when the live window needs more than
+    DENSE_AXIS_QUBIT_CAP sites.  The grid size itself is not capped.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if grid.qubits_per_axis > DENSE_AXIS_QUBIT_CAP:
-        raise tt_core.CapacityError(
-            f"{grid.points_per_axis} points per axis exceed the dense "
-            f"assembly cap (2^{DENSE_AXIS_QUBIT_CAP})")
     prof = axis_profile(gamma, l, grid, eps)
+    p = prof.i_cut.bit_length()
+    if p + 1 > DENSE_AXIS_QUBIT_CAP:
+        raise tt_core.CapacityError(
+            f"the live window |i| <= {prof.i_cut} needs {p + 1} sites, over "
+            f"the dense assembly cap of {DENSE_AXIS_QUBIT_CAP}")
 
-    sgrid = grid.axis_grid()
-    idx = sgrid.index_values()
-    kvals = idx * grid.dk
-    live = np.abs(idx) <= prof.i_cut
-    coeffs = np.zeros(kvals.size, dtype=complex)
-    coeffs[live] = prof.values * np.exp(1j * kvals[live] * a)
+    c = prof.i_cut
+    phase = np.exp(1j * np.arange(c + 1) * grid.dk * a)
+    block = np.zeros((2, 2 ** p), dtype=complex)
+    block[0, :c + 1] = prof.values * phase
+    block[1, 1:c + 1] = (-1) ** l * prof.values[1:] * phase[1:].conj()
 
-    nrm = float(np.linalg.norm(coeffs))
+    nrm = float(np.linalg.norm(block))
     if nrm == 0.0:
         raise ProjectionError("all polynomial coefficients vanished")
-    coeffs = coeffs / nrm
-
-    tt = tt_core.from_dense(sgrid.embed(coeffs), tol=1e-14)
+    live = tt_core.from_dense(block.ravel() / nrm, tol=1e-14)
+    sign, *magnitude = live.cores
+    r = sign.shape[2]
+    pad = np.zeros((r, 2, r), dtype=complex)
+    pad[:, 0, :] = np.eye(r)
+    tt = TensorTrain(
+        (sign, *[pad] * (grid.qubits_per_axis - 1 - p), *magnitude),
+        canonical_form="left", truncation_error=live.truncation_error)
     for core in tt.cores:
         core.flags.writeable = False
     return tt

@@ -297,15 +297,24 @@ def grid_stage(cfg: dict, fx: Fixture) -> GridStage:
     eps_p = float(comp["eps_primitive"])
     eps_s = float(comp["eps_sum"])
     res_cfg = cfg["resources"]
-
-    prim_tts = [gauss_pw.primitive_3d_mps(g, grid, eps_p)
-                for g in fx.primitives]
-    overlap = orbital_builder.overlap_matrix(fx.primitives, prim_tts)
     eta = sum(o.occupation for o in fx.orbitals)
     if "eta" in res_cfg and int(res_cfg["eta"]) != eta:
         raise InputError(
             f"resources.eta = {res_cfg['eta']} does not match the fixture's "
             f"summed occupations ({eta})")
+    params = ResourceParams(b=int(res_cfg["b"]), eta=eta,
+                            n_system=3 * grid.qubits_per_axis)
+    try:
+        float(resource_model.toffoli_naive_slater(params.N, eta, params.b))
+    except OverflowError:
+        raise InputError(
+            f"config invalid at $.grid: {grid.qubits_per_axis} qubits per "
+            f"axis give 2^{params.n_system} modes, too many for the cost "
+            f"model to price") from None
+
+    prim_tts = [gauss_pw.primitive_3d_mps(g, grid, eps_p)
+                for g in fx.primitives]
+    overlap = orbital_builder.overlap_matrix(fx.primitives, prim_tts)
 
     coeffs = []
     for i, o in enumerate(fx.orbitals):
@@ -319,8 +328,6 @@ def grid_stage(cfg: dict, fx: Fixture) -> GridStage:
     mos = orbital_builder.build_orbitals(
         prim_tts, [(o.indices, c) for o, c in zip(fx.orbitals, coeffs)],
         eps_s)
-    params = ResourceParams(b=int(res_cfg["b"]), eta=eta,
-                            n_system=3 * grid.qubits_per_axis)
     return GridStage(grid=grid, fixture=fx, config=cfg, prim_tts=prim_tts,
                      overlap=overlap, params=params, coeffs=coeffs, mos=mos)
 

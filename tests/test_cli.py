@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from importlib import resources as importlib_resources
 from pathlib import Path
 
@@ -336,8 +337,12 @@ class TestValidation:
                             "primitive_indices": [5]}]},
          "fixture invalid at $.orbitals[0].primitive_indices: "
          "index 5 outside 0..0"),
-        ({"grid": {"L_bohr": 10.0, "K_inv_bohr": 1300.0}}, {},
-         "4139 points per axis exceed the dense assembly cap (2^12)"),
+        ({"grid": {"L_bohr": 2100.0, "K_inv_bohr": 10.0}}, {},
+         "the live window |i| <= 2997 needs 13 sites, over the dense "
+         "assembly cap of 12"),
+        ({"grid": {"L_bohr": 10.0, "K_inv_bohr": 1e200}}, {},
+         "config invalid at $.grid: 667 qubits per axis give 2^2001 modes, "
+         "too many for the cost model to price"),
         ({"grid": {"L_bohr": 0.5, "K_inv_bohr": 13.0}},
          {"primitives": [{"center": [0.0, 0.0, 0.0], "gamma": 1.0,
                           "ang": [1, 0, 0]}]},
@@ -346,7 +351,8 @@ class TestValidation:
         ({"grid": {"L_bohr": math.nan, "K_inv_bohr": 10.0}}, {},
          "config {cfg} invalid at $.grid.L_bohr: nan is not a finite "
          "number"),
-    ], ids=["eta", "zero_norm", "index", "capacity", "projection", "nan"])
+    ], ids=["eta", "zero_norm", "index", "capacity", "overflow", "projection",
+            "nan"])
     def test_library_error_is_clean_exit_1(self, tmp_path, cfg_over, fx_over,
                                            message):
         """Each library error ends `estimate` with exit code 1 and one
@@ -409,6 +415,30 @@ class TestEstimateCommand:
                  "--out", str(tmp_path)])
         assert (tmp_path / "synthetic_diatomic_report.json").exists()
         assert (tmp_path / "synthetic_diatomic_estimate.csv").exists()
+
+    def test_fixed_L_K_ladder_to_30_qubits_per_axis(self, tmp_path):
+        """At fixed L the live window stops growing with K, so the axis
+        trains, and with them the orbitals' bonds, stop growing too: the
+        ladder runs to 30 qubits/axis (2^90 modes) with one max bond.  No
+        step may cost O(2^n): a dense axis vector at 30 qubits/axis would
+        hold 2^30 entries."""
+        cfg = json.loads(Path(config_path("synthetic_diatomic")).read_text())
+        L = cfg["grid"]["L_bohr"]
+        max_bonds = []
+        t0 = time.perf_counter()
+        for n in (6, 12, 20, 30):
+            cfg["grid"]["K_inv_bohr"] = (2 ** (n - 1) - 0.5) * 2 * math.pi / L
+            out = tmp_path / str(n)
+            run_cli(["estimate", "--config",
+                     write_json(tmp_path / f"cfg{n}.json", cfg),
+                     "--fixture", fixture_path("synthetic_diatomic"),
+                     "--out", str(out)])
+            doc = json.loads(
+                (out / "synthetic_diatomic_report.json").read_text())
+            assert doc["grid"]["qubits_per_axis"] == n
+            max_bonds.append(max(o["max_bond"] for o in doc["orbitals"]))
+        assert time.perf_counter() - t0 < 2.0
+        assert max_bonds == [max_bonds[0]] * 4
 
     def test_report_validates_against_shipped_schema(self, tmp_path):
         run_cli(["estimate", "--config", config_path("synthetic_diatomic"),

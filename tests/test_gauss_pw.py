@@ -7,11 +7,12 @@ or a dense reference state.
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ttprep import tt_core
+from ttprep import pipeline, tt_core
 from ttprep.gauss_pw import (EVAL_BLOCK_ENTRIES, MAX_ANGULAR_MOMENTUM,
                              MAX_HERMITE_ORDER, ChebyshevInterpolant,
                              PlaneWaveGrid, PrimitiveGaussian,
@@ -22,6 +23,10 @@ from ttprep.gauss_pw import (EVAL_BLOCK_ENTRIES, MAX_ANGULAR_MOMENTUM,
 from ttprep.tt_core import CapacityError
 
 from conftest import dense, trace_distance_nonunit
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED_FIXTURES = sorted(
+    p.stem for p in (ROOT / "src" / "ttprep" / "fixtures").glob("*.json"))
 
 # physicists' Hermite polynomials, straight from the printed table
 HERMITE_TABLE = {
@@ -430,12 +435,21 @@ class TestProjection1D:
 
     @pytest.mark.parametrize("l", range(5))
     def test_profile_is_parity_symmetric(self, l):
-        grid = PlaneWaveGrid(L=9.0, K=12.0)
+        """The profile stores the u >= 0 half; in the train, the sign-1
+        branch is the (-1)^l-mirrored, conjugate-phase copy of the sign-0
+        branch, and the "-0" codeword is empty."""
+        grid, a = PlaneWaveGrid(L=9.0, K=12.0), 0.6
         prof = axis_profile(0.8, l, grid, 1e-4)
-        v, c = prof.values, prof.i_cut
-        assert v.shape == (2 * c + 1,)
-        for i in range(c + 1):
-            assert v[c - i] == (-1) ** l * v[c + i]
+        c = prof.i_cut
+        assert prof.values.shape == (c + 1,)
+        v = dense(primitive_1d_mps(0.8, l, a, grid, 1e-4))
+        half = v.size // 2
+        pos, neg = v[:half], v[half:]
+        phase = np.exp(1j * np.arange(half) * grid.dk * a)
+        assert abs(neg[0]) <= 1e-14
+        assert np.abs(neg[1:] * phase[1:]
+                      - (-1) ** l * pos[1:] / phase[1:]).max() <= 1e-14
+        assert np.abs(pos[c + 1:]).max(initial=0.0) <= 1e-14
 
     @pytest.mark.parametrize("gamma,l,eps,n", [
         (1.0, 0, 1e-6, 20), (1.0, 2, 1e-6, 20), (0.5, 1, 1e-4, 12),
@@ -471,7 +485,81 @@ class TestProjection1D:
                                    * psi_ref(k, x) for k in range(l + 1))
 
         assert abs(prof.values[-1] - exact(u)) <= 1e-16
-        assert abs(prof.values[0] - exact(-u)) <= 1e-16
+        # the train's -k_cut entry, back on the profile's scale
+        v = dense(primitive_1d_mps(gamma, l, 0.0, grid, eps))
+        nrm = math.sqrt(2.0 * np.sum(np.abs(prof.values) ** 2)
+                        - abs(prof.values[0]) ** 2)
+        assert abs(v[n] * nrm - exact(u)) <= 1e-16
+        assert abs(v[v.size // 2 + n] * nrm - exact(-u)) <= 1e-16
+
+
+def dense_route_train(gamma, l, a, grid, eps):
+    """The axis train factored from the whole 2^n grid vector: the profile
+    mirrored to u < 0 by its parity, phased by exp(i k a), embedded in the
+    sign-magnitude layout and normalized."""
+    prof = axis_profile(gamma, l, grid, eps)
+    idx = np.arange(-prof.i_cut, prof.i_cut + 1)
+    full = np.concatenate([(-1) ** l * prof.values[:0:-1], prof.values])
+    coeffs = np.zeros(grid.points_per_axis, dtype=complex)
+    off = grid.half_points - prof.i_cut
+    coeffs[off:off + idx.size] = full * np.exp(1j * idx * grid.dk * a)
+    vec = grid.axis_grid().embed(coeffs / np.linalg.norm(coeffs))
+    return tt_core.from_dense(vec, tol=1e-14)
+
+
+class TestLiveWindow:
+    """The live-window train against the dense route, bond for bond."""
+
+    def assert_matches_dense_route(self, gamma, l, a, grid, eps):
+        tt = primitive_1d_mps(gamma, l, a, grid, eps)
+        ref = dense_route_train(gamma, l, a, grid, eps)
+        assert tt.canonical_form == "left"
+        assert tt.n_sites == ref.n_sites == grid.qubits_per_axis
+        assert np.abs(dense(tt) - dense(ref)).max() <= 1e-12
+        assert all(b <= r for b, r in zip(tt.bond_dims, ref.bond_dims))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_inputs_match_the_dense_route(self, seed):
+        rng = np.random.default_rng(seed)
+        done = 0
+        while done < 10:
+            gamma = float(rng.uniform(0.2, 4.0))
+            l = int(rng.integers(0, 4))
+            L, eps = float(rng.uniform(5.0, 30.0)), 10.0 ** rng.uniform(-8, -2)
+            K = rng.uniform(0.5, 3.0) * choose_cutoff(gamma, l, L, eps)
+            grid = PlaneWaveGrid(L=L, K=K)
+            if grid.qubits_per_axis > 12:
+                continue
+            self.assert_matches_dense_route(
+                gamma, l, float(rng.uniform(-3.0, 3.0)), grid, eps)
+            done += 1
+
+    @pytest.mark.parametrize("name", SHIPPED_FIXTURES)
+    def test_shipped_primitive_matches_the_dense_route(self, name):
+        cfg = pipeline.load_config(ROOT / "configs" / f"{name}.json")
+        fx = pipeline.load_fixture(
+            ROOT / "src" / "ttprep" / "fixtures" / f"{name}.json")
+        g = fx.primitives[-1]
+        eps = cfg["compression"]["eps_primitive"] / math.sqrt(3.0)
+        for axis in range(3):
+            self.assert_matches_dense_route(
+                g.gamma, g.ang[axis], g.center[axis],
+                pipeline.grid_from_config(cfg), eps)
+
+    def test_idle_magnitude_bits_are_identity_sites(self):
+        gamma, l, eps = 1.0, 1, 1e-3
+        grid = PlaneWaveGrid(L=10.0, K=(2 ** 19 - 0.5) * 2 * math.pi / 10.0)
+        tt = primitive_1d_mps(gamma, l, 0.4, grid, eps)
+        p = axis_profile(gamma, l, grid, eps).i_cut.bit_length()
+        assert grid.qubits_per_axis == 20 and tt.n_sites == 20
+        pads = tt.cores[1:20 - p]
+        assert len(pads) == 19 - p > 0
+        for core in pads:
+            r = core.shape[0]
+            assert core.shape == (r, 2, r) and r <= 2
+            assert np.array_equal(core[:, 0, :], np.eye(r))
+            assert not core[:, 1, :].any()
+            assert not core.flags.writeable
 
 
 class TestPrimitive1D:
@@ -499,9 +587,14 @@ class TestPrimitive1D:
         assert tt_core.max_bond_dim(t1) <= 2 * m + 3
 
     def test_capacity_guard(self):
-        grid = PlaneWaveGrid(L=30.0, K=900.0)
-        assert grid.qubits_per_axis > 12
-        with pytest.raises(CapacityError):
+        """The cap is on the live window's sites, not on the grid."""
+        wide = PlaneWaveGrid(L=30.0, K=900.0)
+        assert wide.qubits_per_axis > 12
+        assert primitive_1d_mps(1.0, 0, 0.0, wide, 1e-2).n_sites == \
+            wide.qubits_per_axis
+        grid = PlaneWaveGrid(L=2100.0, K=13.0)
+        assert axis_profile(1.0, 0, grid, 1e-2).i_cut.bit_length() + 1 > 12
+        with pytest.raises(CapacityError, match="live window"):
             primitive_1d_mps(1.0, 0, 0.0, grid, 1e-2)
 
     def test_tiny_cell_rejected(self):
@@ -581,12 +674,13 @@ class TestPrimitive1D:
         # i^l sum_n (-1)^((n-l)/2) h_n psi_n  ==  sum_n i^n h_n psi_n
         gamma, grid = 0.7, PlaneWaveGrid(L=30.0, K=12.0)
         prof = axis_profile(gamma, l, grid, 1e-3)
-        u = (np.arange(-prof.i_cut, prof.i_cut + 1) * grid.dk
-             / math.sqrt(2.0 * gamma))
+        u = np.arange(prof.i_cut + 1) * grid.dk / math.sqrt(2.0 * gamma)
         h = h_coeffs(l)
-        want = sum(1j ** n * h[n] * hermite_gaussian(n, u)
-                   for n in range(l + 1))
-        assert np.abs(prof.values - want).max() < 1e-12
+        for sign, mirror in ((1.0, 1.0), (-1.0, (-1.0) ** l)):
+            # the u < 0 half is the stored half times the parity (-1)^l
+            want = sum(1j ** n * h[n] * hermite_gaussian(n, sign * u)
+                       for n in range(l + 1))
+            assert np.abs(mirror * prof.values - want).max() < 1e-12
         assert not prof.values.flags.writeable
 
 
@@ -672,6 +766,14 @@ class TestPlaneWaveGrid:
         assert grid.qubits_per_axis == math.ceil(
             math.log2(grid.points_per_axis))
         assert grid.n_total == grid.points_per_axis ** 3
+
+    @pytest.mark.parametrize("k", [3, 53, 60])
+    def test_qubit_count_is_exact_for_any_grid(self, k):
+        """2^(k+1) + 1 points need k + 2 qubits, also past float
+        precision."""
+        grid = PlaneWaveGrid(L=2.0 * math.pi, K=float(2 ** k))
+        assert grid.points_per_axis == 2 ** (k + 1) + 1
+        assert grid.qubits_per_axis == k + 2
 
     def test_energy_cutoff_form(self):
         grid = PlaneWaveGrid.from_energy_cutoff(30.0, 2.0)

@@ -97,7 +97,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _gram_max_offdiag(result: PipelineResult) -> float:
-    g = result.gram.copy()
+    g = tt_core.gram(r.mps.tt for r in result.orbitals)
     np.fill_diagonal(g, 0.0)
     return float(np.abs(g).max()) if g.size > 1 else 0.0
 

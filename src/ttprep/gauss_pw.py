@@ -23,7 +23,8 @@ Cutoff and degree selection implement certified formulas: with
 the choices K = 2 sqrt(2 gamma) sqrt(S) and m = ceil(e^2 K^2 / (2 gamma))
 guarantee trace distance at most eps between the exactly projected,
 renormalized profile and its degree m-1 polynomial truncation, provided the
-whole-line normalization factor is at least 2/3.
+whole-line normalization factor (in closed form: the referee, not this
+module, sums the lattice) is at least 2/3.
 """
 
 from __future__ import annotations
@@ -331,34 +332,27 @@ class ChebyshevInterpolant:
         return out.reshape(xarr.shape) if xarr.ndim else float(out[0])
 
 
-def _lattice_weight(gamma: float, l: int, L: float, i_from: int,
-                    i_to: int) -> float:
-    """Sum of squared overlaps over lattice indices i_from..i_to."""
-    dk = 2.0 * math.pi / L
-    idx = np.arange(i_from, i_to + 1)
-    c = pw_overlap(gamma, l, 0.0, idx * dk, L)
-    return float(np.sum(np.abs(c) ** 2))
-
-
 def projection_normalization(gamma: float, l: int, L: float) -> float:
-    """Whole-lattice normalization factor (root of summed squared overlaps).
+    """Whole-lattice normalization n~ of one axis projection, any centre.
 
-    Widens the lattice window until the added shells are negligible; the
-    translation phase does not affect moduli, so the result holds for any
-    center.
+    By Poisson summation n~^2 = 1 + 2 sum_{m>=1} A(mL), A the unit axis
+    factor's autocorrelation: with t = gamma s^2 / 2,
+    A(s) = e^-t sum_{k<=l} C(l,k) (-t)^(l-k) Gamma(k+1/2) / Gamma(l+1/2).
+    A tiny cell's images cancel to round-off, so the stop rule is absolute
+    (|2 A(mL)| <= 1e-28 past t = l + 1) and n~^2 is clamped at 0.
     """
-    dk = 2.0 * math.pi / L
-    # initial window: past the classical turning point of psi_l plus margin
-    u_max = math.sqrt(2.0 * l + 1.0) + 10.0
-    i_max = max(int(math.ceil(u_max * math.sqrt(2.0 * gamma) / dk)), 8)
-    total = _lattice_weight(gamma, l, L, -i_max, i_max)
+    ratios = [math.comb(l, k) * math.gamma(k + 0.5) / math.gamma(l + 0.5)
+              for k in range(l + 1)]
+    total, m = 1.0, 1
     while True:
-        shell = (_lattice_weight(gamma, l, L, i_max + 1, 2 * i_max)
-                 + _lattice_weight(gamma, l, L, -2 * i_max, -i_max - 1))
-        total += shell
-        i_max *= 2
-        if shell <= 1e-28 * total:
-            return math.sqrt(total)
+        t = 0.5 * gamma * (m * L) ** 2
+        decay = math.exp(-t)  # 0 past t = 745, before (-t)^l can overflow
+        image = decay and 2.0 * decay * sum(
+            r * (-t) ** (l - k) for k, r in enumerate(ratios))
+        total += image
+        if t > l + 1 and abs(image) <= 1e-28:
+            return math.sqrt(max(total, 0.0))
+        m += 1
 
 
 @dataclass(frozen=True)
@@ -369,11 +363,11 @@ class AxisProfile:
     interpolated at the lattice momenta k = i dk for i = 0..i_cut, the
     u >= 0 half only: the profile at -k is (-1)^l times that at k, so the
     other half is fixed by parity and is never stored.  n_tilde is the
-    whole-line normalization (root of the summed squared overlaps over the
-    infinite lattice) and n_t the fraction of it kept below the cutoff.
-    Only n_tilde's 2/3 precondition is used today; nothing in the library
-    reads either value otherwise.  They are kept for a grid-window line of
-    the error ledger.  degree is that of the fitted interpolant, m-1.
+    closed-form whole-line normalization and n_t the fraction of it kept
+    below the cutoff, summed from the stored half.  Only n_tilde's 2/3
+    precondition is used today; nothing in the library reads either value
+    otherwise.  They are kept for a grid-window line of the error ledger.
+    degree is that of the fitted interpolant, m-1.
     """
 
     values: np.ndarray = field(repr=False)
@@ -427,7 +421,9 @@ def axis_profile(gamma: float, l: int, grid: PlaneWaveGrid,
     values = (1j ** l) * half
     values.flags.writeable = False
 
-    w_below = _lattice_weight(gamma, l, grid.L, -i_cut, i_cut)
+    # the half's weight on |i| <= i_cut times pw_overlap's squared prefactor
+    w_below = ((2.0 * float(np.sum(half ** 2)) - half[0] ** 2)
+               * math.sqrt(2.0) * math.pi / (math.sqrt(gamma) * grid.L))
     n_t = math.sqrt(w_below) / n_tilde
     return AxisProfile(values=values, i_cut=i_cut, n_tilde=n_tilde,
                        n_t=min(n_t, 1.0), cutoff=k_cut, degree=m - 1)

@@ -2,7 +2,8 @@
 
 Exact states and primitive trains are sums of Kronecker products of axis
 vectors of 2^n entries, so no check builds a 2^(3n) vector: the dense
-checks contract trains against axis vectors over their raw cores."""
+checks contract trains against axis vectors over their raw cores.  Exact
+axis factors are unit in the referee's own lattice sums, one window each."""
 
 from __future__ import annotations
 
@@ -92,57 +93,50 @@ def _distance(overlap: complex) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _axis_norm(gamma: float, l: int, L: float) -> float:
-    return gauss_pw.projection_normalization(gamma, l, L)
-
-
-def _unit_axes(g: PrimitiveGaussian, k, L: float) -> list[np.ndarray]:
-    """g's three axis factors at momenta k, each unit over the lattice."""
-    return [gauss_pw.pw_overlap(g.gamma, g.ang[ax], g.center[ax], k, L)
-            / _axis_norm(g.gamma, g.ang[ax], L) for ax in range(3)]
-
-
-def _frozen(vectors) -> np.ndarray:
-    """The vectors as the rows of one read-only array, for a cache to share."""
-    rows = np.array(list(vectors))
+def _lattice_axes(g: PrimitiveGaussian, grid: PlaneWaveGrid) -> np.ndarray:
+    """g's axis factors at the momenta |i| <= I, one read-only row per axis,
+    each unit over that window: I covers the grid and reaches
+    14 sqrt(2 gamma), past which the lattice weight is below round-off."""
+    i_far = max(grid.half_points,
+                math.ceil(14.0 * math.sqrt(2.0 * g.gamma) / grid.dk) + 1)
+    k = np.arange(-i_far, i_far + 1) * grid.dk
+    rows = np.array([gauss_pw.pw_overlap(g.gamma, l, a, k, grid.L)
+                     for l, a in zip(g.ang, g.center)])
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     rows.flags.writeable = False
     return rows
 
 
-@functools.lru_cache(maxsize=None)
+def _centre(rows: np.ndarray, half: int) -> np.ndarray:
+    """The columns |i| <= half of a window of rows centred on i = 0."""
+    mid = rows.shape[1] // 2
+    return rows[:, mid - half:mid + half + 1]
+
+
 def exact_axes(g: PrimitiveGaussian, grid: PlaneWaveGrid) -> np.ndarray:
     """Axis factors of g's exact projection on the signed-grid window, one
-    row per axis, computed once per primitive and grid."""
+    row per axis: the embedded centre of g's lattice window."""
     sgrid = grid.axis_grid()
-    return _frozen(sgrid.embed(v) for v in
-                   _unit_axes(g, sgrid.index_values() * grid.dk, grid.L))
+    return np.array([sgrid.embed(v) for v in
+                     _centre(_lattice_axes(g, grid), grid.half_points)])
 
 
-@functools.lru_cache(maxsize=None)
-def _window_axes(g: PrimitiveGaussian, i_far: int,
-                 grid: PlaneWaveGrid) -> np.ndarray:
-    """g's unit axis factors at the momenta |i| <= i_far, once per window."""
-    return _frozen(_unit_axes(g, np.arange(-i_far, i_far + 1) * grid.dk,
-                              grid.L))
-
-
-@functools.lru_cache(maxsize=None)
-def _whole_line_overlap(g_a: PrimitiveGaussian, g_b: PrimitiveGaussian,
-                        grid: PlaneWaveGrid) -> complex:
-    """Inner product of two unit-normalized full-lattice projections."""
-    reach = 14.0 * math.sqrt(2.0 * max(g_a.gamma, g_b.gamma))
-    i_far = int(math.ceil(reach / grid.dk)) + 1
-    return product_overlap(_window_axes(g_a, i_far, grid),
-                           _window_axes(g_b, i_far, grid))
-
-
-def exact_orbital(coeffs, prims, grid: PlaneWaveGrid) -> list[tuple]:
-    """Terms (c_g, exact_axes(g)) of the exact orbital sum_g c_g e_g, unit
-    over the full lattice: the tail outside the window counts as distance."""
+def _whole_line_gram(prims, grid: PlaneWaveGrid) -> np.ndarray:
+    """Inner products of the prims' unit whole-lattice projections, one per
+    unordered pair, over the centre slice their two windows share."""
+    rows = [_lattice_axes(g, grid) for g in prims]
     gram = np.eye(len(prims), dtype=complex)
     for i, j in itertools.combinations(range(len(prims)), 2):
-        gram[i, j] = _whole_line_overlap(prims[i], prims[j], grid)
+        half = min(rows[i].shape[1], rows[j].shape[1]) // 2
+        gram[i, j] = product_overlap(_centre(rows[i], half),
+                                     _centre(rows[j], half))
         gram[j, i] = np.conj(gram[i, j])
+    return gram
+
+
+def exact_orbital(coeffs, prims, gram, grid: PlaneWaveGrid) -> list[tuple]:
+    """Terms (c_g, exact_axes(g)) of sum_g c_g e_g, unit in the prims'
+    whole-line gram: the tail outside the window counts as distance."""
     nrm_sq = float(np.real(np.conj(coeffs) @ gram @ coeffs))
     if nrm_sq <= 0:
         raise ValueError("dense oracle produced a zero orbital")
@@ -158,8 +152,10 @@ def sweep_errors(results: list[PipelineResult]) -> list[list[tuple]]:
         return [[(orbital_builder.infidelity_estimate(r.mps), "norm_drift")
                  for r in result.orbitals] for result in results]
     fx = first.fixture
+    gram = _whole_line_gram(fx.primitives, first.grid)
     exact = [exact_orbital(fx.orbitals[r.index].coeffs,
-                           [fx.primitives[j] for j in r.indices], first.grid)
+                           [fx.primitives[j] for j in r.indices],
+                           gram[np.ix_(r.indices, r.indices)], first.grid)
              for r in first.orbitals]
     return [[(_distance(sum_overlap(terms, r.mps.tt)), "dense_window")
              for terms, r in zip(exact, result.orbitals)]

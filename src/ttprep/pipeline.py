@@ -280,7 +280,6 @@ class PipelineResult:
     prim_tts: list
     overlap: orbital_builder.OverlapMatrix
     orbitals: list[OrbitalRecord]
-    gram: np.ndarray
     params: ResourceParams
     report: resource_model.ResourceReport
 
@@ -350,6 +349,5 @@ def cutoff_stage(stage: GridStage, svd_cutoff: float) -> PipelineResult:
     return PipelineResult(grid=stage.grid, fixture=stage.fixture,
                           config=stage.config, svd_cutoff=svd,
                           prim_tts=stage.prim_tts, overlap=stage.overlap,
-                          orbitals=records,
-                          gram=tt_core.gram(mps.tt for mps in mos),
-                          params=stage.params, report=report)
+                          orbitals=records, params=stage.params,
+                          report=report)

@@ -6,6 +6,7 @@ or a dense reference state.
 """
 
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -821,3 +822,24 @@ def test_projection_normalization_near_one_for_wide_cell():
     # dense lattice: the Riemann sum of the spectral density is the norm
     assert projection_normalization(1.0, 0, 30.0) == pytest.approx(
         1.0, abs=1e-4)
+    # the closed form against a brute-force lattice sum, over cells from
+    # tiny (below the 2/3 floor, where the images cancel to round-off) to
+    # wide, and every angular momentum
+    start, far_from_one = time.perf_counter(), 0
+    for l in range(MAX_ANGULAR_MOMENTUM + 1):
+        for gamma in (0.05, 0.25, 1.0, 4.0, 25.0):
+            for L in (3.0, 6.0, 10.0, 30.0):
+                i_far = math.ceil(14.0 * math.sqrt(2.0 * gamma) * L
+                                  / (2.0 * math.pi)) + 1
+                want = math.sqrt(float(np.sum(
+                    lattice_weights(gamma, l, L, i_far)[1])))
+                if want < 2.0 / 3.0:
+                    with pytest.raises(ProjectionError):
+                        axis_profile(gamma, l, PlaneWaveGrid(L=L, K=13.0),
+                                     1e-2)
+                    continue
+                far_from_one += abs(want ** 2 - 1.0) > 0.1
+                assert projection_normalization(gamma, l, L) == \
+                    pytest.approx(want, rel=1e-12), (gamma, l, L)
+    assert far_from_one >= 10
+    assert time.perf_counter() - start < 5.0

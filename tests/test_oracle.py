@@ -75,8 +75,9 @@ def test_overlaps_match_dense_path(config):
     for r in result.orbitals:
         t_dense = dense(r.mps.tt)
         # the exact orbital, as sweep's dense_window error sees it
-        terms = oracle.exact_orbital(fx.orbitals[r.index].coeffs,
-                                     [fx.primitives[j] for j in r.indices],
+        prims = [fx.primitives[j] for j in r.indices]
+        terms = oracle.exact_orbital(fx.orbitals[r.index].coeffs, prims,
+                                     oracle._whole_line_gram(prims, grid),
                                      grid)
         exact = sum(c * _dense_exact_primitive(fx.primitives[j], grid)
                     for (c, _), j in zip(terms, r.indices))
@@ -264,12 +265,12 @@ def test_oracle_passes_above_the_dense_cap(tmp_path):
     assert elapsed < 30.0
 
 
-def test_referee_computes_each_axis_vector_once(tmp_path):
+def test_referee_computes_each_axis_vector_once(tmp_path, monkeypatch):
     """sweep_errors on three centres with two exponents each and three
-    orbitals over all six primitives builds one exact axis set per
-    primitive, not one per orbital and primitive, one whole-line set per
-    primitive and window, not two per ordered pair, and one whole-line
-    overlap per unordered pair (15), not per ordered pair; all read-only."""
+    orbitals over all six primitives evaluates one lattice window per
+    primitive, not one per orbital and primitive, and at most one
+    whole-line overlap per unordered pair (15), not one per orbital and
+    pair; every cached window is read-only."""
     cfg = {
         "grid": {"L_bohr": 10.0, "K_inv_bohr": 14.0},
         "compression": {"svd_cutoff": 0.0, "eps_primitive": 1e-3},
@@ -290,14 +291,40 @@ def test_referee_computes_each_axis_vector_once(tmp_path):
     fx_path.write_text(json.dumps(fx), encoding="utf-8")
     result = cli.run_pipeline(cli.load_config(cfg_path),
                               cli.load_fixture(fx_path))
-    caches = (oracle.exact_axes, oracle._window_axes,
-              oracle._whole_line_overlap)
-    for cache in caches:
-        cache.cache_clear()
+    oracle._lattice_axes.cache_clear()
+    overlaps, real = [], oracle.product_overlap
+
+    def counted(u, v):
+        overlaps.append((u, v))
+        return real(u, v)
+
+    monkeypatch.setattr(oracle, "product_overlap", counted)
     oracle.sweep_errors([result])
-    assert oracle.exact_axes.cache_info().misses == 6
-    assert oracle._window_axes.cache_info().misses <= 12
-    assert oracle._whole_line_overlap.cache_info().misses == 15
+    assert oracle._lattice_axes.cache_info().misses == 6
+    assert len(overlaps) <= 15
     for g in result.fixture.primitives:
-        assert not any(v.flags.writeable
-                       for v in oracle.exact_axes(g, result.grid))
+        assert not oracle._lattice_axes(g, result.grid).flags.writeable
+
+
+def test_referee_needs_no_library_normalization(tmp_path, monkeypatch):
+    """The referee normalizes by its own lattice sums: with the library's
+    projection_normalization made to raise, run_checks and sweep_errors
+    give what they gave before."""
+    result = _pair_result(tmp_path, [
+        S_PAIR[0], {"center": [-0.5, 0.2, 0.0], "gamma": 0.8,
+                    "ang": [1, 0, 2]}])
+
+    def fresh():
+        for f in vars(oracle).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+        return oracle.run_checks(result, tmp_path), \
+            oracle.sweep_errors([result])
+
+    want = fresh()
+
+    def refuse(*args):
+        raise AssertionError("the referee used the library's normalization")
+
+    monkeypatch.setattr(gauss_pw, "projection_normalization", refuse)
+    assert fresh() == want

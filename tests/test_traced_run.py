@@ -3,12 +3,14 @@ it measures.
 
 A traced benchmark run wraps named functions of the program from outside
 and reports one metric per layer.  A change that renames or stops calling
-one of them drops its metrics from the report.  This test runs `estimate`
-and `sweep` on a shipped fixture in-process under the tracer and checks
-that every per-layer metric is measured and finite.
+one of them drops its metrics from the report.  This test runs `estimate`,
+`sweep` and `oracle` on a shipped fixture in-process under the tracer and
+checks that every per-layer metric is measured and finite, and that the
+trace record is strict JSON (no NaN or Infinity).
 """
 
 import importlib.util
+import json
 import math
 import sys
 import time
@@ -45,7 +47,7 @@ def test_every_per_layer_metric_is_measured(tmp_path):
     t.install()
     try:
         start = time.perf_counter()
-        for command in ("estimate", "sweep"):
+        for command in ("estimate", "sweep", "oracle"):
             result = CliRunner().invoke(main, [
                 command, "--config", str(CONFIG), "--fixture", str(FIXTURE),
                 "--out", str(tmp_path / command)])
@@ -55,6 +57,8 @@ def test_every_per_layer_metric_is_measured(tmp_path):
         t.uninstall()
     rec = t.record()
     assert rec["absent"] == []
+    json.dumps(rec, allow_nan=False)
     metrics = tracer.layer_metrics([rec], [job_s])
     assert set(metrics) == set(tracer.PER_LAYER) - RUN_METRICS
     assert all(math.isfinite(v) for v in metrics.values())
+    json.dumps(metrics, allow_nan=False)

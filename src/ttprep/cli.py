@@ -27,12 +27,12 @@ from typing import TYPE_CHECKING
 import click
 import numpy as np
 
-from . import __version__, oracle, orbital_builder, resource_model, tt_core
+from . import __version__, oracle, orbital_builder, tt_core
 from .pipeline import (cutoff_stage, grid_stage, load_config, load_fixture,
                        run_pipeline, validated)
 
 if TYPE_CHECKING:
-    from .pipeline import Fixture, OrbitalRecord, PipelineResult
+    from .pipeline import Fixture, PipelineResult
 
 # sweep axes (config keys), in run order
 SWEEP_AXES = ("L_bohr", "K_inv_bohr", "E_cut_hartree", "svd_cutoff")
@@ -97,7 +97,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _gram_max_offdiag(result: PipelineResult) -> float:
-    g = tt_core.gram(r.mps.tt for r in result.orbitals)
+    g = tt_core.gram(mps.tt for mps in result.mos)
     np.fill_diagonal(g, 0.0)
     return float(np.abs(g).max()) if g.size > 1 else 0.0
 
@@ -116,19 +116,20 @@ def _grid_summary(result: PipelineResult) -> dict:
     }
 
 
-def _orbital_summary(r: OrbitalRecord) -> dict:
-    return {
-        "index": r.index,
-        "occupation": r.occupation,
-        "n_primitives": len(r.indices),
-        "bond_dims": list(r.mps.tt.bond_dims),
-        "max_bond": r.max_bond,
-        "raw_norm_sq": r.mps.raw_norm_sq,
-        "infidelity": r.mps.infidelity,
-        "trace_distance_estimate": orbital_builder.infidelity_estimate(r.mps),
-        "mps_prep_toffoli": r.prep_toffoli,
-        "mps_prep_error": r.prep_error,
-    }
+def _orbital_summaries(result: PipelineResult) -> list[dict]:
+    rep = result.report
+    return [{
+        "index": i,
+        "occupation": o.occupation,
+        "n_primitives": len(o.indices),
+        "bond_dims": list(mps.tt.bond_dims),
+        "max_bond": tt_core.max_bond_dim(mps.tt),
+        "raw_norm_sq": mps.raw_norm_sq,
+        "infidelity": mps.infidelity,
+        "trace_distance_estimate": orbital_builder.infidelity_estimate(mps),
+        "mps_prep_toffoli": rep.prep_toffoli[i],
+        "mps_prep_error": rep.prep_error[i],
+    } for i, (o, mps) in enumerate(zip(result.fixture.orbitals, result.mos))]
 
 
 # ---------------------------------------------------------------------------
@@ -182,34 +183,35 @@ def cmd_project(config_path, fixture_path, out):
     cfg, fx, out_dir = _load_all(config_path, fixture_path, out)
     result = run_pipeline(cfg, fx)
     _emit_project(result, out_dir)
-    click.echo(f"project: {len(result.orbitals)} orbitals on "
+    click.echo(f"project: {len(result.mos)} orbitals on "
                f"{result.grid.points_per_axis}^3 modes -> {out_dir}")
 
 
 def _emit_project(result: PipelineResult, out_dir: Path) -> None:
     name = result.fixture.name
-    rows = [(r.index, r.occupation, len(r.indices), result.params.n_system,
-             r.max_bond, r.mps.raw_norm_sq, r.mps.infidelity,
-             orbital_builder.infidelity_estimate(r.mps))
-            for r in result.orbitals]
+    rows = [(i, o.occupation, len(o.indices), result.params.n_system,
+             tt_core.max_bond_dim(mps.tt), mps.raw_norm_sq, mps.infidelity,
+             orbital_builder.infidelity_estimate(mps))
+            for i, (o, mps) in enumerate(zip(result.fixture.orbitals,
+                                             result.mos))]
     _write_csv(out_dir / f"{name}_orbitals.csv",
                ["orbital", "occupation", "n_primitives", "qubit_count",
                 "max_bond", "raw_norm_sq", "infidelity",
                 "trace_distance_estimate"], rows)
-    for r in result.orbitals:
+    for i, mps in enumerate(result.mos):
         bond_rows = [(j + 1, m, math.log2(m))
-                     for j, m in enumerate(r.mps.tt.bond_dims)]
-        _write_csv(out_dir / f"{name}_orbital_{r.index}_bonds.csv",
+                     for j, m in enumerate(mps.tt.bond_dims)]
+        _write_csv(out_dir / f"{name}_orbital_{i}_bonds.csv",
                    ["bond_index", "bond_dim", "log2_bond_dim"], bond_rows)
         if result.config["oracle"]["dump_tt"]:
-            (out_dir / f"{name}_orbital_{r.index}_tt.json").write_text(
-                json.dumps(tt_core.to_debug_json(r.mps.tt), sort_keys=True),
+            (out_dir / f"{name}_orbital_{i}_tt.json").write_text(
+                json.dumps(tt_core.to_debug_json(mps.tt), sort_keys=True),
                 encoding="utf-8", newline="\n")
     _write_json(out_dir / f"{name}_project.json", {
         "fixture": name,
         "grid": _grid_summary(result),
         "svd_cutoff": result.svd_cutoff,
-        "orbitals": [_orbital_summary(r) for r in result.orbitals],
+        "orbitals": _orbital_summaries(result),
         "gram_max_offdiag": _gram_max_offdiag(result),
     })
 
@@ -252,7 +254,7 @@ def _report_dict(result: PipelineResult) -> dict:
             "b": params.b,
             "eta": params.eta,
             "n_system": params.n_system,
-            "n_mo": len(result.orbitals),
+            "n_mo": len(result.mos),
         },
         "eps1": rep.eps1,
         "eps2": rep.eps2,
@@ -263,9 +265,8 @@ def _report_dict(result: PipelineResult) -> dict:
         "totals": dict(rep.totals),
         "antisym": rep.antisym,
         "antisym_floor": math.floor(rep.antisym),
-        "toffoli_naive_at_grid_modes": resource_model.toffoli_naive_slater(
-            result.grid.n_total, params.eta, params.b),
-        "orbitals": [_orbital_summary(r) for r in result.orbitals],
+        "toffoli_naive_at_grid_modes": rep.naive_at_grid_modes,
+        "orbitals": _orbital_summaries(result),
         "gram_max_offdiag": _gram_max_offdiag(result),
     }
 
@@ -306,14 +307,16 @@ def cmd_sweep(config_path, fixture_path, out):
     for axis, group in _sweep_groups(cfg, fx, axes):
         errors = oracle.sweep_errors([result for _, result in group])
         for (value, result), point_errors in zip(group, errors):
-            for r, (err, err_kind) in zip(result.orbitals, point_errors):
+            for i, (o, mps, cost, (err, err_kind)) in enumerate(zip(
+                    fx.orbitals, result.mos, result.report.prep_toffoli,
+                    point_errors)):
                 rows.append((
-                    axis, float(value), r.index, r.occupation,
+                    axis, float(value), i, o.occupation,
                     result.grid.L, result.grid.K, result.grid.points_per_axis,
-                    result.grid.qubits_per_axis, result.params.N, r.max_bond,
-                    r.mps.raw_norm_sq, r.mps.infidelity,
-                    orbital_builder.infidelity_estimate(r.mps), err, err_kind,
-                    r.prep_toffoli,
+                    result.grid.qubits_per_axis, result.params.N,
+                    tt_core.max_bond_dim(mps.tt), mps.raw_norm_sq,
+                    mps.infidelity, orbital_builder.infidelity_estimate(mps),
+                    err, err_kind, cost,
                     result.report.totals["mps_method"],
                     result.report.totals["naive_method"],
                     result.report.totals["ratio_naive_over_mps"]))

@@ -46,6 +46,7 @@ __all__ = [
     "PrimitiveGaussian",
     "ProjectionError",
     "axis_profile",
+    "certified_cutoff",
     "choose_cutoff",
     "choose_degree",
     "h_coeffs",
@@ -490,6 +491,11 @@ def primitive_1d_mps(gamma: float, l: int, a: float, grid: PlaneWaveGrid,
     return tt
 
 
+def _axis_eps(eps: float) -> float:
+    """Each axis's share of a primitive's error budget eps."""
+    return eps / math.sqrt(3.0)
+
+
 def primitive_3d_mps(g: PrimitiveGaussian, grid: PlaneWaveGrid,
                      eps: float) -> TensorTrain:
     """Train of the 3D plane-wave coefficients of a primitive Gaussian.
@@ -499,10 +505,16 @@ def primitive_3d_mps(g: PrimitiveGaussian, grid: PlaneWaveGrid,
     bonds have dimension 1 and the qubit count is three times the per-axis
     count.
     """
-    eps_axis = eps / math.sqrt(3.0)
     parts = [primitive_1d_mps(g.gamma, g.ang[axis], g.center[axis], grid,
-                              eps_axis)
+                              _axis_eps(eps))
              for axis in range(3)]
     out = tt_core.tensor_product(
         tt_core.tensor_product(parts[0], parts[1]), parts[2])
     return out
+
+
+def certified_cutoff(g: PrimitiveGaussian, L: float, eps: float) -> float:
+    """The momentum cutoff from which primitive_3d_mps(g, grid, eps) on a
+    cell of side L is certified: the largest choose_cutoff of g's three
+    axes at their budget eps / sqrt(3)."""
+    return max(choose_cutoff(g.gamma, l, L, _axis_eps(eps)) for l in g.ang)

@@ -149,16 +149,15 @@ def sweep_errors(results: list[PipelineResult]) -> list[list[tuple]]:
     the exact orbital (dense_window) or the train's estimate (norm_drift)."""
     first = results[0]
     if skip_reason(first.config, first.grid) is not None:
-        return [[(orbital_builder.infidelity_estimate(r.mps), "norm_drift")
-                 for r in result.orbitals] for result in results]
+        return [[(orbital_builder.infidelity_estimate(mps), "norm_drift")
+                 for mps in result.mos] for result in results]
     fx = first.fixture
     gram = _whole_line_gram(fx.primitives, first.grid)
-    exact = [exact_orbital(fx.orbitals[r.index].coeffs,
-                           [fx.primitives[j] for j in r.indices],
-                           gram[np.ix_(r.indices, r.indices)], first.grid)
-             for r in first.orbitals]
-    return [[(_distance(sum_overlap(terms, r.mps.tt)), "dense_window")
-             for terms, r in zip(exact, result.orbitals)]
+    exact = [exact_orbital(o.coeffs, [fx.primitives[j] for j in o.indices],
+                           gram[np.ix_(o.indices, o.indices)], first.grid)
+             for o in fx.orbitals]
+    return [[(_distance(sum_overlap(terms, mps.tt)), "dense_window")
+             for terms, mps in zip(exact, result.mos)]
             for result in results]
 
 
@@ -195,8 +194,7 @@ def run_checks(result: PipelineResult, out_dir: Path) -> list[dict]:
         if reason is not None:
             continue
         name = f"primitive_trace_distance[{gi}]"
-        lemma_k = max(gauss_pw.choose_cutoff(
-            g.gamma, l, grid.L, eps_p / math.sqrt(3.0)) for l in g.ang)
+        lemma_k = gauss_pw.certified_cutoff(g, grid.L, eps_p)
         if grid.K < lemma_k:
             checks.append(_check(name, "SKIP", f"grid K = {grid.K:.3g} below "
                                  f"the certified cutoff {lemma_k:.3g}; bound "
@@ -206,43 +204,44 @@ def run_checks(result: PipelineResult, out_dir: Path) -> list[dict]:
         checks.append(_bounded(name, d, eps_p,
                                f"D = {d:.3e} (budget {eps_p:.1e})"))
 
-    for r in result.orbitals:
-        drift = abs(self_norm(r.mps.tt) - 1.0)
-        checks.append(_bounded(f"orbital_norm[{r.index}]", drift, 1e-9,
+    for i, (o, c, mps) in enumerate(zip(fx.orbitals, result.coeffs,
+                                        result.mos)):
+        drift = abs(self_norm(mps.tt) - 1.0)
+        checks.append(_bounded(f"orbital_norm[{i}]", drift, 1e-9,
                                f"|norm-1| = {drift:.3e} (tol 1e-9)"))
         if reason is not None:
             continue
         # |t - T|^2 = 2 - 2 Re <t, T> for unit t = sum_j c_j p_j and unit T
-        parts = [vectors[j] for j in r.indices]
-        nrm_sq = np.real(np.conj(r.coeffs) @ _axis_gram(parts) @ r.coeffs)
-        overlap = sum_overlap(zip(r.coeffs, parts), r.mps.tt)
+        parts = [vectors[j] for j in o.indices]
+        nrm_sq = np.real(np.conj(c) @ _axis_gram(parts) @ c)
+        overlap = sum_overlap(zip(c, parts), mps.tt)
         diff = math.sqrt(max(0.0, 2.0 - 2.0 * overlap.real
                              / math.sqrt(nrm_sq)))
-        tol_eff = max(tol, 20.0 * (len(r.indices) * eps_s + result.svd_cutoff))
+        tol_eff = max(tol, 20.0 * (len(o.indices) * eps_s + result.svd_cutoff))
         checks.append(_bounded(
-            f"tt_vs_dense_orbital[{r.index}]", diff, tol_eff,
+            f"tt_vs_dense_orbital[{i}]", diff, tol_eff,
             f"|dense_sum - tt| = {diff:.3e} (tol {tol_eff:.1e})"))
 
     if reason is None:
-        worst = float(np.abs(_axis_gram(vectors) - result.overlap.S).max())
+        worst = float(np.abs(_axis_gram(vectors) - result.S).max())
         checks.append(_bounded("gram_vs_dense", worst, tol, f"max |dense - S| "
                                f"= {worst:.3e} (tol {tol:.1e})"))
 
-    for r in result.orbitals:
-        dump = out_dir / f"{fx.name}_orbital_{r.index}_tt.json"
-        name = f"dump_agreement[{r.index}]"
+    for i, mps in enumerate(result.mos):
+        dump = out_dir / f"{fx.name}_orbital_{i}_tt.json"
+        name = f"dump_agreement[{i}]"
         if not dump.exists():
             continue
         try:
             cores = tt_core.from_debug_json(
                 json.loads(dump.read_text(encoding="utf-8"))).cores
-            if [c.shape for c in cores] != [c.shape for c in r.mps.tt.cores]:
+            if [c.shape for c in cores] != [c.shape for c in mps.tt.cores]:
                 raise ValueError("core shapes differ from the rebuilt train's")
         except (ValueError, KeyError) as e:
             checks.append(_check(name, "FAIL", f"bad dump: {e}"))
             continue
         diff = max(float(np.abs(a - b).max())
-                   for a, b in zip(cores, r.mps.tt.cores))
+                   for a, b in zip(cores, mps.tt.cores))
         checks.append(_bounded(name, diff, 1e-12, f"max |dumped - rebuilt| "
                                f"entry = {diff:.3e} (tol 1e-12)"))
     return checks

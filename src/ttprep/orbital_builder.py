@@ -1,12 +1,10 @@
 """Molecular orbitals as compressed trains over the plane-wave basis.
 
-Workflow: the pipeline projects every primitive Gaussian onto the grid (one
-train each), forms their Gram matrix S from those trains (overlap_matrix),
-normalizes each orbital's coefficients in the S metric, then assembles each
-orbital as a weighted train sum (build_orbitals).  No command canonically
-orthogonalizes S: canonical_orthogonalize (drop eigenvalues below sigma,
-whiten the rest) is kept for the paper's whitening guarantee, which the
-tests check.  Each primitive list is summed by one rule: a single train is
+An orbital is a weighted sum of unit primitive trains, rounded and
+renormalized (build_orbitals).  overlap_matrix is the primitives' Gram
+matrix S; canonical_orthogonalize (drop eigenvalues of S below sigma,
+whiten the rest) is the paper's whitening guarantee, which the tests
+check.  Each primitive list is summed by one rule: a single train is
 only scaled; a list at most MAX_SUM_WIDTH wide is summed exactly by one
 tt_core.canonical_sum, whose QR sweep is shared by all the orbitals over
 that list, and rounded once per orbital; a wider list is split in two
@@ -34,7 +32,6 @@ __all__ = [
     "EmptyBasisError",
     "OrbitalMPS",
     "OrthoBasis",
-    "OverlapMatrix",
     "build_mo_mps",
     "build_orbitals",
     "canonical_orthogonalize",
@@ -62,23 +59,6 @@ class EmptyBasisError(ValueError):
 
 class DegenerateOrbitalError(ValueError):
     """An orbital's coefficients cancelled to (numerically) zero norm."""
-
-
-@dataclass(frozen=True)
-class OverlapMatrix:
-    """Hermitian PSD Gram matrix of projected primitives, unit diagonal."""
-
-    S: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        S = np.asarray(self.S, dtype=complex)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise ValueError("S must be square")
-        if not np.allclose(S, S.conj().T, atol=1e-10):
-            raise ValueError("S must be Hermitian within 1e-10")
-        if not np.allclose(np.diag(S).real, 1.0, atol=1e-8):
-            raise ValueError("diagonal entries must be 1 within 1e-8")
-        object.__setattr__(self, "S", S)
 
 
 @dataclass(frozen=True)
@@ -114,8 +94,8 @@ class OrbitalMPS:
         return abs(1.0 - self.raw_norm_sq)
 
 
-def overlap_matrix(primitives, tts) -> OverlapMatrix:
-    """Gram matrix of the primitives from their projected trains.
+def overlap_matrix(primitives, tts) -> np.ndarray:
+    """Gram matrix S of the primitives from their projected trains.
 
     tts[g] is primitive g's unit-norm train.  :func:`tt_core.gram`
     contracts all P = n(n-1)/2 pairs of the upper triangle in one batched
@@ -126,20 +106,18 @@ def overlap_matrix(primitives, tts) -> OverlapMatrix:
         raise ValueError("need at least one primitive")
     if len(tts) != len(primitives):
         raise ValueError("tts must match primitives one to one")
-    return OverlapMatrix(S=tt_core.gram(tts))
+    return tt_core.gram(tts)
 
 
 def canonical_orthogonalize(S, sigma: float) -> OrthoBasis:
     """Eigenbasis columns scaled to whiten S, eigenvalues < sigma dropped.
 
-    Accepts an OverlapMatrix or any Hermitian matrix.  Kept columns are
-    ordered by descending eigenvalue; raises EmptyBasisError when nothing
-    survives the cutoff.
+    S is any Hermitian matrix.  Kept columns are ordered by descending
+    eigenvalue; raises EmptyBasisError when nothing survives the cutoff.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    A = S.S if isinstance(S, OverlapMatrix) else np.asarray(S, dtype=complex)
-    w, U = np.linalg.eigh(A)
+    w, U = np.linalg.eigh(np.asarray(S, dtype=complex))
     order = np.argsort(w)[::-1]
     w, U = w[order], U[:, order]
     keep = w >= sigma

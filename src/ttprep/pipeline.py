@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gauss_pw, orbital_builder, resource_model, tt_core
+from . import gauss_pw, orbital_builder, resource_model
 from .gauss_pw import PlaneWaveGrid, PrimitiveGaussian
-from .resource_model import ResourceParams
+from .resource_model import ResourceParams, ResourceReport
 
 
 class InputError(ValueError):
@@ -211,11 +211,15 @@ def load_fixture(path) -> Fixture:
     orbitals = []
     for i, o in enumerate(raw["orbitals"]):
         indices = tuple(o.get("primitive_indices", range(len(prims))))
-        for j in indices:
+        for k, j in enumerate(indices):
             if not 0 <= j < len(prims):
                 raise InputError(
                     f"fixture invalid at $.orbitals[{i}].primitive_indices: "
                     f"index {j} outside 0..{len(prims) - 1}")
+            if j in indices[:k]:
+                raise InputError(
+                    f"fixture invalid at $.orbitals[{i}].primitive_indices: "
+                    f"index {j} repeated")
         coeffs = np.array([_as_complex(c) for c in o["coeffs"]], dtype=complex)
         if coeffs.size != len(indices):
             raise InputError(
@@ -239,49 +243,29 @@ def grid_from_config(cfg: dict) -> PlaneWaveGrid:
 # pipeline
 
 @dataclass
-class OrbitalRecord:
-    index: int
-    occupation: int
-    coeffs: np.ndarray
-    indices: tuple[int, ...]
-    mps: orbital_builder.OrbitalMPS
-    prep_toffoli: float
-    prep_error: float
-
-    @property
-    def max_bond(self) -> int:
-        return tt_core.max_bond_dim(self.mps.tt)
-
-
-@dataclass
 class GridStage:
     """The part of a pipeline run fixed by the grid: everything but svd_cutoff.
 
-    coeffs[i] are orbital i's coefficients normalized in the projected
-    overlap metric, and mos[i] its untruncated train.
+    S is the primitives' Gram matrix, coeffs[i] are fixture orbital i's
+    coefficients normalized in that metric, and mos[i] its untruncated train.
     """
 
     grid: PlaneWaveGrid
     fixture: Fixture
     config: dict
     prim_tts: list
-    overlap: orbital_builder.OverlapMatrix
+    S: np.ndarray
     params: ResourceParams
     coeffs: list[np.ndarray]
     mos: list[orbital_builder.OrbitalMPS]
 
 
 @dataclass
-class PipelineResult:
-    grid: PlaneWaveGrid
-    fixture: Fixture
-    config: dict
+class PipelineResult(GridStage):
+    """A grid stage whose mos are truncated at svd_cutoff, and their price."""
+
     svd_cutoff: float
-    prim_tts: list
-    overlap: orbital_builder.OverlapMatrix
-    orbitals: list[OrbitalRecord]
-    params: ResourceParams
-    report: resource_model.ResourceReport
+    report: ResourceReport
 
 
 def run_pipeline(cfg: dict, fx: Fixture) -> PipelineResult:
@@ -301,23 +285,23 @@ def grid_stage(cfg: dict, fx: Fixture) -> GridStage:
         raise InputError(
             f"resources.eta = {res_cfg['eta']} does not match the fixture's "
             f"summed occupations ({eta})")
-    params = ResourceParams(b=int(res_cfg["b"]), eta=eta,
-                            n_system=3 * grid.qubits_per_axis)
+    n_system = 3 * grid.qubits_per_axis
     try:
-        float(resource_model.toffoli_naive_slater(params.N, eta, params.b))
+        params = ResourceParams(b=int(res_cfg["b"]), eta=eta,
+                                n_system=n_system, n_grid_modes=grid.n_total)
     except OverflowError:
         raise InputError(
             f"config invalid at $.grid: {grid.qubits_per_axis} qubits per "
-            f"axis give 2^{params.n_system} modes, too many for the cost "
-            f"model to price") from None
+            f"axis give 2^{n_system} modes, too many for the cost model to "
+            f"price") from None
 
     prim_tts = [gauss_pw.primitive_3d_mps(g, grid, eps_p)
                 for g in fx.primitives]
-    overlap = orbital_builder.overlap_matrix(fx.primitives, prim_tts)
+    S = orbital_builder.overlap_matrix(fx.primitives, prim_tts)
 
     coeffs = []
     for i, o in enumerate(fx.orbitals):
-        sub = overlap.S[np.ix_(o.indices, o.indices)]
+        sub = S[np.ix_(o.indices, o.indices)]
         nrm_sq = float(np.real(np.conj(o.coeffs) @ (sub @ o.coeffs)))
         if nrm_sq <= 1e-14:
             raise InputError(
@@ -328,26 +312,16 @@ def grid_stage(cfg: dict, fx: Fixture) -> GridStage:
         prim_tts, [(o.indices, c) for o, c in zip(fx.orbitals, coeffs)],
         eps_s)
     return GridStage(grid=grid, fixture=fx, config=cfg, prim_tts=prim_tts,
-                     overlap=overlap, params=params, coeffs=coeffs, mos=mos)
+                     S=S, params=params, coeffs=coeffs, mos=mos)
 
 
 def cutoff_stage(stage: GridStage, svd_cutoff: float) -> PipelineResult:
-    """Truncate the stage's orbitals at svd_cutoff, then cost and report."""
+    """Truncate the stage's orbitals at svd_cutoff, then price them."""
     svd = float(svd_cutoff)
     mos = [orbital_builder.truncate_mo(mps, svd) for mps in stage.mos]
-    orbitals = stage.fixture.orbitals
     report = resource_model.estimate_resources(
         stage.params, [mps.tt.bond_dims for mps in mos],
-        [o.occupation for o in orbitals],
+        [o.occupation for o in stage.fixture.orbitals],
         eps1=max(orbital_builder.infidelity_estimate(mps) for mps in mos))
-    records = [OrbitalRecord(index=i, occupation=o.occupation, coeffs=c,
-                             indices=o.indices, mps=mps,
-                             prep_toffoli=cost, prep_error=err)
-               for i, (o, c, mps, cost, err) in enumerate(zip(
-                   orbitals, stage.coeffs, mos,
-                   report.prep_toffoli, report.prep_error))]
-    return PipelineResult(grid=stage.grid, fixture=stage.fixture,
-                          config=stage.config, svd_cutoff=svd,
-                          prim_tts=stage.prim_tts, overlap=stage.overlap,
-                          orbitals=records, params=stage.params,
+    return PipelineResult(**{**vars(stage), "mos": mos}, svd_cutoff=svd,
                           report=report)

@@ -339,11 +339,16 @@ def antisym_estimate(eta: int, N: int) -> int:
 
 @dataclass(frozen=True)
 class ResourceParams:
-    """Validated knobs for a resource estimate; N = 2^n_system modes."""
+    """Validated knobs for a resource estimate: a register of
+    N = 2^n_system modes, n_grid_modes of which the grid uses.
+
+    A register whose naive baseline overflows a float raises OverflowError.
+    """
 
     b: int
     eta: int
     n_system: int
+    n_grid_modes: int
 
     def __post_init__(self):
         _check_b_min5(self.b)
@@ -351,6 +356,10 @@ class ResourceParams:
             raise ValueError("eta must be at least 1")
         if self.n_system < 1:
             raise ValueError("n_system must be at least 1")
+        if not 1 <= self.n_grid_modes <= self.N:
+            raise ValueError("n_grid_modes must lie in 1..N")
+        # the report divides by this count and prints it as a float
+        float(toffoli_naive_slater(self.N, self.eta, self.b))
 
     @property
     def N(self) -> int:
@@ -367,7 +376,8 @@ class ResourceReport:
     error_bounds holds the Slater bound of each mode ("approx",
     "spectral") built from eps1 and eps2.  prep_toffoli and prep_error
     hold each orbital's train-preparation cost and error, one entry per
-    orbital however many electrons occupy it.
+    orbital however many electrons occupy it.  naive_at_grid_modes is the
+    naive baseline over the grid's own modes rather than the register's.
     """
 
     toffoli: dict = field(repr=False)
@@ -379,6 +389,7 @@ class ResourceReport:
     antisym: float
     prep_toffoli: tuple = field(repr=False)
     prep_error: tuple = field(repr=False)
+    naive_at_grid_modes: int = field(repr=False)
 
 
 def estimate_resources(params: ResourceParams, bonds, occupations,
@@ -392,7 +403,7 @@ def estimate_resources(params: ResourceParams, bonds, occupations,
     infidelity bound from orbital construction; eps2 is derived here from
     the preparation-error formula, and both Slater error bounds from the
     two with n_mo = len(bonds).  The naive baseline is evaluated at the
-    params' N = 2^n_system modes.
+    params' N = 2^n_system modes and at their n_grid_modes.
     """
     bonds = list(bonds)
     if len(occupations) != len(bonds) or sum(occupations) != params.eta:
@@ -426,4 +437,6 @@ def estimate_resources(params: ResourceParams, bonds, occupations,
         toffoli=toffoli, qubits=qubits, eps1=eps1, eps2=eps2,
         error_bounds=error_bounds, totals=totals,
         antisym=float(antisym_estimate(params.eta, params.N)),
-        prep_toffoli=prep_toffoli, prep_error=prep_error)
+        prep_toffoli=prep_toffoli, prep_error=prep_error,
+        naive_at_grid_modes=toffoli_naive_slater(params.n_grid_modes,
+                                                 params.eta, params.b))

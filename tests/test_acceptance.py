@@ -457,12 +457,13 @@ def test_criterion_10_orbital_bond_bound_with_looseness():
             fx = load_fixture(FIXTURE_DIR / f"{fx_name}.json")
             result = run_pipeline(cfg, fx)
             eps = float(cfg["compression"]["eps_primitive"])
-            for r in result.orbitals:
-                ell = max(sum(fx.primitives[j].ang) for j in r.indices)
+            for o, mps in zip(fx.orbitals, result.mos):
+                ell = max(sum(fx.primitives[j].ang) for j in o.indices)
                 bound = orbital_builder.mo_bond_bound(
-                    len(r.indices), eps, 1.0, ell)
-                assert r.max_bond <= bound
-                ratio = bound / r.max_bond
+                    len(o.indices), eps, 1.0, ell)
+                max_bond = tt_core.max_bond_dim(mps.tt)
+                assert max_bond <= bound
+                ratio = bound / max_bond
                 loosest = max(loosest, ratio)
                 tightest = min(tightest, ratio)
         print(f"bond bound looseness: {tightest:.0f}x to {loosest:.0f}x")

@@ -304,6 +304,27 @@ class TestValidation:
         out = self.run_expect_error(tmp_path, fx=fx)
         assert "$.orbitals[0].primitive_indices" in out
 
+    @pytest.mark.parametrize("b", [1001, 10 ** 400], ids=["1001", "1e400"])
+    def test_huge_b_rejected(self, tmp_path, b):
+        """A precision past the schema's maximum is blamed on b, not on a
+        grid the cost model could price at any sane b."""
+        out = self.run_expect_error(tmp_path,
+                                    cfg=base_config(resources={"b": b}))
+        assert "$.resources.b" in out
+        assert "$.grid" not in out
+
+    def test_largest_b_runs(self, tmp_path):
+        """At b = 1000 every error term 2^(c - b) is still a normal float."""
+        cfg_p = write_json(tmp_path / "cfg.json",
+                           base_config(resources={"b": 1000}))
+        fx_p = write_json(tmp_path / "fx.json", base_fixture())
+        result = CliRunner().invoke(main, [
+            "estimate", "--config", cfg_p, "--fixture", fx_p,
+            "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        doc = json.loads((tmp_path / "out" / "tiny_report.json").read_text())
+        assert doc["eps2"] > sys.float_info.min
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("doc,where", [
         ("config", ("grid", "L_bohr")),
@@ -337,6 +358,10 @@ class TestValidation:
                             "primitive_indices": [5]}]},
          "fixture invalid at $.orbitals[0].primitive_indices: "
          "index 5 outside 0..0"),
+        ({}, {"orbitals": [{"occupation": 1, "coeffs": [1.0, 1.0],
+                            "primitive_indices": [0, 0]}]},
+         "fixture invalid at $.orbitals[0].primitive_indices: "
+         "index 0 repeated"),
         ({"grid": {"L_bohr": 2100.0, "K_inv_bohr": 10.0}}, {},
          "the live window |i| <= 2997 needs 13 sites, over the dense "
          "assembly cap of 12"),
@@ -351,8 +376,8 @@ class TestValidation:
         ({"grid": {"L_bohr": math.nan, "K_inv_bohr": 10.0}}, {},
          "config {cfg} invalid at $.grid.L_bohr: nan is not a finite "
          "number"),
-    ], ids=["eta", "zero_norm", "index", "capacity", "overflow", "projection",
-            "nan"])
+    ], ids=["eta", "zero_norm", "index", "repeated_index", "capacity",
+            "overflow", "projection", "nan"])
     def test_library_error_is_clean_exit_1(self, tmp_path, cfg_over, fx_over,
                                            message):
         """Each library error ends `estimate` with exit code 1 and one
@@ -571,11 +596,11 @@ class TestSweepCommand:
             point_cfg = pipeline.validated({**cfg, "grid": point}, "config",
                                            "point")
             res = cli.run_pipeline(point_cfg, fx)
-            (r,) = res.orbitals
+            (cost,) = res.report.prep_toffoli
             assert float(row["L_bohr"]) == res.grid.L
             assert float(row["K_inv_bohr"]) == res.grid.K
             assert int(row["points_per_axis"]) == res.grid.points_per_axis
-            assert float(row["mps_prep_toffoli"]) == r.prep_toffoli
+            assert float(row["mps_prep_toffoli"]) == cost
         axes = [(axis, cfg["sweep"][axis]) for axis in sweep]
         list(cli._sweep_groups(cfg, fx, axes))
         assert cfg == cli.load_config(path)
@@ -656,14 +681,16 @@ class TestSweepCommand:
             assert res.grid.points_per_axis <= 64  # the oracle cap applies
             totals = res.report.totals
             (errors,) = oracle.sweep_errors([res])
-            for r, (err, kind) in zip(res.orbitals, errors):
+            for i, (o, mps, (err, kind)) in enumerate(zip(
+                    fx.orbitals, res.mos, errors)):
                 assert kind == "dense_window"
-                row = ("svd_cutoff", float(value), r.index, r.occupation,
+                row = ("svd_cutoff", float(value), i, o.occupation,
                        res.grid.L, res.grid.K, res.grid.points_per_axis,
-                       res.grid.qubits_per_axis, res.params.N, r.max_bond,
-                       r.mps.raw_norm_sq, r.mps.infidelity,
-                       orbital_builder.infidelity_estimate(r.mps), err,
-                       kind, r.prep_toffoli, totals["mps_method"],
+                       res.grid.qubits_per_axis, res.params.N,
+                       tt_core.max_bond_dim(mps.tt), mps.raw_norm_sq,
+                       mps.infidelity,
+                       orbital_builder.infidelity_estimate(mps), err,
+                       kind, res.report.prep_toffoli[i], totals["mps_method"],
                        totals["naive_method"],
                        totals["ratio_naive_over_mps"])
                 lines.append(",".join(cli._cell(v) for v in row))

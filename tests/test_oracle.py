@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ttprep import cli, gauss_pw, oracle, orbital_builder, tt_core
+from ttprep import cli, gauss_pw, oracle, tt_core
 from ttprep.cli import main
 from ttprep.tt_core import TensorTrain
 
@@ -72,23 +72,23 @@ def test_overlaps_match_dense_path(config):
             assert abs(oracle.product_overlap(ai, aj) - np.vdot(di, dj)) \
                 <= 1e-12, (i, j)
 
-    for r in result.orbitals:
-        t_dense = dense(r.mps.tt)
+    for o, coeffs, mps in zip(fx.orbitals, result.coeffs, result.mos):
+        t_dense = dense(mps.tt)
         # the exact orbital, as sweep's dense_window error sees it
-        prims = [fx.primitives[j] for j in r.indices]
-        terms = oracle.exact_orbital(fx.orbitals[r.index].coeffs, prims,
+        prims = [fx.primitives[j] for j in o.indices]
+        terms = oracle.exact_orbital(o.coeffs, prims,
                                      oracle._whole_line_gram(prims, grid),
                                      grid)
         exact = sum(c * _dense_exact_primitive(fx.primitives[j], grid)
-                    for (c, _), j in zip(terms, r.indices))
+                    for (c, _), j in zip(terms, o.indices))
         want = np.vdot(exact, t_dense)
-        assert abs(oracle.sum_overlap(terms, r.mps.tt) - want) <= 1e-12
+        assert abs(oracle.sum_overlap(terms, mps.tt) - want) <= 1e-12
         del exact
         # the sum of primitive trains, as tt_vs_dense_orbital sees it
-        target = sum(c * prim_dense[j] for c, j in zip(r.coeffs, r.indices))
+        target = sum(c * prim_dense[j] for c, j in zip(coeffs, o.indices))
         want = np.vdot(target, t_dense)
         got = oracle.sum_overlap(
-            zip(r.coeffs, [prim_axes[j] for j in r.indices]), r.mps.tt)
+            zip(coeffs, [prim_axes[j] for j in o.indices]), mps.tt)
         assert abs(got - want) <= 1e-12
 
 
@@ -158,8 +158,8 @@ def test_orbital_check_sees_a_sign_flip(tmp_path):
     statuses = {c["name"]: c["status"]
                 for c in oracle.run_checks(result, tmp_path)}
     assert statuses["tt_vs_dense_orbital[0]"] == "PASS"
-    r = result.orbitals[0]
-    r.mps = dataclasses.replace(r.mps, tt=tt_core.scale(r.mps.tt, -1.0))
+    mps = result.mos[0]
+    result.mos[0] = dataclasses.replace(mps, tt=tt_core.scale(mps.tt, -1.0))
     checks = {c["name"]: c for c in oracle.run_checks(result, tmp_path)}
     assert checks["orbital_norm[0]"]["status"] == "PASS"
     assert checks["tt_vs_dense_orbital[0]"]["status"] == "FAIL"
@@ -170,13 +170,12 @@ def test_norm_checks_trust_no_canonical_tag(tmp_path):
     """A false "left" tag fools tt_core.norm, which reads the last core
     alone; the referee's norm checks contract the raw cores and FAIL."""
     result = _pair_result(tmp_path)
-    r = result.orbitals[0]
-    cores = list(tt_core.left_canonicalize(r.mps.tt).cores)
+    cores = list(tt_core.left_canonicalize(result.mos[0].tt).cores)
     cores[0] = 2.0 * cores[0]
     false_left = TensorTrain(cores, canonical_form="left")
     assert tt_core.norm(false_left) == pytest.approx(1.0, abs=1e-12)
     assert oracle.self_norm(false_left) == pytest.approx(2.0, abs=1e-12)
-    r.mps = dataclasses.replace(r.mps, tt=false_left)
+    result.mos[0] = dataclasses.replace(result.mos[0], tt=false_left)
     first, *rest = result.prim_tts[0].cores
     result.prim_tts[0] = TensorTrain([2.0 * first, *rest],
                                      canonical_form="left")
@@ -205,7 +204,7 @@ def test_gram_check_sees_a_transpose(tmp_path):
     # Real Gaussians have Hermitian-symmetric coefficients on the symmetric
     # momentum window, so even an off-centre p-shell pair has a real Gram
     # matrix and S^T = S: no shipped or physical input can show a transpose.
-    S = result.overlap.S
+    S = result.S
     assert abs(S[0, 1]) > 1e-2
     assert abs(S[0, 1].imag) < 1e-12
 
@@ -216,11 +215,26 @@ def test_gram_check_sees_a_transpose(tmp_path):
     result.prim_tts[1] = TensorTrain(tilted)
     S = tt_core.gram(result.prim_tts)
     assert abs(S[0, 1].imag) > 1e-3
-    result.overlap = orbital_builder.OverlapMatrix(S=S)
+    result.S = S
     statuses = {c["name"]: c["status"]
                 for c in oracle.run_checks(result, tmp_path)}
     assert statuses["gram_vs_dense"] == "PASS"
-    result.overlap = orbital_builder.OverlapMatrix(S=S.T)
+    result.S = S.T
+    checks = {c["name"]: c for c in oracle.run_checks(result, tmp_path)}
+    assert checks["gram_vs_dense"]["status"] == "FAIL"
+
+
+def test_gram_check_sees_a_non_hermitian_entry(tmp_path):
+    """With no Gram wrapper to reject it, a non-Hermitian S is caught only
+    by gram_vs_dense: one off-diagonal entry off by 1e-3 must FAIL."""
+    result = _pair_result(tmp_path)
+    statuses = {c["name"]: c["status"]
+                for c in oracle.run_checks(result, tmp_path)}
+    assert statuses["gram_vs_dense"] == "PASS"
+    S = result.S.copy()
+    S[1, 0] += 1e-3
+    assert not np.allclose(S, S.conj().T, atol=1e-10)
+    result.S = S
     checks = {c["name"]: c for c in oracle.run_checks(result, tmp_path)}
     assert checks["gram_vs_dense"]["status"] == "FAIL"
 

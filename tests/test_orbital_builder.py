@@ -9,8 +9,7 @@ from ttprep import oracle, orbital_builder, tt_core
 from ttprep.gauss_pw import (PlaneWaveGrid, PrimitiveGaussian, choose_cutoff,
                              primitive_3d_mps)
 from ttprep.orbital_builder import (DegenerateOrbitalError, EmptyBasisError,
-                                    OrbitalMPS, OverlapMatrix,
-                                    build_orbitals, canonical_orthogonalize,
+                                    OrbitalMPS, build_orbitals, canonical_orthogonalize,
                                     infidelity_estimate, mo_bond_bound,
                                     overlap_matrix, truncate_mo)
 
@@ -44,18 +43,6 @@ def random_unit_diag_spd(rng, n):
     return (S + S.conj().T) / 2.0
 
 
-class TestOverlapMatrixType:
-    def test_rejects_bad_shapes_and_values(self):
-        with pytest.raises(ValueError):
-            OverlapMatrix(S=np.ones((2, 3)))
-        bad_herm = np.array([[1.0, 0.5], [0.1, 1.0]])
-        with pytest.raises(ValueError):
-            OverlapMatrix(S=bad_herm)
-        bad_diag = np.array([[2.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            OverlapMatrix(S=bad_diag)
-
-
 class TestCanonicalOrthogonalize:
     def test_two_by_two_worked_case(self):
         S = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -70,12 +57,6 @@ class TestCanonicalOrthogonalize:
         basis = canonical_orthogonalize(S, sigma=0.6)
         assert basis.kept == 1
         assert basis.eigenvalues[0] == pytest.approx(1.5, abs=1e-14)
-
-    def test_accepts_wrapper_type(self):
-        S = np.array([[1.0, 0.5], [0.5, 1.0]])
-        a = canonical_orthogonalize(OverlapMatrix(S=S), sigma=0.1)
-        b = canonical_orthogonalize(S, sigma=0.1)
-        assert np.allclose(a.x_tilde, b.x_tilde)
 
     def test_random_spd_whitening(self, rng):
         sigma = 1e-4
@@ -107,7 +88,7 @@ class TestOverlapMatrixBuild:
         gamma, d = 1.0, 2.0
         grid = small_grid(gamma=gamma)
         prims = [s_prim((0.0, 0.0, 0.0), gamma), s_prim((d, 0.0, 0.0), gamma)]
-        S = overlap_matrix(prims, projected(prims, grid)).S
+        S = overlap_matrix(prims, projected(prims, grid))
         assert abs(S[0, 1] - math.exp(-2.0)) < 1e-6
         assert S[1, 0] == np.conj(S[0, 1])
         assert S[0, 0] == 1.0 and S[1, 1] == 1.0

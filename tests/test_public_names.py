@@ -190,3 +190,25 @@ def test_every_public_name_is_reached_or_listed():
     stale = sorted(set(NOT_REACHED) - missing)
     assert stale == [], f"NOT_REACHED entries to drop: {stale}"
 
+
+
+# the names of resource_model that another module may reference: every
+# figure is priced inside estimate_resources
+COST_MODEL_API = {"ResourceParams", "ResourceReport", "estimate_resources"}
+
+
+def test_only_estimate_resources_prices():
+    """No module outside resource_model calls a cost counter of its own."""
+    modules = _modules()
+    stray = []
+    for module, tree in modules.items():
+        if module == "resource_model":
+            continue
+        aliases, names = _imports(tree, modules)
+        refs = [n for m, n in names.values() if m == "resource_model"]
+        refs += [sub.attr for sub in ast.walk(tree)
+                 if isinstance(sub, ast.Attribute)
+                 and isinstance(sub.value, ast.Name)
+                 and aliases.get(sub.value.id) == "resource_model"]
+        stray += [f"{module}: {n}" for n in refs if n not in COST_MODEL_API]
+    assert stray == [], f"priced outside estimate_resources: {stray}"

@@ -404,21 +404,26 @@ class TestGuards:
 
 class TestResourceParams:
     def test_valid(self):
-        params = ResourceParams(b=10, eta=2, n_system=12)
+        params = ResourceParams(b=10, eta=2, n_system=12, n_grid_modes=3375)
         assert params.N == 2 ** params.n_system == 4096
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            ResourceParams(b=4, eta=2, n_system=12)
+            ResourceParams(b=4, eta=2, n_system=12, n_grid_modes=3375)
         with pytest.raises(ValueError):
-            ResourceParams(b=10, eta=0, n_system=12)
+            ResourceParams(b=10, eta=0, n_system=12, n_grid_modes=3375)
         with pytest.raises(ValueError):
-            ResourceParams(b=10, eta=2, n_system=0)
+            ResourceParams(b=10, eta=2, n_system=0, n_grid_modes=1)
+        with pytest.raises(ValueError):
+            ResourceParams(b=10, eta=2, n_system=12, n_grid_modes=4097)
+        # the naive baseline over 2^1100 modes overflows a float
+        with pytest.raises(OverflowError):
+            ResourceParams(b=10, eta=2, n_system=1100, n_grid_modes=1)
 
 
 class TestEstimateResources:
     def test_hand_summed_totals(self):
-        params = ResourceParams(b=10, eta=2, n_system=12)
+        params = ResourceParams(b=10, eta=2, n_system=12, n_grid_modes=3375)
         assert params.N == 2 ** params.n_system
         bonds = [(2, 4, 2), (3, 3, 3)]
         rep = estimate_resources(params, bonds, [1, 1], eps1=1e-3)
@@ -441,11 +446,12 @@ class TestEstimateResources:
         assert rep.eps1 == 1e-3
         assert rep.eps2 == max(mps_prep_error(m, 10) for m in bonds)
         assert rep.antisym == antisym_estimate(2, 4096)
+        assert rep.naive_at_grid_modes == toffoli_naive_slater(3375, 2, 10)
 
     def test_error_bounds_use_orbital_count(self):
         """Three electrons in two orbitals: the spectral bound takes
         n_mo = 2 orbitals, not eta = 3."""
-        params = ResourceParams(b=10, eta=3, n_system=12)
+        params = ResourceParams(b=10, eta=3, n_system=12, n_grid_modes=3375)
         rep = estimate_resources(params, [(2, 4, 2), (3, 3, 3)], [2, 1],
                                  eps1=1e-3)
         assert set(rep.error_bounds) == {"approx", "spectral"}
@@ -456,7 +462,7 @@ class TestEstimateResources:
     def test_doubly_occupied_orbital_priced_once(self, monkeypatch):
         """An occupation-2 orbital is priced once and counted twice: the
         report equals the one for two singly occupied copies of it."""
-        params = ResourceParams(b=10, eta=3, n_system=12)
+        params = ResourceParams(b=10, eta=3, n_system=12, n_grid_modes=3375)
         a, b = (2, 4, 2), (3, 3, 3)
         pairs = estimate_resources(params, [a, a, b], [1, 1, 1], eps1=1e-3)
         calls = []
@@ -473,7 +479,7 @@ class TestEstimateResources:
             pairs.toffoli, pairs.totals, pairs.eps2)
 
     def test_profile_count_mismatch(self):
-        params = ResourceParams(b=10, eta=2, n_system=12)
+        params = ResourceParams(b=10, eta=2, n_system=12, n_grid_modes=3375)
         with pytest.raises(ValueError):
             estimate_resources(params, [(2,)], [1], eps1=1e-3)
         with pytest.raises(ValueError):

@@ -189,11 +189,10 @@ def cmd_project(config_path, fixture_path, out):
 
 def _emit_project(result: PipelineResult, out_dir: Path) -> None:
     name = result.fixture.name
-    rows = [(i, o.occupation, len(o.indices), result.params.n_system,
-             tt_core.max_bond_dim(mps.tt), mps.raw_norm_sq, mps.infidelity,
-             orbital_builder.infidelity_estimate(mps))
-            for i, (o, mps) in enumerate(zip(result.fixture.orbitals,
-                                             result.mos))]
+    orbitals = _orbital_summaries(result)
+    rows = [(s["index"], s["occupation"], s["n_primitives"],
+             result.params.n_system, s["max_bond"], s["raw_norm_sq"],
+             s["infidelity"], s["trace_distance_estimate"]) for s in orbitals]
     _write_csv(out_dir / f"{name}_orbitals.csv",
                ["orbital", "occupation", "n_primitives", "qubit_count",
                 "max_bond", "raw_norm_sq", "infidelity",
@@ -211,7 +210,7 @@ def _emit_project(result: PipelineResult, out_dir: Path) -> None:
         "fixture": name,
         "grid": _grid_summary(result),
         "svd_cutoff": result.svd_cutoff,
-        "orbitals": _orbital_summaries(result),
+        "orbitals": orbitals,
         "gram_max_offdiag": _gram_max_offdiag(result),
     })
 
@@ -307,16 +306,15 @@ def cmd_sweep(config_path, fixture_path, out):
     for axis, group in _sweep_groups(cfg, fx, axes):
         errors = oracle.sweep_errors([result for _, result in group])
         for (value, result), point_errors in zip(group, errors):
-            for i, (o, mps, cost, (err, err_kind)) in enumerate(zip(
-                    fx.orbitals, result.mos, result.report.prep_toffoli,
-                    point_errors)):
+            for s, (err, err_kind) in zip(_orbital_summaries(result),
+                                          point_errors):
                 rows.append((
-                    axis, float(value), i, o.occupation,
+                    axis, float(value), s["index"], s["occupation"],
                     result.grid.L, result.grid.K, result.grid.points_per_axis,
                     result.grid.qubits_per_axis, result.params.N,
-                    tt_core.max_bond_dim(mps.tt), mps.raw_norm_sq,
-                    mps.infidelity, orbital_builder.infidelity_estimate(mps),
-                    err, err_kind, cost,
+                    s["max_bond"], s["raw_norm_sq"], s["infidelity"],
+                    s["trace_distance_estimate"], err, err_kind,
+                    s["mps_prep_toffoli"],
                     result.report.totals["mps_method"],
                     result.report.totals["naive_method"],
                     result.report.totals["ratio_naive_over_mps"]))

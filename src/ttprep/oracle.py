@@ -1,9 +1,9 @@
 """Independent referee: trains checked against exact plane-wave overlaps.
 
 Exact states and primitive trains are sums of Kronecker products of axis
-vectors of 2^n entries, so no check builds a 2^(3n) vector: the dense
-checks contract trains against axis vectors over their raw cores.  Exact
-axis factors are unit in the referee's own lattice sums, one window each."""
+vectors of 2^n entries (exact ones unit in the referee's own lattice sums,
+one window each), so no check builds a 2^(3n) vector: each table is built
+once per call, and an orbital's G terms fold into its train at once."""
 
 from __future__ import annotations
 
@@ -51,17 +51,18 @@ def axis_vectors(tt: TensorTrain, n_axis: int) -> list[np.ndarray]:
     return vectors
 
 
-def kron_overlap(vectors, tt: TensorTrain) -> complex:
-    """<a (x) b (x) c, T> for a 3n-site train T, folding each axis vector
-    in one site at a time; the working array holds bond x 2^n entries."""
+def kron_overlap(stack, tt: TensorTrain) -> np.ndarray:
+    """<a_g (x) b_g (x) c_g, T> for each row g of a (G, 3, 2^n) stack and a
+    3n-site train T, folding all G axis vectors in one site at a time; the
+    working array holds G x bond x 2^n entries."""
     n_axis = len(tt.cores) // 3
-    env = np.ones(1, dtype=complex)
-    for block, vec in enumerate(vectors):
-        w = env[:, None] * np.conj(vec)[None, :]
+    env = np.ones((len(stack), 1), dtype=complex)
+    for block in range(3):
+        w = env[:, :, None] * np.conj(stack[:, block])[:, None, :]
         for c in tt.cores[block * n_axis:(block + 1) * n_axis]:
-            w = c.reshape(-1, c.shape[2]).T @ w.reshape(2 * len(c), -1)
-        env = w.reshape(-1)
-    return complex(env[0])
+            w = c.reshape(-1, c.shape[2]).T @ w.reshape(len(w), 2 * len(c), -1)
+        env = w.reshape(len(w), -1)
+    return env[:, 0]
 
 
 def self_norm(tt: TensorTrain) -> float:
@@ -77,15 +78,6 @@ def self_norm(tt: TensorTrain) -> float:
 def product_overlap(u, v) -> complex:
     """<u_x (x) u_y (x) u_z, v_x (x) v_y (x) v_z>, axis by axis."""
     return complex(np.prod([np.vdot(a, b) for a, b in zip(u, v)]))
-
-
-def sum_overlap(terms, tt: TensorTrain) -> complex:
-    """<sum_g c_g a_g (x) b_g (x) c_g, T> for terms (c_g, [a_g, b_g, c_g])."""
-    return sum(np.conj(c) * kron_overlap(axes, tt) for c, axes in terms)
-
-
-def _axis_gram(vs) -> np.ndarray:
-    return np.array([[product_overlap(u, v) for v in vs] for u in vs])
 
 
 def _distance(overlap: complex) -> float:
@@ -134,30 +126,27 @@ def _whole_line_gram(prims, grid: PlaneWaveGrid) -> np.ndarray:
     return gram
 
 
-def exact_orbital(coeffs, prims, gram, grid: PlaneWaveGrid) -> list[tuple]:
-    """Terms (c_g, exact_axes(g)) of sum_g c_g e_g, unit in the prims'
-    whole-line gram: the tail outside the window counts as distance."""
-    nrm_sq = float(np.real(np.conj(coeffs) @ gram @ coeffs))
-    if nrm_sq <= 0:
-        raise ValueError("dense oracle produced a zero orbital")
-    return [(c / math.sqrt(nrm_sq), exact_axes(g, grid))
-            for c, g in zip(coeffs, prims)]
-
-
 def sweep_errors(results: list[PipelineResult]) -> list[list[tuple]]:
     """(error, kind) per orbital per result on one grid: trace distance to
-    the exact orbital (dense_window) or the train's estimate (norm_drift)."""
+    the exact orbital, unit in the whole-line gram so that the tail outside
+    the window counts (dense_window), or the train's estimate (norm_drift)."""
     first = results[0]
     if skip_reason(first.config, first.grid) is not None:
         return [[(orbital_builder.infidelity_estimate(mps), "norm_drift")
                  for mps in result.mos] for result in results]
-    fx = first.fixture
-    gram = _whole_line_gram(fx.primitives, first.grid)
-    exact = [exact_orbital(o.coeffs, [fx.primitives[j] for j in o.indices],
-                           gram[np.ix_(o.indices, o.indices)], first.grid)
-             for o in fx.orbitals]
-    return [[(_distance(sum_overlap(terms, mps.tt)), "dense_window")
-             for terms, mps in zip(exact, result.mos)]
+    fx, grid = first.fixture, first.grid
+    gram = _whole_line_gram(fx.primitives, grid)
+    stack = np.array([exact_axes(g, grid) for g in fx.primitives])
+    coeffs = []
+    for o in fx.orbitals:
+        sub = gram[np.ix_(o.indices, o.indices)]
+        nrm_sq = float(np.real(np.conj(o.coeffs) @ sub @ o.coeffs))
+        if nrm_sq <= 0:
+            raise ValueError("dense oracle produced a zero orbital")
+        coeffs.append(o.coeffs / math.sqrt(nrm_sq))
+    return [[(_distance(sum(np.conj(c) * kron_overlap(
+                stack[list(o.indices)], mps.tt))), "dense_window")
+             for o, c, mps in zip(fx.orbitals, coeffs, result.mos)]
             for result in results]
 
 
@@ -175,7 +164,6 @@ def run_checks(result: PipelineResult, out_dir: Path) -> list[dict]:
     cfg, grid, fx = result.config, result.grid, result.fixture
     tol = float(cfg["oracle"]["tolerance"])
     eps_p = float(cfg["compression"]["eps_primitive"])
-    eps_s = float(cfg["compression"]["eps_sum"])
     reason = skip_reason(cfg, grid)
     checks = [] if reason is None else [_check("dense_oracle", "SKIP", reason)]
     vectors = []
@@ -186,6 +174,10 @@ def run_checks(result: PipelineResult, out_dir: Path) -> list[dict]:
             reason = f"primitive {gi} is not a product of axis trains: {e}"
             checks.append(_check("dense_oracle", "FAIL", reason))
             break
+    if reason is None:
+        vectors = np.array(vectors)
+        gram = np.array([[product_overlap(u, v) for v in vectors]
+                         for u in vectors])
 
     for gi, (g, tt) in enumerate(zip(fx.primitives, result.prim_tts)):
         drift = abs(self_norm(tt) - 1.0)
@@ -211,19 +203,20 @@ def run_checks(result: PipelineResult, out_dir: Path) -> list[dict]:
                                f"|norm-1| = {drift:.3e} (tol 1e-9)"))
         if reason is not None:
             continue
-        # |t - T|^2 = 2 - 2 Re <t, T> for unit t = sum_j c_j p_j and unit T
-        parts = [vectors[j] for j in o.indices]
-        nrm_sq = np.real(np.conj(c) @ _axis_gram(parts) @ c)
-        overlap = sum_overlap(zip(c, parts), mps.tt)
+        # unit t = sum_j c_j p_j: |t - T|^2 = 2 - 2 Re <t, T> <= 2 estimate^2
+        nrm_sq = np.real(np.conj(c) @ gram[np.ix_(o.indices, o.indices)] @ c)
+        overlap = sum(np.conj(c) * kron_overlap(vectors[list(o.indices)],
+                                                mps.tt))
         diff = math.sqrt(max(0.0, 2.0 - 2.0 * overlap.real
                              / math.sqrt(nrm_sq)))
-        tol_eff = max(tol, 20.0 * (len(o.indices) * eps_s + result.svd_cutoff))
+        tol_eff = max(tol, 20.0 * len(o.indices) * orbital_builder.EPS_SUM
+                      + 2 ** 0.5 * orbital_builder.infidelity_estimate(mps))
         checks.append(_bounded(
             f"tt_vs_dense_orbital[{i}]", diff, tol_eff,
             f"|dense_sum - tt| = {diff:.3e} (tol {tol_eff:.1e})"))
 
     if reason is None:
-        worst = float(np.abs(_axis_gram(vectors) - result.S).max())
+        worst = float(np.abs(gram - result.S).max())
         checks.append(_bounded("gram_vs_dense", worst, tol, f"max |dense - S| "
                                f"= {worst:.3e} (tol {tol:.1e})"))
 

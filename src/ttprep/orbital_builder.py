@@ -43,6 +43,9 @@ __all__ = [
 
 DEGENERATE_NORM_SQ = 1e-10
 
+# The relative cutoff of each rounding while primitive trains are summed.
+EPS_SUM = 1e-9
+
 # The widest direct sum summed exactly in one piece.  A wider list is halved
 # until every piece fits.  The cap is set by time: on random l <= 2
 # primitives over 7 qubits per axis, one piece was as fast as one halving

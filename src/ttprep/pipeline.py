@@ -172,7 +172,6 @@ def _read_json(path, label: str) -> dict:
 
 def load_config(path) -> dict:
     cfg = validated(_read_json(path, "config"), "config", f"config {path}")
-    cfg["compression"].setdefault("eps_sum", 1e-9)
     oracle_cfg = cfg.setdefault("oracle", {})
     oracle_cfg.setdefault("enabled", False)
     oracle_cfg.setdefault("max_points_per_axis", 32)
@@ -276,9 +275,7 @@ def grid_stage(cfg: dict, fx: Fixture) -> GridStage:
     """Primitive trains, their Gram matrix, the untruncated orbitals and
     the cost parameters: all that svd_cutoff leaves unchanged."""
     grid = grid_from_config(cfg)
-    comp = cfg["compression"]
-    eps_p = float(comp["eps_primitive"])
-    eps_s = float(comp["eps_sum"])
+    eps_p = float(cfg["compression"]["eps_primitive"])
     res_cfg = cfg["resources"]
     eta = sum(o.occupation for o in fx.orbitals)
     if "eta" in res_cfg and int(res_cfg["eta"]) != eta:
@@ -310,7 +307,7 @@ def grid_stage(cfg: dict, fx: Fixture) -> GridStage:
         coeffs.append(o.coeffs / math.sqrt(nrm_sq))
     mos = orbital_builder.build_orbitals(
         prim_tts, [(o.indices, c) for o, c in zip(fx.orbitals, coeffs)],
-        eps_s)
+        orbital_builder.EPS_SUM)
     return GridStage(grid=grid, fixture=fx, config=cfg, prim_tts=prim_tts,
                      S=S, params=params, coeffs=coeffs, mos=mos)
 

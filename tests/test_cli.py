@@ -106,7 +106,7 @@ def write_json(path, obj):
     return str(path)
 
 
-def basis24_inputs(tmp_path, rng, eps_sum):
+def basis24_inputs(tmp_path, rng):
     """Config and fixture of basis-scaling's basis24 shape: two orbitals
     over 24 random l <= 2 primitives on a 6-qubit grid."""
     n_prims = 24
@@ -118,7 +118,7 @@ def basis24_inputs(tmp_path, rng, eps_sum):
                  "coeffs": [float(c) for c in rng.uniform(0.3, 1.0, n_prims)]}
                 for _ in range(2)]
     cfg = cli.load_config(write_json(tmp_path / "cfg.json", base_config(
-        grid={"K_inv_bohr": 19.5}, compression={"eps_sum": eps_sum})))
+        grid={"K_inv_bohr": 19.5})))
     fx = cli.load_fixture(write_json(tmp_path / "fx.json", base_fixture(
         primitives=prims, orbitals=orbitals)))
     return cfg, fx
@@ -264,6 +264,14 @@ class TestValidation:
         cfg = base_config(sweep={"K_inv_bohr": []})
         out = self.run_expect_error(tmp_path, cfg=cfg)
         assert "$.sweep.K_inv_bohr" in out
+
+    def test_eps_sum_key_rejected(self, tmp_path):
+        """The summing cutoff is orbital_builder.EPS_SUM; no config key
+        sets it."""
+        cfg = base_config(compression={"eps_sum": 1e-9})
+        out = self.run_expect_error(tmp_path, cfg=cfg)
+        assert "$.compression" in out
+        assert "eps_sum" in out
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = base_config()
@@ -735,8 +743,7 @@ class TestSweepCommand:
                          "left_canonicalize": n}
         for o, c, mps in zip(fx.orbitals, stage.coeffs, stage.mos):
             (own,) = orbital_builder.build_orbitals(
-                stage.prim_tts, [(o.indices, c)],
-                cfg["compression"]["eps_sum"])
+                stage.prim_tts, [(o.indices, c)], orbital_builder.EPS_SUM)
             assert own.raw_norm_sq == mps.raw_norm_sq
             assert all(np.array_equal(a, b)
                        for a, b in zip(own.tt.cores, mps.tt.cores))
@@ -748,8 +755,8 @@ class TestSweepCommand:
         under a cap of 106.  Each half is one canonical_sum for both
         orbitals, and each orbital is its own round(add(half, half)) bit for
         bit."""
-        eps = 1e-9
-        cfg, fx = basis24_inputs(tmp_path, rng, eps)
+        eps = orbital_builder.EPS_SUM
+        cfg, fx = basis24_inputs(tmp_path, rng)
         widths = []
         original = tt_core.canonical_sum
 
@@ -783,8 +790,8 @@ class TestSweepCommand:
         """At the default MAX_SUM_WIDTH the same basis24-shaped list is one
         canonical_sum for both orbitals, and each orbital is its own
         rounded one-row sum bit for bit."""
-        eps = 1e-9
-        cfg, fx = basis24_inputs(tmp_path, rng, eps)
+        eps = orbital_builder.EPS_SUM
+        cfg, fx = basis24_inputs(tmp_path, rng)
         widths = []
         original = tt_core.canonical_sum
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ttprep import cli, gauss_pw, oracle, tt_core
+from ttprep import cli, gauss_pw, oracle, orbital_builder, tt_core
 from ttprep.cli import main
 from ttprep.tt_core import TensorTrain
 
@@ -76,19 +76,21 @@ def test_overlaps_match_dense_path(config):
         t_dense = dense(mps.tt)
         # the exact orbital, as sweep's dense_window error sees it
         prims = [fx.primitives[j] for j in o.indices]
-        terms = oracle.exact_orbital(o.coeffs, prims,
-                                     oracle._whole_line_gram(prims, grid),
-                                     grid)
-        exact = sum(c * _dense_exact_primitive(fx.primitives[j], grid)
-                    for (c, _), j in zip(terms, o.indices))
+        gram = oracle._whole_line_gram(prims, grid)
+        c = o.coeffs / math.sqrt(np.real(np.conj(o.coeffs) @ gram
+                                         @ o.coeffs))
+        exact = sum(cj * _dense_exact_primitive(g, grid)
+                    for cj, g in zip(c, prims))
         want = np.vdot(exact, t_dense)
-        assert abs(oracle.sum_overlap(terms, mps.tt) - want) <= 1e-12
+        stack = np.array([oracle.exact_axes(g, grid) for g in prims])
+        got = sum(np.conj(c) * oracle.kron_overlap(stack, mps.tt))
+        assert abs(got - want) <= 1e-12
         del exact
         # the sum of primitive trains, as tt_vs_dense_orbital sees it
         target = sum(c * prim_dense[j] for c, j in zip(coeffs, o.indices))
         want = np.vdot(target, t_dense)
-        got = oracle.sum_overlap(
-            zip(coeffs, [prim_axes[j] for j in o.indices]), mps.tt)
+        stack = np.array([prim_axes[j] for j in o.indices])
+        got = sum(np.conj(coeffs) * oracle.kron_overlap(stack, mps.tt))
         assert abs(got - want) <= 1e-12
 
 
@@ -99,18 +101,28 @@ def test_helpers_match_dense_on_random_trains(rng):
     for got, part in zip(oracle.axis_vectors(product, n), parts):
         assert np.allclose(got, dense(part), atol=1e-12)
 
-    vectors = [rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-               for _ in range(3)]
-    full = np.kron(np.kron(vectors[0], vectors[1]), vectors[2])
+    stack = (rng.standard_normal((4, 3, 2 ** n))
+             + 1j * rng.standard_normal((4, 3, 2 ** n)))
     for bond in (1, 4):
         t = random_tt(rng, 3 * n, max_bond=bond)
-        want = np.vdot(full, dense(t))
-        assert abs(oracle.kron_overlap(vectors, t) - want) <= 1e-12 * max(
-            abs(want), 1.0)
+        got = oracle.kron_overlap(stack, t)
+        assert got.shape == (len(stack),)
+        for term, value in zip(stack, got):
+            full = np.kron(np.kron(term[0], term[1]), term[2])
+            want = np.vdot(full, dense(t))
+            assert abs(value - want) <= 1e-12 * max(abs(want), 1.0)
 
 
 S_PAIR = [{"center": [0.5, 0.0, 0.0], "gamma": 0.5, "ang": [0, 0, 0]},
           {"center": [-0.5, 0.0, 0.0], "gamma": 0.5, "ang": [0, 0, 0]}]
+
+
+def _run(tmp_path, cfg, fx):
+    cfg_path, fx_path = tmp_path / "cfg.json", tmp_path / "fx.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    fx_path.write_text(json.dumps(fx), encoding="utf-8")
+    return cli.run_pipeline(cli.load_config(cfg_path),
+                            cli.load_fixture(fx_path))
 
 
 def _pair_result(tmp_path, primitives=S_PAIR):
@@ -122,16 +134,12 @@ def _pair_result(tmp_path, primitives=S_PAIR):
         "resources": {"b": 10},
         "oracle": {"enabled": True, "max_points_per_axis": 64},
     }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
     fx = {
         "name": "pair",
         "primitives": primitives,
         "orbitals": [{"occupation": 1, "coeffs": [1.0, 1.0]}],
     }
-    fx_path = tmp_path / "fx.json"
-    fx_path.write_text(json.dumps(fx), encoding="utf-8")
-    return cli.run_pipeline(cli.load_config(path), cli.load_fixture(fx_path))
+    return _run(tmp_path, cfg, fx)
 
 
 def test_non_product_primitive_fails_by_name(tmp_path):
@@ -279,15 +287,12 @@ def test_oracle_passes_above_the_dense_cap(tmp_path):
     assert elapsed < 30.0
 
 
-def test_referee_computes_each_axis_vector_once(tmp_path, monkeypatch):
-    """sweep_errors on three centres with two exponents each and three
-    orbitals over all six primitives evaluates one lattice window per
-    primitive, not one per orbital and primitive, and at most one
-    whole-line overlap per unordered pair (15), not one per orbital and
-    pair; every cached window is read-only."""
+def _chain_result(tmp_path, svd_cutoff=0.0):
+    """Three centres with two s exponents each, and three orbitals over all
+    six primitives, truncated at svd_cutoff."""
     cfg = {
         "grid": {"L_bohr": 10.0, "K_inv_bohr": 14.0},
-        "compression": {"svd_cutoff": 0.0, "eps_primitive": 1e-3},
+        "compression": {"svd_cutoff": svd_cutoff, "eps_primitive": 1e-3},
         "resources": {"b": 10},
         "oracle": {"enabled": True, "max_points_per_axis": 64},
     }
@@ -300,24 +305,95 @@ def test_referee_computes_each_axis_vector_once(tmp_path, monkeypatch):
                       "coeffs": [s * c for s in signs for c in (0.62, 0.45)]}
                      for signs in ((1, 1, 1), (1, 0, -1), (1, -2, 1))],
     }
-    cfg_path, fx_path = tmp_path / "cfg.json", tmp_path / "fx.json"
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    fx_path.write_text(json.dumps(fx), encoding="utf-8")
-    result = cli.run_pipeline(cli.load_config(cfg_path),
-                              cli.load_fixture(fx_path))
+    return _run(tmp_path, cfg, fx)
+
+
+def _counting(monkeypatch, name):
+    """Record the arguments of every call to oracle.<name>."""
+    calls, real = [], getattr(oracle, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+def test_referee_computes_each_axis_vector_once(tmp_path, monkeypatch):
+    """sweep_errors on the chain evaluates one lattice window per
+    primitive, not one per orbital and primitive, and at most one
+    whole-line overlap per unordered pair (15), not one per orbital and
+    pair; every cached window is read-only."""
+    result = _chain_result(tmp_path)
     oracle._lattice_axes.cache_clear()
-    overlaps, real = [], oracle.product_overlap
-
-    def counted(u, v):
-        overlaps.append((u, v))
-        return real(u, v)
-
-    monkeypatch.setattr(oracle, "product_overlap", counted)
+    overlaps = _counting(monkeypatch, "product_overlap")
     oracle.sweep_errors([result])
     assert oracle._lattice_axes.cache_info().misses == 6
     assert len(overlaps) <= 15
     for g in result.fixture.primitives:
         assert not oracle._lattice_axes(g, result.grid).flags.writeable
+
+
+def test_sweep_folds_each_orbital_into_its_train_once(tmp_path, monkeypatch):
+    """sweep_errors on the chain makes one kron_overlap call per orbital
+    and result, each over a stack of all six primitives' exact axes."""
+    result = _chain_result(tmp_path)
+    folds = _counting(monkeypatch, "kron_overlap")
+    oracle.sweep_errors([result])
+    assert len(folds) == 3
+    assert all(stack.shape[:2] == (6, 3) for stack, _ in folds)
+
+
+def test_run_checks_builds_one_train_gram(tmp_path, monkeypatch):
+    """On 24 random l <= 1 primitives and 4 orbitals over all of them,
+    run_checks forms the trains' Gram once (G^2 axis overlaps) plus at
+    most one overlap per primitive trace distance, and folds each orbital
+    into its train in one kron_overlap call."""
+    rng = np.random.default_rng(7)
+    n_prims, n_orbitals = 24, 4
+    cfg = {
+        "grid": {"L_bohr": 10.0, "K_inv_bohr": 12.0},
+        "compression": {"svd_cutoff": 0.0, "eps_primitive": 1e-3},
+        "resources": {"b": 10},
+        "oracle": {"enabled": True, "max_points_per_axis": 64},
+    }
+    fx = {
+        "name": "basis",
+        "primitives": [
+            {"center": [float(x) for x in rng.uniform(-1.5, 1.5, 3)],
+             "gamma": float(rng.uniform(0.6, 1.6)),
+             "ang": [int(a) for a in rng.integers(0, 2, 3)]}
+            for _ in range(n_prims)],
+        "orbitals": [{"occupation": 1, "coeffs": [
+            float(c) for c in rng.uniform(0.3, 1.0, n_prims)]}
+            for _ in range(n_orbitals)],
+    }
+    result = _run(tmp_path, cfg, fx)
+    overlaps = _counting(monkeypatch, "product_overlap")
+    folds = _counting(monkeypatch, "kron_overlap")
+    checks = oracle.run_checks(result, tmp_path)
+    assert {c["status"] for c in checks} <= {"PASS", "SKIP"}
+    assert sum(c["name"] == "gram_vs_dense" for c in checks) == 1
+    assert len(overlaps) <= n_prims ** 2 + n_prims
+    assert len(folds) == n_orbitals
+
+
+def test_orbital_check_sees_a_forged_norm(tmp_path):
+    """Truncated at 0.03, each orbital is about its trace-distance estimate
+    from the sum of primitive trains, and passes; an orbital whose
+    raw_norm_sq claims nothing was dropped must FAIL, whatever svd_cutoff
+    the result was run at."""
+    result = _chain_result(tmp_path, svd_cutoff=0.03)
+    checks = {c["name"]: c for c in oracle.run_checks(result, tmp_path)}
+    for i, mps in enumerate(result.mos):
+        assert orbital_builder.infidelity_estimate(mps) > 1e-2
+        assert checks[f"tt_vs_dense_orbital[{i}]"]["status"] == "PASS"
+    result.mos[0] = dataclasses.replace(result.mos[0], raw_norm_sq=1.0)
+    checks = {c["name"]: c for c in oracle.run_checks(result, tmp_path)}
+    assert checks["orbital_norm[0]"]["status"] == "PASS"
+    assert checks["tt_vs_dense_orbital[0]"]["status"] == "FAIL"
+    assert checks["tt_vs_dense_orbital[1]"]["status"] == "PASS"
 
 
 def test_referee_needs_no_library_normalization(tmp_path, monkeypatch):

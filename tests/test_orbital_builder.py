@@ -216,7 +216,7 @@ class TestMergeOrder:
         assert o.raw_norm_sq == pytest.approx(nrm_sq, rel=1e-8)
         # |t - T| for unit t = sum_g c_g p_g / |.| and unit T, as the
         # oracle's tt_vs_dense_orbital check computes it, at its tolerance
-        overlap = oracle.sum_overlap(zip(c, axes), o.tt)
+        overlap = sum(np.conj(c) * oracle.kron_overlap(np.array(axes), o.tt))
         diff = math.sqrt(max(0.0, 2.0 - 2.0 * overlap.real
                              / math.sqrt(nrm_sq)))
         assert diff <= max(1e-6, 20.0 * n_prims * eps_sum)

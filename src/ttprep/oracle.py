@@ -176,8 +176,10 @@ def run_checks(result: PipelineResult, out_dir: Path) -> list[dict]:
             break
     if reason is None:
         vectors = np.array(vectors)
-        gram = np.array([[product_overlap(u, v) for v in vectors]
-                         for u in vectors])
+        gram = np.diag([product_overlap(v, v) for v in vectors])
+        for i, j in itertools.combinations(range(len(vectors)), 2):
+            gram[i, j] = product_overlap(vectors[i], vectors[j])
+            gram[j, i] = np.conj(gram[i, j])
 
     for gi, (g, tt) in enumerate(zip(fx.primitives, result.prim_tts)):
         drift = abs(self_norm(tt) - 1.0)

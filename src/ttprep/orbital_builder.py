@@ -1,18 +1,18 @@
 """Molecular orbitals as compressed trains over the plane-wave basis.
 
-An orbital is a weighted sum of unit primitive trains, rounded and
-renormalized (build_orbitals).  overlap_matrix is the primitives' Gram
-matrix S; canonical_orthogonalize (drop eigenvalues of S below sigma,
-whiten the rest) is the paper's whitening guarantee, which the tests
-check.  Each primitive list is summed by one rule: a single train is
-only scaled; a list at most MAX_SUM_WIDTH wide is summed exactly by one
-tt_core.canonical_sum, whose QR sweep is shared by all the orbitals over
-that list, and rounded once per orbital; a wider list is split in two
-halves, each summed by this same rule for all the orbitals at once, and
-each orbital's halves are added and rounded.
-The squared norm of the summed train, recorded before the final
-renormalization, drives all error reporting: truncations only remove
-weight, so 1 - raw_norm_sq tracks the discarded probability and
+An orbital is a weighted sum of unit primitive trains, renormalized
+(build_orbitals) and later rounded once (truncate_mo).  overlap_matrix is
+the primitives' Gram matrix S; canonical_orthogonalize (drop eigenvalues
+of S below sigma, whiten the rest) is the paper's whitening guarantee,
+which the tests check.  Each primitive list is summed by one rule: a
+single train is only scaled; a list at most MAX_SUM_WIDTH wide is summed
+exactly by one tt_core.canonical_sum, whose QR sweep is shared by all the
+orbitals over that list; a wider list is split in two halves, each summed
+by this same rule for all the orbitals at once, and each orbital's
+halves are rounded and added.
+The squared norm of the summed train, recorded before renormalization,
+drives all error reporting: truncations only remove weight, so
+1 - raw_norm_sq tracks the discarded probability and
 sqrt(max(0, 1 - raw_norm_sq)) estimates the trace distance to the
 uncompressed state.
 """
@@ -43,16 +43,16 @@ __all__ = [
 
 DEGENERATE_NORM_SQ = 1e-10
 
-# The relative cutoff of each rounding while primitive trains are summed.
+# Floor of a summed orbital's one rounding; the cutoff of a wide list's halves.
 EPS_SUM = 1e-9
 
 # The widest direct sum summed exactly in one piece.  A wider list is halved
 # until every piece fits.  The cap is set by time: on random l <= 2
 # primitives over 7 qubits per axis, one piece was as fast as one halving
 # up to a width of about 250-300 for one orbital and 400-500 for two or
-# four, because each orbital's halves must be added and rounded again.  The
-# price is memory: the QR sweep holds O(width^2) entries per site, and the
-# exact sum's cores are held until every orbital over the list is rounded.
+# four, because each orbital's halves must be rounded and added.  The price
+# is memory: the QR sweep holds O(width^2) entries per site, and each
+# orbital's exact sum is held until it is rounded.
 MAX_SUM_WIDTH = 256
 
 
@@ -133,38 +133,36 @@ def canonical_orthogonalize(S, sigma: float) -> OrthoBasis:
 
 
 def _sums(tts, rows, eps_sum: float) -> list[TensorTrain]:
-    """sum_g row[g] * tts[g], rounded at eps_sum, for each coefficient row,
-    by the width rule of build_orbitals.  Every exact sum is one
-    canonical_sum for all the rows, so its QR sweep is shared; the price is
-    that the rounded sums of all the rows (and, on a wide list, of both
-    halves) are held at once."""
+    """sum_g row[g] * tts[g] for each coefficient row, by the width rule of
+    build_orbitals.  A narrow list's sums are exact: one canonical_sum for
+    all the rows, so its QR sweep is shared.  A wide list's sums add its
+    halves' sums, each rounded at eps_sum.  The sums of all the rows (and,
+    on a wide list, the rounded sums of both halves) are held at once."""
     if len(tts) == 1:
         return [tt_core.scale(tts[0], complex(row[0])) for row in rows]
     if max(map(sum, zip(*(t.bond_dims for t in tts)))) <= MAX_SUM_WIDTH:
-        return [tt_core.round(exact, eps_sum)
-                for exact in tt_core.canonical_sum(tts, rows)]
+        return tt_core.canonical_sum(tts, rows)
     h = len(tts) // 2
     rows = np.asarray(rows)
-    return [tt_core.round(tt_core.add(a, b), eps_sum) for a, b in zip(
-        _sums(tts[:h], rows[:, :h], eps_sum),
-        _sums(tts[h:], rows[:, h:], eps_sum))]
+    return [tt_core.add(tt_core.round(a, eps_sum), tt_core.round(b, eps_sum))
+            for a, b in zip(_sums(tts[:h], rows[:, :h], eps_sum),
+                            _sums(tts[h:], rows[:, h:], eps_sum))]
 
 
 def build_orbitals(tts, orbitals, eps_sum: float) -> list[OrbitalMPS]:
     """One OrbitalMPS per (primitive indices, coefficients) pair of orbitals,
-    summing coeffs[k] * tts[indices[k]] and rounding at eps_sum.
+    summing coeffs[k] * tts[indices[k]].
 
     The orbitals are grouped by primitive list, and each list is summed by
     one rule.  A single train is only scaled.  A list whose direct sum (the
     largest, over sites, of the trains' summed bonds) is at most
     MAX_SUM_WIDTH wide is one tt_core.canonical_sum for all the list's
     orbitals: one QR sweep shared by them, no bond wider than the sites to
-    its right, and a "left" result that round truncates once per orbital
-    without a QR sweep of its own.  A wider list is split at G // 2, each
-    half is summed by this same rule for all the orbitals at once (so split
-    again while it is too wide), and each orbital's two halves are added
-    and rounded.  The rounded sums of all a list's orbitals are held at
-    once; each is then finished by build_mo_mps.
+    its right, and an exact "left" sum per orbital, which truncate_mo rounds
+    with no QR sweep.  A wider list is split at G // 2, each half is summed
+    by this same rule for all the orbitals at once (so split again while it
+    is too wide), and each orbital's two halves are rounded at eps_sum and
+    added.  Each sum is then finished by build_mo_mps.
     """
     if eps_sum < 0:
         raise ValueError("eps_sum must be nonnegative")
@@ -182,11 +180,11 @@ def build_orbitals(tts, orbitals, eps_sum: float) -> list[OrbitalMPS]:
 def build_mo_mps(summed: TensorTrain) -> OrbitalMPS:
     """The unit orbital of one summed train, with its squared norm.
 
-    The train is left-canonicalized once, its squared norm read off its
-    last core, and the last core renormalized, so the unit train is "left"
-    and a later truncate_mo needs no orthogonalization sweep.  The
-    pre-normalization squared norm is kept on the result; a (numerically)
-    vanishing norm is an error rather than a silent zero state.
+    The train is left-canonicalized (free on a canonical_sum), its squared
+    norm read off its last core, and the last core renormalized, so the
+    unit train is "left" and a later truncate_mo needs no orthogonalization
+    sweep.  The pre-normalization squared norm is kept on the result; a
+    (numerically) vanishing norm is an error rather than a silent zero state.
     """
     acc = tt_core.left_canonicalize(summed)
     raw = float(tt_core.norm(acc)) ** 2
@@ -198,7 +196,7 @@ def build_mo_mps(summed: TensorTrain) -> OrbitalMPS:
 
 
 def truncate_mo(o: OrbitalMPS, eps: float) -> OrbitalMPS:
-    """Round an orbital train at a larger cutoff, scaling its norm record.
+    """Round an orbital train once at cutoff eps, scaling its norm record.
 
     The retained squared norm multiplies raw_norm_sq, so infidelity grows
     monotonically with eps; eps = 0 returns the input unchanged.  On the

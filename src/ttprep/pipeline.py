@@ -246,7 +246,7 @@ class GridStage:
     """The part of a pipeline run fixed by the grid: everything but svd_cutoff.
 
     S is the primitives' Gram matrix, coeffs[i] are fixture orbital i's
-    coefficients normalized in that metric, and mos[i] its untruncated train.
+    coefficients normalized in that metric, and mos[i] its unrounded sum.
     """
 
     grid: PlaneWaveGrid
@@ -272,8 +272,8 @@ def run_pipeline(cfg: dict, fx: Fixture) -> PipelineResult:
 
 
 def grid_stage(cfg: dict, fx: Fixture) -> GridStage:
-    """Primitive trains, their Gram matrix, the untruncated orbitals and
-    the cost parameters: all that svd_cutoff leaves unchanged."""
+    """Primitive trains, their Gram matrix, the unrounded orbitals and the
+    cost parameters: all that svd_cutoff leaves unchanged."""
     grid = grid_from_config(cfg)
     eps_p = float(cfg["compression"]["eps_primitive"])
     res_cfg = cfg["resources"]
@@ -313,9 +313,12 @@ def grid_stage(cfg: dict, fx: Fixture) -> GridStage:
 
 
 def cutoff_stage(stage: GridStage, svd_cutoff: float) -> PipelineResult:
-    """Truncate the stage's orbitals at svd_cutoff, then price them."""
+    """Round each orbital once, at max(svd_cutoff, EPS_SUM) if it sums two or
+    more primitives and at svd_cutoff (not at 0) if not, then price them."""
     svd = float(svd_cutoff)
-    mos = [orbital_builder.truncate_mo(mps, svd) for mps in stage.mos]
+    mos = [orbital_builder.truncate_mo(mps, svd if len(o.indices) == 1
+                                       else max(svd, orbital_builder.EPS_SUM))
+           for o, mps in zip(stage.fixture.orbitals, stage.mos)]
     report = resource_model.estimate_resources(
         stage.params, [mps.tt.bond_dims for mps in mos],
         [o.occupation for o in stage.fixture.orbitals],

@@ -62,8 +62,8 @@ class TensorTrain:
         promises every core but the first is a right isometry (set by
         :func:`round`).  :func:`scale` keeps the form; every other
         operation returns "none".  The form is trusted, not checked:
-        :func:`norm` reads the norm-carrying core alone and :func:`round`
-        skips its orthogonalization sweep on a "left" train.
+        :func:`norm` reads the norm-carrying core alone, and
+        :func:`left_canonicalize` returns a "left" train with no sweep.
     truncation_error : float
         Frobenius-norm bound on the error introduced by the operation that
         produced this value (0 for exact constructions).  It is a property
@@ -367,12 +367,14 @@ def norm(a: TensorTrain) -> float:
 
 
 def left_canonicalize(a: TensorTrain) -> TensorTrain:
-    """Left-to-right QR sweep.
+    """Left-to-right QR sweep; a "left" train is trusted and returned as is.
 
     Every core except the last becomes a left isometry; the last core
     carries the norm.  The encoded vector is unchanged.  Bond dimensions
     can only shrink (QR exposes rank deficiencies, it never pads).
     """
+    if a.canonical_form == "left":
+        return a
     cores = list(a.cores)
     for j in range(len(cores) - 1):
         l, _, r = cores[j].shape

@@ -725,8 +725,8 @@ class TestSweepCommand:
 
     def test_orbitals_over_one_list_share_one_sum(self, monkeypatch):
         """synthetic_diatomic's two orbitals use one primitive list: one
-        canonical_sum for both, then one round and one left_canonicalize
-        per orbital, and each orbital equals its own build bit for bit."""
+        canonical_sum for both, then one left_canonicalize per orbital and
+        no round, and each orbital equals its own build bit for bit."""
         name = "synthetic_diatomic"
         cfg = cli.load_config(config_path(name))
         fx = cli.load_fixture(fixture_path(name))
@@ -739,7 +739,7 @@ class TestSweepCommand:
             monkeypatch.setattr(tt_core, fn, counting)
         stage = pipeline.grid_stage(cfg, fx)
         n = len(fx.orbitals)
-        assert calls == {"canonical_sum": 1, "round": n,
+        assert calls == {"canonical_sum": 1, "round": 0,
                          "left_canonicalize": n}
         for o, c, mps in zip(fx.orbitals, stage.coeffs, stage.mos):
             (own,) = orbital_builder.build_orbitals(
@@ -753,8 +753,8 @@ class TestSweepCommand:
         """Two orbitals over 24 random l <= 2 primitives on a 6-qubit grid
         (basis-scaling's basis24 shape) are too wide for one exact sum
         under a cap of 106.  Each half is one canonical_sum for both
-        orbitals, and each orbital is its own round(add(half, half)) bit for
-        bit."""
+        orbitals, and each orbital is its own add of its rounded halves,
+        unrounded, bit for bit."""
         eps = orbital_builder.EPS_SUM
         cfg, fx = basis24_inputs(tmp_path, rng)
         widths = []
@@ -776,8 +776,7 @@ class TestSweepCommand:
         for c, mps in zip(stage.coeffs, stage.mos):
             halves = [tt_core.round(tt_core.canonical_sum(tts[s], c[s]), eps)
                       for s in (slice(0, 12), slice(12, None))]
-            acc = tt_core.left_canonicalize(
-                tt_core.round(tt_core.add(*halves), eps))
+            acc = tt_core.left_canonicalize(tt_core.add(*halves))
             raw = float(np.linalg.norm(acc.cores[-1])) ** 2
             assert mps.raw_norm_sq == raw
             want = tt_core.scale(acc, 1.0 / math.sqrt(raw))
@@ -788,9 +787,8 @@ class TestSweepCommand:
     def test_basis24_list_is_one_sum_at_the_default_cap(self, tmp_path, rng,
                                                        monkeypatch):
         """At the default MAX_SUM_WIDTH the same basis24-shaped list is one
-        canonical_sum for both orbitals, and each orbital is its own
-        rounded one-row sum bit for bit."""
-        eps = orbital_builder.EPS_SUM
+        canonical_sum for both orbitals, and each orbital is its own exact
+        one-row sum bit for bit."""
         cfg, fx = basis24_inputs(tmp_path, rng)
         widths = []
         original = tt_core.canonical_sum
@@ -806,19 +804,90 @@ class TestSweepCommand:
         assert widths[0] > 106
         assert widths[0] <= orbital_builder.MAX_SUM_WIDTH
         for c, mps in zip(stage.coeffs, stage.mos):
-            acc = tt_core.left_canonicalize(tt_core.round(
-                tt_core.canonical_sum(stage.prim_tts, c), eps))
+            acc = tt_core.canonical_sum(stage.prim_tts, c)
+            assert acc.canonical_form == "left"
             raw = float(np.linalg.norm(acc.cores[-1])) ** 2
             assert mps.raw_norm_sq == raw
             want = tt_core.scale(acc, 1.0 / math.sqrt(raw))
             assert all(np.array_equal(a, b)
                        for a, b in zip(mps.tt.cores, want.cores))
 
+    def test_narrow_list_is_rounded_only_by_the_cutoff_stage(
+            self, tmp_path, monkeypatch):
+        """On a narrow list the grid stage keeps each orbital's exact sum:
+        no round, and every left_canonicalize gets a "left" train and
+        returns it with no QR sweep.  An estimate then rounds each summed
+        orbital exactly once."""
+        name = "synthetic_diatomic"
+        cfg = cli.load_config(config_path(name))
+        fx = cli.load_fixture(fixture_path(name))
+        assert all(len(o.indices) > 1 for o in fx.orbitals)
+        rounds, canon = [], []
+        original_round = tt_core.round
+        original_canon = tt_core.left_canonicalize
+
+        def counting_round(a, svd_cutoff):
+            rounds.append(svd_cutoff)
+            return original_round(a, svd_cutoff)
+
+        def recording(a):
+            out = original_canon(a)
+            canon.append((a.canonical_form, out is a))
+            return out
+
+        monkeypatch.setattr(tt_core, "round", counting_round)
+        monkeypatch.setattr(tt_core, "left_canonicalize", recording)
+        pipeline.grid_stage(cfg, fx)
+        assert rounds == []
+        assert canon == [("left", True)] * len(fx.orbitals)
+        cfg["compression"]["svd_cutoff"] = 1e-4
+        path = write_json(tmp_path / "cfg.json", cfg)
+        rounds.clear()
+        run_cli(["estimate", "--config", path,
+                 "--fixture", fixture_path(name), "--out", str(tmp_path)])
+        assert rounds == [1e-4] * len(fx.orbitals)
+
+    @pytest.mark.parametrize("name", ["synthetic_diatomic", "h_sto3g",
+                                      "h_like_1s"])
+    def test_each_orbital_is_one_rounding_of_its_exact_sum(self, name):
+        """Every truncated orbital, at the config's own svd_cutoff and at
+        every sweep point, is round(unit one-row exact sum, c) bit for bit,
+        with c = max(svd_cutoff, EPS_SUM) for an orbital over two or more
+        primitives and c = svd_cutoff for one over a single primitive."""
+        cfg = cli.load_config(config_path(name))
+        fx = cli.load_fixture(fixture_path(name))
+        cutoffs = [0.0, 3e-10, 1e-4, 0.03]
+        results = [cli.run_pipeline(cfg, fx)] + [res for _, group in (
+            cli._sweep_groups(cfg, fx, [("svd_cutoff", cutoffs)]))
+            for _, res in group]
+        assert [r.svd_cutoff for r in results] == [
+            cfg["compression"]["svd_cutoff"]] + cutoffs
+        for res in results:
+            for o, c, mps in zip(fx.orbitals, res.coeffs, res.mos):
+                tts = [res.prim_tts[j] for j in o.indices]
+                if len(tts) == 1:
+                    exact, cut = tt_core.scale(tts[0], c[0]), res.svd_cutoff
+                else:
+                    exact = tt_core.canonical_sum(tts, c)
+                    cut = max(res.svd_cutoff, orbital_builder.EPS_SUM)
+                unit = orbital_builder.build_mo_mps(exact)
+                if cut == 0.0:
+                    want, raw = unit.tt, unit.raw_norm_sq
+                else:
+                    rounded = tt_core.round(unit.tt, cut)
+                    rho = tt_core.norm(rounded)
+                    want = tt_core.scale(rounded, 1.0 / rho)
+                    raw = unit.raw_norm_sq * rho ** 2
+                assert mps.raw_norm_sq == raw
+                assert len(mps.tt.cores) == len(want.cores)
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(mps.tt.cores, want.cores))
+
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_svd_points_add_no_qr_sweep(self, tmp_path, monkeypatch, k):
-        """Each orbital is left-canonicalized once (its rounded exact sum),
-        however many nonzero svd_cutoff points truncate it, and as often as
-        an estimate does."""
+        """Each orbital is left-canonicalized once (its exact sum), however
+        many nonzero svd_cutoff points truncate it, and as often as an
+        estimate does."""
         calls = []
         original = tt_core.left_canonicalize
 

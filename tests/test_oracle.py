@@ -347,9 +347,10 @@ def test_sweep_folds_each_orbital_into_its_train_once(tmp_path, monkeypatch):
 
 def test_run_checks_builds_one_train_gram(tmp_path, monkeypatch):
     """On 24 random l <= 1 primitives and 4 orbitals over all of them,
-    run_checks forms the trains' Gram once (G^2 axis overlaps) plus at
-    most one overlap per primitive trace distance, and folds each orbital
-    into its train in one kron_overlap call."""
+    run_checks forms the trains' Gram once, from its upper triangle and
+    diagonal (G(G+1)/2 axis overlaps), plus at most one overlap per
+    primitive trace distance, and folds each orbital into its train in one
+    kron_overlap call."""
     rng = np.random.default_rng(7)
     n_prims, n_orbitals = 24, 4
     cfg = {
@@ -375,7 +376,7 @@ def test_run_checks_builds_one_train_gram(tmp_path, monkeypatch):
     checks = oracle.run_checks(result, tmp_path)
     assert {c["status"] for c in checks} <= {"PASS", "SKIP"}
     assert sum(c["name"] == "gram_vs_dense" for c in checks) == 1
-    assert len(overlaps) <= n_prims ** 2 + n_prims
+    assert len(overlaps) <= n_prims * (n_prims + 1) // 2 + n_prims
     assert len(folds) == n_orbitals
 
 

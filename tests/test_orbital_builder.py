@@ -223,11 +223,11 @@ class TestMergeOrder:
 
     @pytest.mark.parametrize("n_prims", [1, 2, 3, 4, 5, 8, 9])
     def test_rounds_once_per_merge(self, rng, monkeypatch, n_prims):
-        """A list at most MAX_SUM_WIDTH wide is summed by one exact
-        canonical_sum and rounded once, with no add.  One column wider, each
-        half of two or more primitives is summed exactly and the halves are
-        added, each rounded once: min(G - 1, 3) roundings and at most one
-        add."""
+        """A list at most MAX_SUM_WIDTH wide is one exact canonical_sum,
+        with no round and no add; its one rounding is truncate_mo's, on the
+        "left" unit orbital.  One column wider, each half of a list of two
+        or more primitives is rounded once and the halves are added once,
+        unrounded, before that one truncation."""
         leaves = [random_tt(rng, 6, max_bond=3) for _ in range(n_prims)]
         c = random_coeffs(rng, n_prims)
         width = max(sum(t.cores[j].shape[2] for t in leaves)
@@ -245,25 +245,26 @@ class TestMergeOrder:
 
         monkeypatch.setattr(tt_core, "round", counting_round)
         monkeypatch.setattr(tt_core, "add", counting_add)
-        for cap, rounds, adds in ((width, min(n_prims - 1, 1), 0),
-                                  (width - 1, min(n_prims - 1, 3),
-                                   min(n_prims - 1, 1))):
+        for cap, adds in ((width, 0), (width - 1, min(n_prims - 1, 1))):
             monkeypatch.setattr(orbital_builder, "MAX_SUM_WIDTH", cap)
             calls = {"round": [], "add": 0}
             o = orbital(leaves, c, eps_sum=1e-12)
-            assert len(calls["round"]) == rounds, cap
+            assert len(calls["round"]) == 2 * adds, cap
             assert calls["add"] == adds, cap
-            # every rounding but the halves' merge gets a "left" exact sum
-            assert (calls["round"][:rounds - adds]
-                    == ["left"] * (rounds - adds)), cap
+            assert o.tt.canonical_form == "left"
+            t = truncate_mo(o, 1e-12)
+            assert len(calls["round"]) == 2 * adds + 1, cap
+            assert calls["round"][-1] == "left", cap
             assert o.raw_norm_sq == pytest.approx(
                 float(np.vdot(want, want).real), rel=1e-10)
-            got = dense(o.tt) * math.sqrt(o.raw_norm_sq)
-            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            for mo in (o, t):
+                got = dense(mo.tt) * math.sqrt(mo.raw_norm_sq)
+                assert (np.linalg.norm(got - want)
+                        <= 1e-10 * np.linalg.norm(want)), cap
 
     def test_wide_list_keeps_the_halves_bit_for_bit(self, rng, monkeypatch):
         """40 bond-3 trains are 120 wide, over a cap of 106: each half of 20
-        is one exact sum, rounded, and the halves are added and rounded."""
+        is one exact sum, rounded, and the halves are added, unrounded."""
         n_prims, eps = 40, 1e-9
         bonds = [1, 3, 3, 3, 3, 3, 1]
         leaves = [tt_core.TensorTrain(
@@ -276,8 +277,7 @@ class TestMergeOrder:
         o = orbital(leaves, c, eps_sum=eps)
         halves = [tt_core.round(tt_core.canonical_sum(leaves[s], c[s]), eps)
                   for s in (slice(0, 20), slice(20, None))]
-        acc = tt_core.left_canonicalize(
-            tt_core.round(tt_core.add(*halves), eps))
+        acc = tt_core.left_canonicalize(tt_core.add(*halves))
         raw = float(np.linalg.norm(acc.cores[-1])) ** 2
         assert o.raw_norm_sq == raw
         want = tt_core.scale(acc, 1.0 / math.sqrt(raw))

@@ -3,10 +3,13 @@ it measures.
 
 A traced benchmark run wraps named functions of the program from outside
 and reports one metric per layer.  A change that renames or stops calling
-one of them drops its metrics from the report.  This test runs `estimate`,
-`sweep` and `oracle` on a shipped fixture in-process under the tracer and
-checks that every per-layer metric is measured and finite, and that the
-trace record is strict JSON (no NaN or Infinity).
+one of them drops its metrics from the report.  This test traces each job
+mix of the benchmark on a shipped fixture in-process: `estimate` alone at
+svd_cutoff 1e-4 (as basis-scaling and qubit-ladder run it), and `sweep`
+plus `oracle` (as svd-sweep runs them).  Each mix is traced on its own, so
+a metric that only one command produces cannot hide a gap in the other.
+Each must measure every per-layer metric, every one finite, and give a
+strict JSON trace record (no NaN or Infinity).
 """
 
 import importlib.util
@@ -16,6 +19,7 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from ttprep import gauss_pw
@@ -38,8 +42,18 @@ def load_tracer():
     return module
 
 
-def test_every_per_layer_metric_is_measured(tmp_path):
+@pytest.mark.parametrize("commands,svd_cutoff", [
+    (("estimate",), 1e-4),
+    (("sweep", "oracle"), None),
+])
+def test_every_per_layer_metric_is_measured(tmp_path, commands, svd_cutoff):
     tracer = load_tracer()
+    config = CONFIG
+    if svd_cutoff is not None:
+        cfg = json.loads(CONFIG.read_text(encoding="utf-8"))
+        cfg["compression"]["svd_cutoff"] = svd_cutoff
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
     # cold caches, as in a fresh benchmark process
     gauss_pw.primitive_1d_mps.cache_clear()
     gauss_pw.axis_profile.cache_clear()
@@ -47,9 +61,9 @@ def test_every_per_layer_metric_is_measured(tmp_path):
     t.install()
     try:
         start = time.perf_counter()
-        for command in ("estimate", "sweep", "oracle"):
+        for command in commands:
             result = CliRunner().invoke(main, [
-                command, "--config", str(CONFIG), "--fixture", str(FIXTURE),
+                command, "--config", str(config), "--fixture", str(FIXTURE),
                 "--out", str(tmp_path / command)])
             assert result.exit_code == 0, result.output
         job_s = time.perf_counter() - start

@@ -232,6 +232,22 @@ def test_canonical_tags_by_operation(rng):
         assert t.canonical_form == "none"
 
 
+def test_left_canonicalize_trusts_a_left_tag(rng):
+    """A "left" train is returned as it is, with no QR sweep, even when the
+    tag is forged; a "none" or "right" train is still orthogonalized."""
+    left = tt_core.from_dense(random_vector(rng, 5))
+    none = random_tt(rng, 5, max_bond=4)
+    forged = TensorTrain(none.cores, canonical_form="left")
+    for t in (left, forged, tt_core.scale(left, 2.0)):
+        assert tt_core.left_canonicalize(t) is t
+    for t in (none, tt_core.round(none, 0.0)):
+        c = tt_core.left_canonicalize(t)
+        assert c is not t and c.canonical_form == "left"
+        assert max(isometry_residuals(c)) < 1e-12
+        assert np.linalg.norm(dense(c) - dense(t)) < 1e-12 * np.linalg.norm(
+            dense(t))
+
+
 def test_round_of_a_left_train_skips_the_qr_sweep(rng, monkeypatch):
     calls = []
     original = tt_core.left_canonicalize

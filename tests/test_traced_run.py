@@ -19,7 +19,6 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
 from click.testing import CliRunner
 
 from ttprep import gauss_pw
@@ -42,12 +41,14 @@ def load_tracer():
     return module
 
 
-@pytest.mark.parametrize("commands,svd_cutoff", [
+# each job mix of the benchmark, as (commands, svd_cutoff or None)
+MIXES = [
     (("estimate",), 1e-4),
     (("sweep", "oracle"), None),
-])
-def test_every_per_layer_metric_is_measured(tmp_path, commands, svd_cutoff):
-    tracer = load_tracer()
+]
+
+
+def trace_mix(tracer, tmp_path, commands, svd_cutoff):
     config = CONFIG
     if svd_cutoff is not None:
         cfg = json.loads(CONFIG.read_text(encoding="utf-8"))
@@ -69,10 +70,18 @@ def test_every_per_layer_metric_is_measured(tmp_path, commands, svd_cutoff):
         job_s = time.perf_counter() - start
     finally:
         t.uninstall()
-    rec = t.record()
-    assert rec["absent"] == []
-    json.dumps(rec, allow_nan=False)
-    metrics = tracer.layer_metrics([rec], [job_s])
-    assert set(metrics) == set(tracer.PER_LAYER) - RUN_METRICS
-    assert all(math.isfinite(v) for v in metrics.values())
-    json.dumps(metrics, allow_nan=False)
+    return t.record(), job_s
+
+
+def test_every_per_layer_metric_is_measured(tmp_path):
+    tracer = load_tracer()
+    for i, (commands, svd_cutoff) in enumerate(MIXES):
+        mix_dir = tmp_path / f"mix{i}"
+        mix_dir.mkdir()
+        rec, job_s = trace_mix(tracer, mix_dir, commands, svd_cutoff)
+        assert rec["absent"] == [], commands
+        json.dumps(rec, allow_nan=False)
+        metrics = tracer.layer_metrics([rec], [job_s])
+        assert set(metrics) == set(tracer.PER_LAYER) - RUN_METRICS, commands
+        assert all(math.isfinite(v) for v in metrics.values()), commands
+        json.dumps(metrics, allow_nan=False)

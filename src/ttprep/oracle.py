@@ -211,6 +211,7 @@ def run_checks(result: PipelineResult, out_dir: Path) -> list[dict]:
                                                 mps.tt))
         diff = math.sqrt(max(0.0, 2.0 - 2.0 * overlap.real
                              / math.sqrt(nrm_sq)))
+        # EPS_SUM slack: a wide list's half roundings, which the estimate omits
         tol_eff = max(tol, 20.0 * len(o.indices) * orbital_builder.EPS_SUM
                       + 2 ** 0.5 * orbital_builder.infidelity_estimate(mps))
         checks.append(_bounded(

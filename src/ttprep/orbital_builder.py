@@ -1,15 +1,10 @@
 """Molecular orbitals as compressed trains over the plane-wave basis.
 
-An orbital is a weighted sum of unit primitive trains, renormalized
-(build_orbitals) and later rounded once (truncate_mo).  overlap_matrix is
-the primitives' Gram matrix S; canonical_orthogonalize (drop eigenvalues
-of S below sigma, whiten the rest) is the paper's whitening guarantee,
-which the tests check.  Each primitive list is summed by one rule: a
-single train is only scaled; a list at most MAX_SUM_WIDTH wide is summed
-exactly by one tt_core.canonical_sum, whose QR sweep is shared by all the
-orbitals over that list; a wider list is split in two halves, each summed
-by this same rule for all the orbitals at once, and each orbital's
-halves are rounded and added.
+An orbital is a weighted sum of unit primitive trains, summed by the width
+rule of build_orbitals and renormalized, then rounded once per cutoff
+(truncate_mo at rounding_cutoff).  overlap_matrix is the primitives' Gram
+matrix S; canonical_orthogonalize (drop eigenvalues of S below sigma,
+whiten the rest) is the paper's whitening guarantee, which the tests check.
 The squared norm of the summed train, recorded before renormalization,
 drives all error reporting: truncations only remove weight, so
 1 - raw_norm_sq tracks the discarded probability and
@@ -38,6 +33,7 @@ __all__ = [
     "infidelity_estimate",
     "mo_bond_bound",
     "overlap_matrix",
+    "rounding_cutoff",
     "truncate_mo",
 ]
 
@@ -132,21 +128,20 @@ def canonical_orthogonalize(S, sigma: float) -> OrthoBasis:
     return OrthoBasis(x_tilde=X, eigenvalues=wk, sigma=float(sigma))
 
 
-def _sums(tts, rows, eps_sum: float) -> list[TensorTrain]:
-    """sum_g row[g] * tts[g] for each coefficient row, by the width rule of
-    build_orbitals.  A narrow list's sums are exact: one canonical_sum for
-    all the rows, so its QR sweep is shared.  A wide list's sums add its
-    halves' sums, each rounded at eps_sum.  The sums of all the rows (and,
-    on a wide list, the rounded sums of both halves) are held at once."""
+def _sums(tts, rows, eps_sum: float, exact: bool = True) -> list[TensorTrain]:
+    """sum_g row[g] * tts[g] per coefficient row, by build_orbitals' width
+    rule: exact, or (exact=False) rounded at eps_sum unless over one train."""
     if len(tts) == 1:
         return [tt_core.scale(tts[0], complex(row[0])) for row in rows]
     if max(map(sum, zip(*(t.bond_dims for t in tts)))) <= MAX_SUM_WIDTH:
-        return tt_core.canonical_sum(tts, rows)
-    h = len(tts) // 2
-    rows = np.asarray(rows)
-    return [tt_core.add(tt_core.round(a, eps_sum), tt_core.round(b, eps_sum))
-            for a, b in zip(_sums(tts[:h], rows[:, :h], eps_sum),
-                            _sums(tts[h:], rows[:, h:], eps_sum))]
+        sums = tt_core.canonical_sum(tts, rows)
+    else:
+        h = len(tts) // 2
+        rows = np.asarray(rows)
+        sums = [tt_core.add(a, b) for a, b in zip(
+            _sums(tts[:h], rows[:, :h], eps_sum, False),
+            _sums(tts[h:], rows[:, h:], eps_sum, False))]
+    return sums if exact else [tt_core.round(s, eps_sum) for s in sums]
 
 
 def build_orbitals(tts, orbitals, eps_sum: float) -> list[OrbitalMPS]:
@@ -161,8 +156,8 @@ def build_orbitals(tts, orbitals, eps_sum: float) -> list[OrbitalMPS]:
     its right, and an exact "left" sum per orbital, which truncate_mo rounds
     with no QR sweep.  A wider list is split at G // 2, each half is summed
     by this same rule for all the orbitals at once (so split again while it
-    is too wide), and each orbital's two halves are rounded at eps_sum and
-    added.  Each sum is then finished by build_mo_mps.
+    is too wide), and each orbital's halves are added, each rounded at
+    eps_sum unless a single train.  build_mo_mps finishes each sum.
     """
     if eps_sum < 0:
         raise ValueError("eps_sum must be nonnegative")
@@ -193,6 +188,12 @@ def build_mo_mps(summed: TensorTrain) -> OrbitalMPS:
             f"orbital norm^2 = {raw:.3e} after summation; coefficients cancel")
     return OrbitalMPS(tt=tt_core.scale(acc, 1.0 / math.sqrt(raw)),
                       raw_norm_sq=raw)
+
+
+def rounding_cutoff(n_primitives: int, svd_cutoff: float) -> float:
+    """The cutoff of an orbital's one rounding: svd_cutoff for a single
+    primitive, which was never summed, and at least EPS_SUM for a sum."""
+    return svd_cutoff if n_primitives == 1 else max(svd_cutoff, EPS_SUM)
 
 
 def truncate_mo(o: OrbitalMPS, eps: float) -> OrbitalMPS:

@@ -313,12 +313,11 @@ def grid_stage(cfg: dict, fx: Fixture) -> GridStage:
 
 
 def cutoff_stage(stage: GridStage, svd_cutoff: float) -> PipelineResult:
-    """Round each orbital once, at max(svd_cutoff, EPS_SUM) if it sums two or
-    more primitives and at svd_cutoff (not at 0) if not, then price them."""
+    """Round each orbital once, at its rounding_cutoff, then price them."""
     svd = float(svd_cutoff)
-    mos = [orbital_builder.truncate_mo(mps, svd if len(o.indices) == 1
-                                       else max(svd, orbital_builder.EPS_SUM))
-           for o, mps in zip(stage.fixture.orbitals, stage.mos)]
+    mos = [orbital_builder.truncate_mo(mps, orbital_builder.rounding_cutoff(
+        len(o.indices), svd)) for o, mps in zip(stage.fixture.orbitals,
+                                                stage.mos)]
     report = resource_model.estimate_resources(
         stage.params, [mps.tt.bond_dims for mps in mos],
         [o.occupation for o in stage.fixture.orbitals],

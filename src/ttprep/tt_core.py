@@ -62,7 +62,8 @@ class TensorTrain:
         promises every core but the first is a right isometry (set by
         :func:`round`).  :func:`scale` keeps the form; every other
         operation returns "none".  The form is trusted, not checked:
-        :func:`norm` reads the norm-carrying core alone, and
+        :func:`norm` reads the norm-carrying core alone, :func:`round`
+        skips its orthogonalization sweep on a "left" train, and
         :func:`left_canonicalize` returns a "left" train with no sweep.
     truncation_error : float
         Frobenius-norm bound on the error introduced by the operation that

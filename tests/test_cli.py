@@ -852,8 +852,7 @@ class TestSweepCommand:
     def test_each_orbital_is_one_rounding_of_its_exact_sum(self, name):
         """Every truncated orbital, at the config's own svd_cutoff and at
         every sweep point, is round(unit one-row exact sum, c) bit for bit,
-        with c = max(svd_cutoff, EPS_SUM) for an orbital over two or more
-        primitives and c = svd_cutoff for one over a single primitive."""
+        at c = rounding_cutoff(G, svd_cutoff) (not rounded when c is 0)."""
         cfg = cli.load_config(config_path(name))
         fx = cli.load_fixture(fixture_path(name))
         cutoffs = [0.0, 3e-10, 1e-4, 0.03]
@@ -865,11 +864,9 @@ class TestSweepCommand:
         for res in results:
             for o, c, mps in zip(fx.orbitals, res.coeffs, res.mos):
                 tts = [res.prim_tts[j] for j in o.indices]
-                if len(tts) == 1:
-                    exact, cut = tt_core.scale(tts[0], c[0]), res.svd_cutoff
-                else:
-                    exact = tt_core.canonical_sum(tts, c)
-                    cut = max(res.svd_cutoff, orbital_builder.EPS_SUM)
+                exact = (tt_core.scale(tts[0], c[0]) if len(tts) == 1
+                         else tt_core.canonical_sum(tts, c))
+                cut = orbital_builder.rounding_cutoff(len(tts), res.svd_cutoff)
                 unit = orbital_builder.build_mo_mps(exact)
                 if cut == 0.0:
                     want, raw = unit.tt, unit.raw_norm_sq

@@ -11,7 +11,8 @@ from ttprep.gauss_pw import (PlaneWaveGrid, PrimitiveGaussian, choose_cutoff,
 from ttprep.orbital_builder import (DegenerateOrbitalError, EmptyBasisError,
                                     OrbitalMPS, build_orbitals, canonical_orthogonalize,
                                     infidelity_estimate, mo_bond_bound,
-                                    overlap_matrix, truncate_mo)
+                                    overlap_matrix, rounding_cutoff,
+                                    truncate_mo)
 
 from conftest import dense, random_tt
 
@@ -225,9 +226,11 @@ class TestMergeOrder:
     def test_rounds_once_per_merge(self, rng, monkeypatch, n_prims):
         """A list at most MAX_SUM_WIDTH wide is one exact canonical_sum,
         with no round and no add; its one rounding is truncate_mo's, on the
-        "left" unit orbital.  One column wider, each half of a list of two
-        or more primitives is rounded once and the halves are added once,
-        unrounded, before that one truncation."""
+        "left" unit orbital.  One column wider, each half of two or more
+        primitives is one exact "left" sum, rounded once, and a single-train
+        half is only scaled (at G = 2 neither half is rounded, at G = 3 only
+        the second); the halves are added once, unrounded, before that one
+        truncation.  Every rounding gets a "left" train: none sweeps QR."""
         leaves = [random_tt(rng, 6, max_bond=3) for _ in range(n_prims)]
         c = random_coeffs(rng, n_prims)
         width = max(sum(t.cores[j].shape[2] for t in leaves)
@@ -245,16 +248,18 @@ class TestMergeOrder:
 
         monkeypatch.setattr(tt_core, "round", counting_round)
         monkeypatch.setattr(tt_core, "add", counting_add)
-        for cap, adds in ((width, 0), (width - 1, min(n_prims - 1, 1))):
+        halves = (n_prims // 2, n_prims - n_prims // 2)
+        for cap, rounds, adds in (
+                (width, 0, 0),
+                (width - 1, sum(h > 1 for h in halves), min(n_prims - 1, 1))):
             monkeypatch.setattr(orbital_builder, "MAX_SUM_WIDTH", cap)
             calls = {"round": [], "add": 0}
             o = orbital(leaves, c, eps_sum=1e-12)
-            assert len(calls["round"]) == 2 * adds, cap
+            assert calls["round"] == ["left"] * rounds, cap
             assert calls["add"] == adds, cap
             assert o.tt.canonical_form == "left"
             t = truncate_mo(o, 1e-12)
-            assert len(calls["round"]) == 2 * adds + 1, cap
-            assert calls["round"][-1] == "left", cap
+            assert calls["round"] == ["left"] * (rounds + 1), cap
             assert o.raw_norm_sq == pytest.approx(
                 float(np.vdot(want, want).real), rel=1e-10)
             for mo in (o, t):
@@ -374,6 +379,21 @@ class TestTruncateMo:
         overlap = abs(np.vdot(u, dense(t.tt)))
         d_dense = math.sqrt(max(0.0, 1.0 - overlap ** 2))
         assert abs(d_dense - infidelity_estimate(t)) < 1e-6
+
+
+class TestRoundingCutoff:
+    def test_one_primitive_keeps_the_svd_cutoff(self):
+        """A single primitive was never summed: it is rounded at svd_cutoff,
+        and at 0 not at all."""
+        for svd in (0.0, 1e-12, 1e-4):
+            assert rounding_cutoff(1, svd) == svd
+
+    @pytest.mark.parametrize("n_prims", [2, 3, 40])
+    def test_a_sum_is_rounded_at_least_at_eps_sum(self, n_prims):
+        eps = orbital_builder.EPS_SUM
+        assert rounding_cutoff(n_prims, 0.0) == eps
+        assert rounding_cutoff(n_prims, eps / 3) == eps
+        assert rounding_cutoff(n_prims, 1e-4) == 1e-4
 
 
 class TestInfidelityEstimate:

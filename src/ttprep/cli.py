@@ -28,7 +28,7 @@ import click
 import numpy as np
 
 from . import __version__, oracle, orbital_builder, tt_core
-from .pipeline import (cutoff_stage, grid_stage, load_config, load_fixture,
+from .pipeline import (cutoff_stages, grid_stage, load_config, load_fixture,
                        run_pipeline, validated)
 
 if TYPE_CHECKING:
@@ -274,15 +274,15 @@ def _sweep_groups(cfg: dict, fx: Fixture, axes):
     """Yield (axis, [(value, result), ...]), one group per grid.
 
     svd_cutoff points all run on the config's grid, so they share one grid
-    stage and differ only in their cutoff stage.  Every other point runs on
+    stage, and their cutoff stages share one rounding sweep per orbital
+    (pipeline.cutoff_stages).  Every other point runs on
     a shallow copy of the config with that grid key set; a cutoff key
     (K_inv_bohr or E_cut_hartree) replaces the other.
     """
     for axis, values in axes:
         if axis == "svd_cutoff":
-            stage = grid_stage(cfg, fx)
-            yield axis, [(value, cutoff_stage(stage, value))
-                         for value in values]
+            yield axis, list(zip(values,
+                                 cutoff_stages(grid_stage(cfg, fx), values)))
         else:
             kept = {k: v for k, v in cfg["grid"].items()
                     if axis == "L_bohr" or k == "L_bohr"}

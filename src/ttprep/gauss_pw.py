@@ -311,20 +311,26 @@ class ChebyshevInterpolant:
         """Barycentric value at x (scalar or array of any shape).
 
         Points are evaluated in blocks of about EVAL_BLOCK_ENTRIES
-        (points x nodes) entries, so the working memory is O(block), not
-        O(points * m), and each point's value is a function of that point
-        alone: the bits do not depend on how the points are split.  A point
+        (points x nodes) entries, all in one preallocated block buffer, so
+        the working memory is one block, not O(points * m), and each
+        point's value is a function of that point alone: the bits do not
+        depend on how the points are split.  A point
         on a node returns the node value.
         """
         xarr = np.asarray(x, dtype=float)
         xs = xarr.ravel()
         out = np.empty(xs.size)
         rows = max(1, EVAL_BLOCK_ENTRIES // self.nodes.size)
+        block = np.empty((min(rows, xs.size), self.nodes.size))
         with np.errstate(all="ignore"):
             for lo in range(0, xs.size, rows):
-                terms = self.weights / (xs[lo:lo + rows, None] - self.nodes)
-                out[lo:lo + rows] = ((terms * self.values).sum(axis=1)
-                                     / terms.sum(axis=1))
+                hi = min(lo + rows, xs.size)
+                terms = block[:hi - lo]
+                np.subtract(xs[lo:hi, None], self.nodes, out=terms)
+                np.divide(self.weights, terms, out=terms)
+                den = terms.sum(axis=1)
+                np.multiply(terms, self.values, out=terms)
+                np.divide(terms.sum(axis=1), den, out=out[lo:hi])
         # a point on a node divides by zero and lands here as inf/inf
         bad = np.flatnonzero(~np.isfinite(out))
         hit_rows, hit_nodes = np.nonzero(
@@ -503,14 +509,14 @@ def primitive_3d_mps(g: PrimitiveGaussian, grid: PlaneWaveGrid,
     Each Cartesian axis gets an error budget of eps / sqrt(3); the three
     unit-norm axis trains are joined by tensor product, so the connecting
     bonds have dimension 1 and the qubit count is three times the per-axis
-    count.
+    count.  Each axis train is unit-norm and "left", so the product is
+    "left" (see :func:`tt_core.tensor_product`), and a one-primitive
+    orbital needs no QR sweep.
     """
-    parts = [primitive_1d_mps(g.gamma, g.ang[axis], g.center[axis], grid,
-                              _axis_eps(eps))
-             for axis in range(3)]
-    out = tt_core.tensor_product(
-        tt_core.tensor_product(parts[0], parts[1]), parts[2])
-    return out
+    x, y, z = (primitive_1d_mps(g.gamma, g.ang[axis], g.center[axis], grid,
+                                _axis_eps(eps))
+               for axis in range(3))
+    return tt_core.tensor_product(tt_core.tensor_product(x, y), z)
 
 
 def certified_cutoff(g: PrimitiveGaussian, L: float, eps: float) -> float:

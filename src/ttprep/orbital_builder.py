@@ -2,7 +2,8 @@
 
 An orbital is a weighted sum of unit primitive trains, summed by the width
 rule of build_orbitals and renormalized, then rounded once per cutoff
-(truncate_mo at rounding_cutoff).  overlap_matrix is the primitives' Gram
+(truncate_mo at rounding_cutoff; truncate_mo_each rounds at several cutoffs
+in one shared sweep).  overlap_matrix is the primitives' Gram
 matrix S; canonical_orthogonalize (drop eigenvalues of S below sigma,
 whiten the rest) is the paper's whitening guarantee, which the tests check.
 The squared norm of the summed train, recorded before renormalization,
@@ -35,6 +36,7 @@ __all__ = [
     "overlap_matrix",
     "rounding_cutoff",
     "truncate_mo",
+    "truncate_mo_each",
 ]
 
 DEGENERATE_NORM_SQ = 1e-10
@@ -208,7 +210,21 @@ def truncate_mo(o: OrbitalMPS, eps: float) -> OrbitalMPS:
         raise ValueError("eps must be nonnegative")
     if eps == 0.0:
         return replace(o)
-    rounded = tt_core.round(o.tt, eps)
+    return _rounded_mo(o, tt_core.round(o.tt, eps), eps)
+
+
+def truncate_mo_each(o: OrbitalMPS, eps_values) -> list[OrbitalMPS]:
+    """[truncate_mo(o, eps) for eps in eps_values], bit for bit; the nonzero
+    cutoffs share one tt_core.round_each sweep."""
+    eps_values = [float(eps) for eps in eps_values]
+    rounded = iter(tt_core.round_each(o.tt, [e for e in eps_values if e]))
+    return [_rounded_mo(o, next(rounded), eps) if eps else replace(o)
+            for eps in eps_values]
+
+
+def _rounded_mo(o: OrbitalMPS, rounded: TensorTrain, eps: float) -> OrbitalMPS:
+    """The unit orbital of o's train rounded at eps, with o's norm record
+    times the squared norm the rounding kept."""
     rho = float(tt_core.norm(rounded))
     if rho ** 2 < DEGENERATE_NORM_SQ:
         raise DegenerateOrbitalError(

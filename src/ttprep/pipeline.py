@@ -315,9 +315,28 @@ def grid_stage(cfg: dict, fx: Fixture) -> GridStage:
 def cutoff_stage(stage: GridStage, svd_cutoff: float) -> PipelineResult:
     """Round each orbital once, at its rounding_cutoff, then price them."""
     svd = float(svd_cutoff)
-    mos = [orbital_builder.truncate_mo(mps, orbital_builder.rounding_cutoff(
-        len(o.indices), svd)) for o, mps in zip(stage.fixture.orbitals,
-                                                stage.mos)]
+    return _priced(stage, svd, [
+        orbital_builder.truncate_mo(mps, orbital_builder.rounding_cutoff(
+            len(o.indices), svd))
+        for o, mps in zip(stage.fixture.orbitals, stage.mos)])
+
+
+def cutoff_stages(stage: GridStage, cutoffs) -> list[PipelineResult]:
+    """[cutoff_stage(stage, c) for c in cutoffs], bit for bit: each
+    orbital's roundings at all the cutoffs share one truncate_mo_each.
+
+    cutoff_stage is not written as the one-cutoff case of this: the
+    benchmark's traced run times truncate_mo and tt_core.round by name, so
+    a one-cutoff run keeps calling them."""
+    svds = [float(c) for c in cutoffs]
+    per_orbital = [orbital_builder.truncate_mo_each(mps, [
+        orbital_builder.rounding_cutoff(len(o.indices), svd) for svd in svds])
+        for o, mps in zip(stage.fixture.orbitals, stage.mos)]
+    return [_priced(stage, svd, list(mos))
+            for svd, mos in zip(svds, zip(*per_orbital))]
+
+
+def _priced(stage: GridStage, svd: float, mos) -> PipelineResult:
     report = resource_model.estimate_resources(
         stage.params, [mps.tt.bond_dims for mps in mos],
         [o.occupation for o in stage.fixture.orbitals],

@@ -32,6 +32,19 @@ def random_vector(rng: np.random.Generator, n_sites: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def isometry_residuals(a: TensorTrain) -> list[float]:
+    """Per-core deviation ||A^H A - I||_F of the left-isometry property.
+
+    The last core is excluded; it carries the norm.
+    """
+    out = []
+    for c in a.cores[:-1]:
+        l, _, r = c.shape
+        m = c.reshape(l * 2, r)
+        out.append(float(np.linalg.norm(m.conj().T @ m - np.eye(r))))
+    return out
+
+
 def dense(t: TensorTrain) -> np.ndarray:
     return np.asarray(tt_core.to_dense(t))
 

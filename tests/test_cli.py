@@ -847,6 +847,43 @@ class TestSweepCommand:
                  "--fixture", fixture_path(name), "--out", str(tmp_path)])
         assert rounds == [1e-4] * len(fx.orbitals)
 
+    def test_sweep_points_share_one_rounding_sweep(self, tmp_path,
+                                                   monkeypatch):
+        """The sweep command's svd_cutoff rows equal those of one
+        cutoff_stage per point, bit for bit, and its six points make fewer
+        SVDs than six separate cutoff stages."""
+        name = "synthetic_diatomic"
+        cfg = cli.load_config(config_path(name))
+        fx = cli.load_fixture(fixture_path(name))
+        values = cfg["sweep"]["svd_cutoff"]
+        assert list(cfg["sweep"]) == ["svd_cutoff"] and len(values) == 6
+        stage = pipeline.grid_stage(cfg, fx)
+        calls = []
+        original = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        for value in values:
+            pipeline.cutoff_stage(stage, value)
+        separate = len(calls)
+        calls.clear()
+        monkeypatch.setattr(cli, "grid_stage", lambda cfg, fx: stage)
+        list(cli._sweep_groups(cfg, fx, [("svd_cutoff", values)]))
+        assert len(calls) < separate
+        monkeypatch.undo()
+
+        args = ["--config", config_path(name), "--fixture", fixture_path(name)]
+        run_cli(["sweep", *args, "--out", str(tmp_path / "shared")])
+        monkeypatch.setattr(cli, "cutoff_stages", lambda stage, values: [
+            pipeline.cutoff_stage(stage, value) for value in values])
+        run_cli(["sweep", *args, "--out", str(tmp_path / "separate")])
+        csv = f"{name}_sweep.csv"
+        assert ((tmp_path / "shared" / csv).read_bytes()
+                == (tmp_path / "separate" / csv).read_bytes())
+
     @pytest.mark.parametrize("name", ["synthetic_diatomic", "h_sto3g",
                                       "h_like_1s"])
     def test_each_orbital_is_one_rounding_of_its_exact_sum(self, name):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttprep import pipeline, tt_core
+from ttprep import gauss_pw, pipeline, tt_core
 from ttprep.gauss_pw import (EVAL_BLOCK_ENTRIES, MAX_ANGULAR_MOMENTUM,
                              MAX_HERMITE_ORDER, ChebyshevInterpolant,
                              PlaneWaveGrid, PrimitiveGaussian,
@@ -23,7 +23,7 @@ from ttprep.gauss_pw import (EVAL_BLOCK_ENTRIES, MAX_ANGULAR_MOMENTUM,
                              projection_normalization, pw_overlap)
 from ttprep.tt_core import CapacityError
 
-from conftest import dense, trace_distance_nonunit
+from conftest import dense, isometry_residuals, trace_distance_nonunit
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED_FIXTURES = sorted(
@@ -366,8 +366,17 @@ class TestBlockEvaluation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one (points x nodes) matrix alone would take 4095 * 604 * 8 B = 19.8 MB
-        assert peak < 4 * 2 ** 20
+        # one (points x nodes) matrix alone would take 4095 * 604 * 8 B =
+        # 19.8 MB; the evaluation holds one 255 KB block buffer
+        block = (EVAL_BLOCK_ENTRIES // self.M) * self.M * 8
+        assert peak <= 2 * block + points.nbytes
+
+    @pytest.mark.parametrize("entries", [2048, 8192, 65536])
+    def test_bits_do_not_depend_on_the_block_size(
+            self, interp, points, entries, monkeypatch):
+        whole = interp(points)
+        monkeypatch.setattr(gauss_pw, "EVAL_BLOCK_ENTRIES", entries)
+        assert np.array_equal(interp(points), whole)
 
 
 def lattice_weights(gamma, l, L, i_max):
@@ -732,6 +741,42 @@ class TestPrimitive3D:
                                  eps / math.sqrt(3.0)) for g in prims)
         assert np.abs(G - want).max() <= 1e-14
         assert np.abs(G - np.eye(len(prims))).max() > 1e-3
+
+    def test_trains_are_unit_and_left(self):
+        """Each axis train is unit-norm and "left", so the 3D train is
+        "left" too, and the tag is true.  The norm is read from the full
+        contraction, not from the last core the tag points at."""
+        rng = np.random.default_rng(29)
+        eps, L = 1e-3, 10.0
+        grid = PlaneWaveGrid(L=L, K=13.0)
+        for _ in range(8):
+            g = PrimitiveGaussian(center=tuple(rng.uniform(-2.0, 2.0, 3)),
+                                  gamma=rng.uniform(0.4, 2.5),
+                                  ang=tuple(rng.integers(0, 3, 3)))
+            tt = primitive_3d_mps(g, grid, eps)
+            assert tt.canonical_form == "left"
+            assert max(isometry_residuals(tt)) <= 1e-12
+            assert abs(math.sqrt(tt_core.inner_product(tt, tt).real)
+                       - 1.0) <= 1e-12
+
+    def test_one_primitive_orbitals_make_no_qr(self, monkeypatch):
+        """A one-primitive orbital is its "left" primitive train scaled, so
+        the grid stage makes no QR sweep for it."""
+        name = "h_like_1s"
+        cfg = pipeline.load_config(ROOT / "configs" / f"{name}.json")
+        fx = pipeline.load_fixture(
+            ROOT / "src" / "ttprep" / "fixtures" / f"{name}.json")
+        assert all(len(o.indices) == 1 for o in fx.orbitals)
+        calls = []
+        original = np.linalg.qr
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        pipeline.grid_stage(cfg, fx)
+        assert calls == []
 
     def test_connecting_bonds_are_one(self):
         gamma, eps, L = 1.0, 1e-1, 12.0

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from ttprep import tt_core
 from ttprep.tt_core import CapacityError, ShapeError, TensorTrain
 
-from conftest import dense, random_tt, random_vector, tt_entry
+from conftest import (dense, isometry_residuals, random_tt, random_vector,
+                      tt_entry)
 
 sites = st.integers(min_value=1, max_value=8)
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -18,19 +19,6 @@ seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
 def _rng(seed):
     return np.random.default_rng(seed)
-
-
-def isometry_residuals(a: TensorTrain) -> list[float]:
-    """Per-core deviation ||A^H A - I||_F of the left-isometry property.
-
-    The last core is excluded; it carries the norm.
-    """
-    out = []
-    for c in a.cores[:-1]:
-        l, _, r = c.shape
-        m = c.reshape(l * 2, r)
-        out.append(float(np.linalg.norm(m.conj().T @ m - np.eye(r))))
-    return out
 
 
 class TestFromDenseInput:
@@ -197,6 +185,8 @@ def _tagged_trains(rng, n):
             ("canonical_sum",
              tt_core.canonical_sum([none, left, right], [alpha, 1.0, -2.0])),
             ("tensor_product", tt_core.tensor_product(left, right)),
+            ("tensor_product_unit_left", tt_core.tensor_product(
+                tt_core.scale(left, 1.0 / tt_core.norm(left)), left)),
             ("from_debug_json",
              tt_core.from_debug_json(tt_core.to_debug_json(left)))]
     return out
@@ -230,6 +220,9 @@ def test_canonical_tags_by_operation(rng):
     for t in (tt_core.add(left, left), tt_core.tensor_product(left, left),
               tt_core.from_debug_json(tt_core.to_debug_json(left))):
         assert t.canonical_form == "none"
+    unit = tt_core.scale(left, 1.0 / tt_core.norm(left))
+    assert tt_core.tensor_product(unit, left).canonical_form == "left"
+    assert tt_core.tensor_product(unit, none).canonical_form == "none"
 
 
 def test_left_canonicalize_trusts_a_left_tag(rng):
@@ -262,6 +255,98 @@ def test_round_of_a_left_train_skips_the_qr_sweep(rng, monkeypatch):
     assert calls == []
     tt_core.round(random_tt(rng, 5), 1e-3)
     assert calls == ["none"]
+
+
+@pytest.mark.parametrize("shape", [(2, 64), (7, 40), (40, 7), (9, 9)])
+def test_svd_factors_either_side(shape):
+    """The SVD helper goes through M^T when M is wide; both sides give a
+    thin factorization with orthonormal factors and descending values."""
+    rng = _rng(sum(shape))
+    M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    U, S, Vh = tt_core._svd(M)
+    k = min(shape)
+    assert U.shape == (shape[0], k) and Vh.shape == (k, shape[1])
+    assert np.all(np.diff(S) <= 0)
+    assert np.abs((U * S) @ Vh - M).max() <= 1e-13 * S[0]
+    assert np.abs(U.conj().T @ U - np.eye(k)).max() <= 1e-13
+    assert np.abs(Vh @ Vh.conj().T - np.eye(k)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_from_dense_finds_planted_ranks(n):
+    """A vector built from random cores with bonds min(2^k, 2^(n-k), r) has
+    exactly those TT ranks.  The first unfoldings are wide and the last tall,
+    so both sides of the SVD helper are used."""
+    rng = _rng(400 + n)
+    for r_max in (1, 3, 6):
+        ranks = [min(2 ** k, 2 ** (n - k), r_max) for k in range(1, n)]
+        bonds = [1, *ranks, 1]
+        planted = TensorTrain([
+            rng.standard_normal((bonds[j], 2, bonds[j + 1]))
+            + 1j * rng.standard_normal((bonds[j], 2, bonds[j + 1]))
+            for j in range(n)])
+        v = dense(planted)
+        # at tol 0 the floor eps * max(shape) * s_0 of a small last
+        # unfolding can sit below the round-off the earlier SVDs left there
+        t = tt_core.from_dense(v, tol=1e-12)
+        assert t.bond_dims == tuple(ranks), r_max
+        assert np.linalg.norm(dense(t) - v) <= 1e-12 * np.linalg.norm(v)
+        assert max(isometry_residuals(t)) <= 1e-12
+
+
+def test_round_bound_and_tag_on_wide_and_tall_cores():
+    """round keeps its error bound and a true "right" tag whether a core's
+    (l, 2r) unfolding is wide (l < 2r) or tall (l >= 2r)."""
+    rng = _rng(500)
+    wide = set()
+    for n in range(2, 8):
+        for _ in range(3):
+            a = random_tt(rng, n, max_bond=6)
+            lc = tt_core.left_canonicalize(a)
+            for cut in (0.0, 1e-3, 0.3):
+                r = tt_core.round(a, cut)
+                assert r.canonical_form == "right"
+                assert max(right_isometry_residuals(r), default=0.0) <= 1e-12
+                err = np.linalg.norm(dense(r) - dense(a))
+                assert err <= (r.truncation_error
+                               + 1e-12 * np.linalg.norm(dense(a)))
+                # the sweep factors core j at its left-canonical left bond
+                # and its already rounded right bond
+                wide.update(lc.cores[j].shape[0] < 2 * r.cores[j].shape[2]
+                            for j in range(1, n))
+    assert wide == {True, False}
+
+
+def test_round_each_is_each_round_bit_for_bit(rng, monkeypatch):
+    """round_each gives round(a, c) for every c, bit for bit, with fewer
+    SVDs than one rounding per cutoff; equal cutoffs share a result."""
+    cutoffs = [0.3, 0.03, 1e-3, 1e-3, 1e-9, 0.0]
+    calls = []
+    original = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for a in (random_tt(rng, 7, max_bond=6),
+              tt_core.from_dense(random_vector(rng, 7))):
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        each = tt_core.round_each(a, cutoffs)
+        shared = len(calls)
+        calls.clear()
+        want = [tt_core.round(a, c) for c in cutoffs]
+        separate = len(calls)
+        calls.clear()
+        monkeypatch.undo()
+        assert shared < separate
+        assert each[2] is each[3]
+        for got, w in zip(each, want):
+            assert got.canonical_form == w.canonical_form == "right"
+            assert got.truncation_error == w.truncation_error
+            assert all(np.array_equal(x, y) for x, y in zip(got.cores, w.cores))
+    assert tt_core.round_each(a, []) == []
+    with pytest.raises(ValueError):
+        tt_core.round_each(a, [1e-3, -1.0])
 
 
 def _unit(t: TensorTrain) -> TensorTrain:

@@ -52,10 +52,8 @@ def _json_text(obj, indent: int = 0) -> str:
     pad = "  " * indent
     if obj is None:
         return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, int):
@@ -81,13 +79,7 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return _f17(v)
-    return str(v)
+    return _json_text(v) if isinstance(v, (bool, int, float)) else str(v)
 
 
 def _write_csv(path: Path, header, rows) -> None:

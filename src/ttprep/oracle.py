@@ -211,8 +211,8 @@ def run_checks(result: PipelineResult, out_dir: Path) -> list[dict]:
                                                 mps.tt))
         diff = math.sqrt(max(0.0, 2.0 - 2.0 * overlap.real
                              / math.sqrt(nrm_sq)))
-        # EPS_SUM slack: a wide list's half roundings, which the estimate omits
-        tol_eff = max(tol, 20.0 * len(o.indices) * orbital_builder.EPS_SUM
+        # build_error moves the unit train twice: as itself, and by the norm
+        tol_eff = max(tol, 2.0 * mps.build_error
                       + 2 ** 0.5 * orbital_builder.infidelity_estimate(mps))
         checks.append(_bounded(
             f"tt_vs_dense_orbital[{i}]", diff, tol_eff,

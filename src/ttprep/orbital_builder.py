@@ -2,10 +2,12 @@
 
 An orbital is a weighted sum of unit primitive trains, summed by the width
 rule of build_orbitals and renormalized, then rounded once per cutoff
-(truncate_mo at rounding_cutoff; truncate_mo_each rounds at several cutoffs
-in one shared sweep).  overlap_matrix is the primitives' Gram
-matrix S; canonical_orthogonalize (drop eigenvalues of S below sigma,
-whiten the rest) is the paper's whitening guarantee, which the tests check.
+(truncate_mo; truncate_mo_each rounds at several cutoffs in one shared
+sweep).  Each orbital records what that rule decided for it (min_cutoff,
+build_error), so no caller needs the rule.  overlap_matrix is the
+primitives' Gram matrix S; canonical_orthogonalize (drop eigenvalues of S
+below sigma, whiten the rest) is the paper's whitening guarantee, which
+the tests check.
 The squared norm of the summed train, recorded before renormalization,
 drives all error reporting: truncations only remove weight, so
 1 - raw_norm_sq tracks the discarded probability and
@@ -34,7 +36,6 @@ __all__ = [
     "infidelity_estimate",
     "mo_bond_bound",
     "overlap_matrix",
-    "rounding_cutoff",
     "truncate_mo",
     "truncate_mo_each",
 ]
@@ -84,11 +85,15 @@ class OrbitalMPS:
 
     raw_norm_sq is the squared norm of the summed train immediately
     before renormalization; every later truncation multiplies it by the
-    squared norm the truncation retained.
+    squared norm the truncation retained.  min_cutoff is the least cutoff
+    truncate_mo rounds at (EPS_SUM for a sum, 0 for one primitive), and
+    build_error bounds the summed train's distance from the exact sum.
     """
 
     tt: TensorTrain
     raw_norm_sq: float
+    min_cutoff: float = 0.0
+    build_error: float = 0.0
 
     @property
     def infidelity(self) -> float:
@@ -130,47 +135,52 @@ def canonical_orthogonalize(S, sigma: float) -> OrthoBasis:
     return OrthoBasis(x_tilde=X, eigenvalues=wk, sigma=float(sigma))
 
 
-def _sums(tts, rows, eps_sum: float, exact: bool = True) -> list[TensorTrain]:
-    """sum_g row[g] * tts[g] per coefficient row, by build_orbitals' width
-    rule: exact, or (exact=False) rounded at eps_sum unless over one train."""
+def _sums(tts, rows, exact: bool = True) -> list[tuple[TensorTrain, float]]:
+    """(sum_g row[g] * tts[g], the truncation errors of its roundings
+    summed) per coefficient row, by build_orbitals' width rule: exact, or
+    (exact=False) rounded at EPS_SUM unless over one train."""
     if len(tts) == 1:
-        return [tt_core.scale(tts[0], complex(row[0])) for row in rows]
+        return [(tt_core.scale(tts[0], complex(row[0])), 0.0) for row in rows]
     if max(map(sum, zip(*(t.bond_dims for t in tts)))) <= MAX_SUM_WIDTH:
-        sums = tt_core.canonical_sum(tts, rows)
+        sums = [(s, 0.0) for s in tt_core.canonical_sum(tts, rows)]
     else:
         h = len(tts) // 2
         rows = np.asarray(rows)
-        sums = [tt_core.add(a, b) for a, b in zip(
-            _sums(tts[:h], rows[:, :h], eps_sum, False),
-            _sums(tts[h:], rows[:, h:], eps_sum, False))]
-    return sums if exact else [tt_core.round(s, eps_sum) for s in sums]
+        sums = [(tt_core.add(a, b), ea + eb) for (a, ea), (b, eb) in zip(
+            _sums(tts[:h], rows[:, :h], False),
+            _sums(tts[h:], rows[:, h:], False))]
+    if exact:
+        return sums
+    rounded = [(tt_core.round(s, EPS_SUM), e) for s, e in sums]
+    return [(r, e + r.truncation_error) for r, e in rounded]
 
 
-def build_orbitals(tts, orbitals, eps_sum: float) -> list[OrbitalMPS]:
+def build_orbitals(tts, orbitals) -> list[OrbitalMPS]:
     """One OrbitalMPS per (primitive indices, coefficients) pair of orbitals,
     summing coeffs[k] * tts[indices[k]].
 
     The orbitals are grouped by primitive list, and each list is summed by
-    one rule.  A single train is only scaled.  A list whose direct sum (the
-    largest, over sites, of the trains' summed bonds) is at most
-    MAX_SUM_WIDTH wide is one tt_core.canonical_sum for all the list's
+    one rule.  A single train is only scaled (min_cutoff 0).  A list whose
+    direct sum (the largest, over sites, of the trains' summed bonds) is at
+    most MAX_SUM_WIDTH wide is one tt_core.canonical_sum for all the list's
     orbitals: one QR sweep shared by them, no bond wider than the sites to
     its right, and an exact "left" sum per orbital, which truncate_mo rounds
     with no QR sweep.  A wider list is split at G // 2, each half is summed
     by this same rule for all the orbitals at once (so split again while it
     is too wide), and each orbital's halves are added, each rounded at
-    eps_sum unless a single train.  build_mo_mps finishes each sum.
+    EPS_SUM unless a single train, into its build_error.  A sum's
+    min_cutoff is EPS_SUM.  build_mo_mps finishes each sum.
     """
-    if eps_sum < 0:
-        raise ValueError("eps_sum must be nonnegative")
     by_list = {}
     for i, (indices, _) in enumerate(orbitals):
         by_list.setdefault(tuple(indices), []).append(i)
     mos = {}
     for indices, members in by_list.items():
-        mos.update(zip(members, map(build_mo_mps, _sums(
-            [tts[j] for j in indices], [orbitals[i][1] for i in members],
-            eps_sum))))
+        sums = _sums([tts[j] for j in indices],
+                     [orbitals[i][1] for i in members])
+        for i, (summed, error) in zip(members, sums):
+            mos[i] = replace(build_mo_mps(summed), build_error=error,
+                             min_cutoff=EPS_SUM if len(indices) > 1 else 0.0)
     return [mos[i] for i in range(len(orbitals))]
 
 
@@ -192,22 +202,16 @@ def build_mo_mps(summed: TensorTrain) -> OrbitalMPS:
                       raw_norm_sq=raw)
 
 
-def rounding_cutoff(n_primitives: int, svd_cutoff: float) -> float:
-    """The cutoff of an orbital's one rounding: svd_cutoff for a single
-    primitive, which was never summed, and at least EPS_SUM for a sum."""
-    return svd_cutoff if n_primitives == 1 else max(svd_cutoff, EPS_SUM)
-
-
 def truncate_mo(o: OrbitalMPS, eps: float) -> OrbitalMPS:
-    """Round an orbital train once at cutoff eps, scaling its norm record.
+    """Round an orbital train once at max(eps, o.min_cutoff), scaling its
+    norm record.
 
     The retained squared norm multiplies raw_norm_sq, so infidelity grows
-    monotonically with eps; eps = 0 returns the input unchanged.  On the
-    "left" train of build_mo_mps the rounding is a single right-to-left SVD
-    sweep, and the "right" result reads its norm off its first core.
+    monotonically with eps; a cutoff of 0 returns the input unchanged.  On
+    the "left" train of build_mo_mps the rounding is a single right-to-left
+    SVD sweep, and the "right" result reads its norm off its first core.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    eps = _cutoff(o, eps)
     if eps == 0.0:
         return replace(o)
     return _rounded_mo(o, tt_core.round(o.tt, eps), eps)
@@ -216,21 +220,27 @@ def truncate_mo(o: OrbitalMPS, eps: float) -> OrbitalMPS:
 def truncate_mo_each(o: OrbitalMPS, eps_values) -> list[OrbitalMPS]:
     """[truncate_mo(o, eps) for eps in eps_values], bit for bit; the nonzero
     cutoffs share one tt_core.round_each sweep."""
-    eps_values = [float(eps) for eps in eps_values]
+    eps_values = [_cutoff(o, eps) for eps in eps_values]
     rounded = iter(tt_core.round_each(o.tt, [e for e in eps_values if e]))
     return [_rounded_mo(o, next(rounded), eps) if eps else replace(o)
             for eps in eps_values]
 
 
+def _cutoff(o: OrbitalMPS, eps: float) -> float:
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    return max(float(eps), o.min_cutoff)
+
+
 def _rounded_mo(o: OrbitalMPS, rounded: TensorTrain, eps: float) -> OrbitalMPS:
-    """The unit orbital of o's train rounded at eps, with o's norm record
-    times the squared norm the rounding kept."""
+    """o with its train rounded at eps and renormalized, and its
+    raw_norm_sq times the squared norm the rounding kept."""
     rho = float(tt_core.norm(rounded))
     if rho ** 2 < DEGENERATE_NORM_SQ:
         raise DegenerateOrbitalError(
             f"truncation at eps = {eps} removed the whole state")
-    unit = tt_core.scale(rounded, 1.0 / rho)
-    return OrbitalMPS(tt=unit, raw_norm_sq=o.raw_norm_sq * rho ** 2)
+    return replace(o, tt=tt_core.scale(rounded, 1.0 / rho),
+                   raw_norm_sq=o.raw_norm_sq * rho ** 2)
 
 
 def infidelity_estimate(o: OrbitalMPS) -> float:

@@ -172,11 +172,9 @@ def _read_json(path, label: str) -> dict:
 
 def load_config(path) -> dict:
     cfg = validated(_read_json(path, "config"), "config", f"config {path}")
-    oracle_cfg = cfg.setdefault("oracle", {})
-    oracle_cfg.setdefault("enabled", False)
-    oracle_cfg.setdefault("max_points_per_axis", 32)
-    oracle_cfg.setdefault("tolerance", 1e-6)
-    oracle_cfg.setdefault("dump_tt", False)
+    cfg["oracle"] = {"enabled": False, "max_points_per_axis": 32,
+                     "tolerance": 1e-6, "dump_tt": False,
+                     **cfg.get("oracle", {})}
     cfg.setdefault("sweep", {})
     return cfg
 
@@ -246,7 +244,8 @@ class GridStage:
     """The part of a pipeline run fixed by the grid: everything but svd_cutoff.
 
     S is the primitives' Gram matrix, coeffs[i] are fixture orbital i's
-    coefficients normalized in that metric, and mos[i] its unrounded sum.
+    coefficients normalized in that metric, and mos[i] its sum from
+    orbital_builder.build_orbitals, not yet given its one rounding.
     """
 
     grid: PlaneWaveGrid
@@ -272,7 +271,7 @@ def run_pipeline(cfg: dict, fx: Fixture) -> PipelineResult:
 
 
 def grid_stage(cfg: dict, fx: Fixture) -> GridStage:
-    """Primitive trains, their Gram matrix, the unrounded orbitals and the
+    """Primitive trains, their Gram matrix, the summed orbitals and the
     cost parameters: all that svd_cutoff leaves unchanged."""
     grid = grid_from_config(cfg)
     eps_p = float(cfg["compression"]["eps_primitive"])
@@ -306,19 +305,17 @@ def grid_stage(cfg: dict, fx: Fixture) -> GridStage:
                 f"overlap metric")
         coeffs.append(o.coeffs / math.sqrt(nrm_sq))
     mos = orbital_builder.build_orbitals(
-        prim_tts, [(o.indices, c) for o, c in zip(fx.orbitals, coeffs)],
-        orbital_builder.EPS_SUM)
+        prim_tts, [(o.indices, c) for o, c in zip(fx.orbitals, coeffs)])
     return GridStage(grid=grid, fixture=fx, config=cfg, prim_tts=prim_tts,
                      S=S, params=params, coeffs=coeffs, mos=mos)
 
 
 def cutoff_stage(stage: GridStage, svd_cutoff: float) -> PipelineResult:
-    """Round each orbital once, at its rounding_cutoff, then price them."""
+    """Round each orbital once, by truncate_mo at svd_cutoff (or at the
+    orbital's own min_cutoff, if larger), then price them."""
     svd = float(svd_cutoff)
-    return _priced(stage, svd, [
-        orbital_builder.truncate_mo(mps, orbital_builder.rounding_cutoff(
-            len(o.indices), svd))
-        for o, mps in zip(stage.fixture.orbitals, stage.mos)])
+    return _priced(stage, svd, [orbital_builder.truncate_mo(mps, svd)
+                                for mps in stage.mos])
 
 
 def cutoff_stages(stage: GridStage, cutoffs) -> list[PipelineResult]:
@@ -329,9 +326,8 @@ def cutoff_stages(stage: GridStage, cutoffs) -> list[PipelineResult]:
     benchmark's traced run times truncate_mo and tt_core.round by name, so
     a one-cutoff run keeps calling them."""
     svds = [float(c) for c in cutoffs]
-    per_orbital = [orbital_builder.truncate_mo_each(mps, [
-        orbital_builder.rounding_cutoff(len(o.indices), svd) for svd in svds])
-        for o, mps in zip(stage.fixture.orbitals, stage.mos)]
+    per_orbital = [orbital_builder.truncate_mo_each(mps, svds)
+                   for mps in stage.mos]
     return [_priced(stage, svd, list(mos))
             for svd, mos in zip(svds, zip(*per_orbital))]
 

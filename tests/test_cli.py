@@ -7,6 +7,7 @@ checks compare whole files, so any hidden nondeterminism in the pipeline
 shows up here.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -743,7 +744,7 @@ class TestSweepCommand:
                          "left_canonicalize": n}
         for o, c, mps in zip(fx.orbitals, stage.coeffs, stage.mos):
             (own,) = orbital_builder.build_orbitals(
-                stage.prim_tts, [(o.indices, c)], orbital_builder.EPS_SUM)
+                stage.prim_tts, [(o.indices, c)])
             assert own.raw_norm_sq == mps.raw_norm_sq
             assert all(np.array_equal(a, b)
                        for a, b in zip(own.tt.cores, mps.tt.cores))
@@ -753,9 +754,9 @@ class TestSweepCommand:
         """Two orbitals over 24 random l <= 2 primitives on a 6-qubit grid
         (basis-scaling's basis24 shape) are too wide for one exact sum
         under a cap of 106.  Each half is one canonical_sum for both
-        orbitals, and each orbital is its own add of its rounded halves,
-        unrounded, bit for bit."""
-        eps = orbital_builder.EPS_SUM
+        orbitals, and each orbital is its own add of its halves, rounded at
+        its min_cutoff, unrounded, bit for bit; its build_error is the sum
+        of the halves' truncation errors."""
         cfg, fx = basis24_inputs(tmp_path, rng)
         widths = []
         original = tt_core.canonical_sum
@@ -774,8 +775,11 @@ class TestSweepCommand:
         assert (max(map(sum, zip(*(t.bond_dims for t in tts))))
                 > orbital_builder.MAX_SUM_WIDTH)
         for c, mps in zip(stage.coeffs, stage.mos):
-            halves = [tt_core.round(tt_core.canonical_sum(tts[s], c[s]), eps)
+            halves = [tt_core.round(tt_core.canonical_sum(tts[s], c[s]),
+                                    mps.min_cutoff)
                       for s in (slice(0, 12), slice(12, None))]
+            assert mps.build_error == sum(h.truncation_error for h in halves)
+            assert mps.build_error > 0
             acc = tt_core.left_canonicalize(tt_core.add(*halves))
             raw = float(np.linalg.norm(acc.cores[-1])) ** 2
             assert mps.raw_norm_sq == raw
@@ -889,7 +893,8 @@ class TestSweepCommand:
     def test_each_orbital_is_one_rounding_of_its_exact_sum(self, name):
         """Every truncated orbital, at the config's own svd_cutoff and at
         every sweep point, is round(unit one-row exact sum, c) bit for bit,
-        at c = rounding_cutoff(G, svd_cutoff) (not rounded when c is 0)."""
+        at c = max(svd_cutoff, its min_cutoff) (not rounded when c is 0),
+        and its build discarded nothing."""
         cfg = cli.load_config(config_path(name))
         fx = cli.load_fixture(fixture_path(name))
         cutoffs = [0.0, 3e-10, 1e-4, 0.03]
@@ -903,7 +908,8 @@ class TestSweepCommand:
                 tts = [res.prim_tts[j] for j in o.indices]
                 exact = (tt_core.scale(tts[0], c[0]) if len(tts) == 1
                          else tt_core.canonical_sum(tts, c))
-                cut = orbital_builder.rounding_cutoff(len(tts), res.svd_cutoff)
+                assert mps.build_error == 0.0
+                cut = max(res.svd_cutoff, mps.min_cutoff)
                 unit = orbital_builder.build_mo_mps(exact)
                 if cut == 0.0:
                     want, raw = unit.tt, unit.raw_norm_sq
@@ -969,6 +975,34 @@ class TestOracleCommand:
         # so the certified distance checks actually ran
         names = {c["name"] for c in doc["checks"]}
         assert "primitive_trace_distance[0]" in names
+
+    def test_wide_list_tolerance_adds_twice_the_build_error(
+            self, tmp_path, rng, monkeypatch):
+        """basis24's list summed in halves under a cap of 106: each orbital
+        records what its half roundings discarded, and its check, which
+        allows 2 build_error more than sqrt(2) estimates, passes at
+        svd_cutoff 0 and at 1e-4.  A build_error of 1e-4 is seen as 2e-4
+        more tolerance."""
+        monkeypatch.setattr(orbital_builder, "MAX_SUM_WIDTH", 106)
+        cfg, fx = basis24_inputs(tmp_path, rng)
+        cfg["oracle"].update(enabled=True, max_points_per_axis=64)
+        tol = cfg["oracle"]["tolerance"]
+        stage = pipeline.grid_stage(cfg, fx)
+        for svd in (0.0, 1e-4):
+            result = pipeline.cutoff_stage(stage, svd)
+            forged = dataclasses.replace(result, mos=[
+                dataclasses.replace(mps, build_error=1e-4)
+                for mps in result.mos])
+            for res in (result, forged):
+                checks = {c["name"]: c
+                          for c in oracle.run_checks(res, tmp_path)}
+                for i, mps in enumerate(res.mos):
+                    assert mps.build_error > 0
+                    bound = max(tol, 2 * mps.build_error + 2 ** 0.5
+                                * orbital_builder.infidelity_estimate(mps))
+                    check = checks[f"tt_vs_dense_orbital[{i}]"]
+                    assert check["status"] == "PASS"
+                    assert check["detail"].endswith(f"(tol {bound:.1e})")
 
     def test_corrupted_dump_fails_named_check(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", base_config(

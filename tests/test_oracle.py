@@ -53,7 +53,7 @@ def test_six_shipped_pairs_are_covered():
 
 
 @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
-def test_overlaps_match_dense_path(config):
+def test_overlaps_match_dense_path(config, tmp_path):
     cfg = cli.load_config(CONFIG_DIR / f"{config}.json")
     fx = cli.load_fixture(_fixture_for(config))
     result = cli.run_pipeline(cfg, fx)
@@ -92,6 +92,18 @@ def test_overlaps_match_dense_path(config):
         stack = np.array([prim_axes[j] for j in o.indices])
         got = sum(np.conj(coeffs) * oracle.kron_overlap(stack, mps.tt))
         assert abs(got - want) <= 1e-12
+
+    # every shipped list is narrow: its build discarded nothing, so the
+    # orbital check allows the config's tolerance or sqrt(2) estimates
+    tol = 1e-12
+    cfg["oracle"].update(enabled=True, max_points_per_axis=128, tolerance=tol)
+    details = {c["name"]: c["detail"]
+               for c in oracle.run_checks(result, tmp_path)}
+    for i, mps in enumerate(result.mos):
+        assert mps.build_error == 0.0
+        bound = max(tol, 2 ** 0.5 * orbital_builder.infidelity_estimate(mps))
+        assert details[f"tt_vs_dense_orbital[{i}]"].endswith(
+            f"(tol {bound:.1e})")
 
 
 def test_helpers_match_dense_on_random_trains(rng):

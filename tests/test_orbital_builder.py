@@ -11,8 +11,8 @@ from ttprep.gauss_pw import (PlaneWaveGrid, PrimitiveGaussian, choose_cutoff,
 from ttprep.orbital_builder import (DegenerateOrbitalError, EmptyBasisError,
                                     OrbitalMPS, build_orbitals, canonical_orthogonalize,
                                     infidelity_estimate, mo_bond_bound,
-                                    overlap_matrix, rounding_cutoff,
-                                    truncate_mo)
+                                    overlap_matrix, truncate_mo,
+                                    truncate_mo_each)
 
 from conftest import dense, random_tt
 
@@ -25,9 +25,9 @@ def small_grid(gamma=1.0, L=14.0, eps=1e-4):
     return PlaneWaveGrid(L=L, K=choose_cutoff(gamma, 0, L, eps / math.sqrt(3)))
 
 
-def orbital(tts, coeffs, eps_sum=1e-9):
+def orbital(tts, coeffs):
     """The orbital sum_g coeffs[g] * tts[g], built by build_orbitals."""
-    (o,) = build_orbitals(tts, [(range(len(tts)), coeffs)], eps_sum)
+    (o,) = build_orbitals(tts, [(range(len(tts)), coeffs)])
     return o
 
 
@@ -157,9 +157,16 @@ class TestBuildMoMps:
             orbital([tt, tt], np.array([1.0, -1.0]))
 
     def test_argument_guards(self):
-        tts = projected((s_prim((0.0, 0.0, 0.0)),), small_grid())
-        with pytest.raises(ValueError):
-            orbital(tts, np.array([1.0]), eps_sum=-1.0)
+        """A negative cutoff is an error, for a single primitive (floor 0)
+        and for a sum (floor EPS_SUM) alike, one cutoff or several."""
+        tts = projected((s_prim((0.0, 0.0, 0.0)), s_prim((0.9, 0.0, 0.0))),
+                        small_grid())
+        for o in (orbital(tts[:1], np.array([1.0])),
+                  orbital(tts, np.array([0.7, 0.7]))):
+            with pytest.raises(ValueError):
+                truncate_mo(o, -1.0)
+            with pytest.raises(ValueError):
+                truncate_mo_each(o, [0.0, -1.0])
 
 
 def chain_sum(coeffs, tts, eps_sum):
@@ -191,7 +198,7 @@ class TestMergeOrder:
         prims = random_primitives(rng, n_prims)
         tts = projected(prims, grid, 1e-3)
         c = random_coeffs(rng, n_prims)
-        o = orbital(tts, c, eps_sum=1e-6)
+        o = orbital(tts, c)
         acc = tt_core.left_canonicalize(chain_sum(c, tts, 1e-6))
         raw = float(np.linalg.norm(acc.cores[-1])) ** 2
         assert o.raw_norm_sq == raw
@@ -209,8 +216,7 @@ class TestMergeOrder:
         prims = random_primitives(rng, n_prims)
         tts = projected(prims, grid, 1e-3)
         c = random_coeffs(rng, n_prims)
-        eps_sum = 1e-9
-        o = orbital(tts, c, eps_sum=eps_sum)
+        o = orbital(tts, c)
         axes = [oracle.axis_vectors(tt, grid.qubits_per_axis) for tt in tts]
         nrm_sq = sum((np.conj(ci) * cj * oracle.product_overlap(u, v)).real
                      for ci, u in zip(c, axes) for cj, v in zip(c, axes))
@@ -220,7 +226,8 @@ class TestMergeOrder:
         overlap = sum(np.conj(c) * oracle.kron_overlap(np.array(axes), o.tt))
         diff = math.sqrt(max(0.0, 2.0 - 2.0 * overlap.real
                              / math.sqrt(nrm_sq)))
-        assert diff <= max(1e-6, 20.0 * n_prims * eps_sum)
+        assert o.build_error == 0.0
+        assert diff <= max(1e-6, math.sqrt(2) * infidelity_estimate(o))
 
     @pytest.mark.parametrize("n_prims", [1, 2, 3, 4, 5, 8, 9])
     def test_rounds_once_per_merge(self, rng, monkeypatch, n_prims):
@@ -254,7 +261,7 @@ class TestMergeOrder:
                 (width - 1, sum(h > 1 for h in halves), min(n_prims - 1, 1))):
             monkeypatch.setattr(orbital_builder, "MAX_SUM_WIDTH", cap)
             calls = {"round": [], "add": 0}
-            o = orbital(leaves, c, eps_sum=1e-12)
+            o = orbital(leaves, c)
             assert calls["round"] == ["left"] * rounds, cap
             assert calls["add"] == adds, cap
             assert o.tt.canonical_form == "left"
@@ -269,8 +276,10 @@ class TestMergeOrder:
 
     def test_wide_list_keeps_the_halves_bit_for_bit(self, rng, monkeypatch):
         """40 bond-3 trains are 120 wide, over a cap of 106: each half of 20
-        is one exact sum, rounded, and the halves are added, unrounded."""
-        n_prims, eps = 40, 1e-9
+        is one exact sum, rounded at EPS_SUM, and the halves are added,
+        unrounded.  The orbital records the halves' truncation errors as
+        its build_error, and EPS_SUM as its rounding floor."""
+        n_prims, eps = 40, orbital_builder.EPS_SUM
         bonds = [1, 3, 3, 3, 3, 3, 1]
         leaves = [tt_core.TensorTrain(
             [rng.standard_normal((l, 2, r)) + 1j * rng.standard_normal(
@@ -279,9 +288,11 @@ class TestMergeOrder:
         monkeypatch.setattr(orbital_builder, "MAX_SUM_WIDTH", 106)
         assert 3 * n_prims > orbital_builder.MAX_SUM_WIDTH
         c = random_coeffs(rng, n_prims)
-        o = orbital(leaves, c, eps_sum=eps)
+        o = orbital(leaves, c)
         halves = [tt_core.round(tt_core.canonical_sum(leaves[s], c[s]), eps)
                   for s in (slice(0, 20), slice(20, None))]
+        assert o.min_cutoff == eps
+        assert o.build_error == sum(h.truncation_error for h in halves)
         acc = tt_core.left_canonicalize(tt_core.add(*halves))
         raw = float(np.linalg.norm(acc.cores[-1])) ** 2
         assert o.raw_norm_sq == raw
@@ -319,12 +330,25 @@ class TestMergeOrder:
         assert max(widths) <= orbital_builder.MAX_SUM_WIDTH
         widths.clear()
         c = random_coeffs(rng, 80)
-        o = orbital(leaves, c, eps_sum=1e-12)
+        o = orbital(leaves, c)
         assert 3 * len(leaves) > 2 * orbital_builder.MAX_SUM_WIDTH
         assert widths == [60] * 4
         want = sum(ci * dense(t) for ci, t in zip(c, leaves))
         got = dense(o.tt) * math.sqrt(o.raw_norm_sq)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def _recording_round(monkeypatch) -> list:
+    """Record the cutoffs of every tt_core.round_each call, which each
+    tt_core.round makes once."""
+    calls, original = [], tt_core.round_each
+
+    def recording(a, cutoffs):
+        calls.append(list(cutoffs))
+        return original(a, cutoffs)
+
+    monkeypatch.setattr(tt_core, "round_each", recording)
+    return calls
 
 
 class TestTruncateMo:
@@ -333,11 +357,47 @@ class TestTruncateMo:
         prims = (s_prim((0.0, 0.0, 0.0)), s_prim((0.9, 0.4, 0.0)))
         return orbital(projected(prims, grid), np.array([0.7, 0.7]))
 
+    def _one_primitive(self):
+        tts = projected((s_prim((0.0, 0.0, 0.0)),), small_grid())
+        return orbital(tts, np.array([1.0]))
+
     def test_zero_eps_is_identity(self):
-        o = self._orbital()
-        same = truncate_mo(o, 0.0)
-        assert same.tt is o.tt
-        assert same.raw_norm_sq == o.raw_norm_sq
+        """A single primitive was never summed: at 0 it is not rounded."""
+        o = self._one_primitive()
+        assert o.min_cutoff == 0.0
+        for same in (truncate_mo(o, 0.0), *truncate_mo_each(o, [0.0])):
+            assert same.tt is o.tt
+            assert same.raw_norm_sq == o.raw_norm_sq
+
+    def test_one_primitive_keeps_the_svd_cutoff(self, monkeypatch):
+        """A single primitive is rounded at the cutoff it is given."""
+        o = self._one_primitive()
+        cutoffs = _recording_round(monkeypatch)
+        for svd in (1e-12, 1e-4):
+            truncate_mo(o, svd)
+        truncate_mo_each(o, [0.0, 1e-12, 1e-4])
+        assert cutoffs == [[1e-12], [1e-4], [1e-12, 1e-4]]
+
+    @pytest.mark.parametrize("n_prims", [2, 3, 40])
+    def test_a_sum_is_rounded_at_least_at_eps_sum(self, rng, monkeypatch,
+                                                   n_prims):
+        """A sum is rounded at EPS_SUM or above: at 0 and at EPS_SUM / 3 it
+        equals its rounding at EPS_SUM bit for bit, and at 1e-4 it is
+        rounded at 1e-4."""
+        eps = orbital_builder.EPS_SUM
+        o = orbital([random_tt(rng, 6, max_bond=3) for _ in range(n_prims)],
+                    random_coeffs(rng, n_prims))
+        assert o.min_cutoff == eps
+        want = truncate_mo(o, eps)
+        cutoffs = _recording_round(monkeypatch)
+        got = [truncate_mo(o, 0.0), truncate_mo(o, eps / 3),
+               *truncate_mo_each(o, [0.0, eps / 3])]
+        for t in got:
+            assert t.raw_norm_sq == want.raw_norm_sq
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(t.tt.cores, want.tt.cores))
+        truncate_mo(o, 1e-4)
+        assert cutoffs == [[eps], [eps], [eps, eps], [1e-4]]
 
     def test_monotone_in_eps(self):
         o = self._orbital()
@@ -379,21 +439,6 @@ class TestTruncateMo:
         overlap = abs(np.vdot(u, dense(t.tt)))
         d_dense = math.sqrt(max(0.0, 1.0 - overlap ** 2))
         assert abs(d_dense - infidelity_estimate(t)) < 1e-6
-
-
-class TestRoundingCutoff:
-    def test_one_primitive_keeps_the_svd_cutoff(self):
-        """A single primitive was never summed: it is rounded at svd_cutoff,
-        and at 0 not at all."""
-        for svd in (0.0, 1e-12, 1e-4):
-            assert rounding_cutoff(1, svd) == svd
-
-    @pytest.mark.parametrize("n_prims", [2, 3, 40])
-    def test_a_sum_is_rounded_at_least_at_eps_sum(self, n_prims):
-        eps = orbital_builder.EPS_SUM
-        assert rounding_cutoff(n_prims, 0.0) == eps
-        assert rounding_cutoff(n_prims, eps / 3) == eps
-        assert rounding_cutoff(n_prims, 1e-4) == 1e-4
 
 
 class TestInfidelityEstimate:

@@ -212,3 +212,32 @@ def test_only_estimate_resources_prices():
                  and aliases.get(sub.value.id) == "resource_model"]
         stray += [f"{module}: {n}" for n in refs if n not in COST_MODEL_API]
     assert stray == [], f"priced outside estimate_resources: {stray}"
+
+
+# orbital_builder's summation and rounding rule, by name: every orbital
+# records what the rule decided (min_cutoff, build_error), so no other
+# module needs the rule's constants or helpers
+ROUNDING_RULE = {"EPS_SUM", "MAX_SUM_WIDTH", "rounding_cutoff"}
+
+
+def test_only_orbital_builder_knows_the_rounding_rule():
+    """No module outside orbital_builder names the rule's constants, nor
+    imports or reaches into a private helper of orbital_builder."""
+    modules = _modules()
+    helpers = {n for n in _top_level(modules["orbital_builder"])
+               if n.startswith("_") and not n.startswith("__")}
+    stray = []
+    for module, tree in modules.items():
+        if module == "orbital_builder":
+            continue
+        aliases, names = _imports(tree, modules)
+        refs = [n for m, n in names.values() if m == "orbital_builder"]
+        refs += [sub.attr for sub in ast.walk(tree)
+                 if isinstance(sub, ast.Attribute)
+                 and isinstance(sub.value, ast.Name)
+                 and aliases.get(sub.value.id) == "orbital_builder"]
+        stray += [f"{module}: {n}" for n in refs
+                  if n in ROUNDING_RULE | helpers]
+        stray += [f"{module}: {sub.id}" for sub in ast.walk(tree)
+                  if isinstance(sub, ast.Name) and sub.id in ROUNDING_RULE]
+    assert stray == [], f"rounding rule named outside orbital_builder: {stray}"

@@ -1,5 +1,6 @@
 """The shipped-outputs regression tool finds no change between two runs of
-the same code, and does report a changed number or status."""
+the same code, and does report a changed number or status; every shipped
+output matches its committed golden file."""
 
 import importlib.util
 import re
@@ -49,3 +50,29 @@ def test_h_like_1s_against_itself(tmp_path):
             f"float change 1.000e+00 ({tiny} -> 0.0); largest absolute "
             f"change {float(y) - float(x):.3e} ({x} -> {y})") in lines
     assert len(lines) == 2
+
+
+def test_shipped_outputs_match_the_golden_files(tmp_path):
+    """Every command on every shipped pair gives the committed outputs
+    under tests/golden/: each integer and text token (bonds, Toffoli
+    floors, qubit counts, PASS/SKIP/FAIL) exactly, each float within the
+    tool's tolerance.  An intended output change is rewritten there by
+    `python3 tools/shipped_outputs.py bless` and stated in CHANGES.md."""
+    tool = _load_tool()
+    tool.run(tmp_path)
+    assert tool.compare(tool.GOLDEN, tmp_path, tolerant=True) == []
+
+
+def test_golden_tolerance_forgives_only_float_round_off():
+    """A float may move 1e-9 relative, or 5e-7 absolute when both values
+    are below 1e-6; an integer, a text token or a larger move may not."""
+    tool = _load_tool()
+    base = "bond 7: toffoli 1234.5, D = 5.162e-08, PASS\n"
+    moved = "bond 7: toffoli 1234.5000001, D = 3.2e-07, PASS\n"
+    assert tool.compare_file(base, moved, tolerant=True) == []
+    assert tool.compare_file(base, moved) != []
+    for old, new in (("bond 7", "bond 8"), ("1234.5", "1234.51"),
+                     ("5.162e-08", "9e-07"), ("5.162e-08", "2e-06"),
+                     ("PASS", "FAIL")):
+        assert tool.compare_file(base, base.replace(old, new),
+                                 tolerant=True) != [], new

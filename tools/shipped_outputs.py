@@ -1,11 +1,12 @@
 """Run ttprep on the shipped config/fixture pairs and compare two such runs.
 
 The regression check for a refactor is that every command gives the same
-files on every shipped pair.  Two subcommands:
+files on every shipped pair.  Three subcommands:
 
     python3 tools/shipped_outputs.py run OUT_DIR [--checkout DIR]
                                              [--config NAME ...]
     python3 tools/shipped_outputs.py compare A_DIR B_DIR
+    python3 tools/shipped_outputs.py bless
 
 ``run`` executes ``project``, ``estimate``, ``sweep`` and ``oracle`` for each
 shipped config (``configs/*.json``; a config ``X_suffix.json`` uses the
@@ -22,6 +23,15 @@ of any float (a value at the round-off floor that goes 0 -> 2e-16 changes
 by 1.0 relative but by 2e-16 absolute), and every changed integer or text
 token (bond dimensions, qubit counts, PASS/FAIL/SKIP).  It exits 1
 when anything differs, 0 otherwise.
+
+``bless`` reruns this repository into ``tests/golden/``, the committed
+outputs that ``tests/test_shipped_outputs.py`` checks each run against.
+That check is ``compare`` with a float tolerance (``agree``): integer and
+text tokens must match exactly, and a float must agree to REL_TOL
+relative, or to ABS_TOL absolute when both values are below SMALL.  Those
+are round-off values such as |norm - 1| or sqrt(1 - norm^2), which move by
+up to the square root of round-off when a sum is reordered.  A change that
+moves an output is blessed, and shows as a diff of the golden files.
 """
 
 from __future__ import annotations
@@ -29,12 +39,15 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+GOLDEN = REPO / "tests" / "golden"
 COMMANDS = ("project", "estimate", "sweep", "oracle")
+REL_TOL, SMALL, ABS_TOL = 1e-9, 1e-6, 5e-7
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?"
                      r"|\b(?:nan|inf)\b")
@@ -84,8 +97,16 @@ def _is_int(token: str) -> bool:
     return not any(ch in token for ch in ".eEni")
 
 
-def compare_file(a: str, b: str) -> list[str]:
-    """Differences between two texts, or [] when they are identical."""
+def agree(x: float, y: float) -> bool:
+    """Whether two floats agree to REL_TOL relative, or to ABS_TOL absolute
+    when both are below SMALL in magnitude."""
+    change, scale = abs(x - y), max(abs(x), abs(y))
+    return change <= REL_TOL * scale or (scale < SMALL and change <= ABS_TOL)
+
+
+def compare_file(a: str, b: str, tolerant: bool = False) -> list[str]:
+    """Differences between two texts, or [] when they are identical (with
+    tolerant, when every float pair agrees and all else is identical)."""
     if a == b:
         return []
     text_a, nums_a = _tokens(a)
@@ -102,6 +123,8 @@ def compare_file(a: str, b: str) -> list[str]:
             out.append(f"integer {x} -> {y}")
             continue
         fx, fy = float(x), float(y)
+        if tolerant and agree(fx, fy):
+            continue
         change = abs(fx - fy)
         scale = max(abs(fx), abs(fy))
         rel = change / scale if scale else 0.0
@@ -116,8 +139,9 @@ def compare_file(a: str, b: str) -> list[str]:
     return out
 
 
-def compare(a_dir: Path, b_dir: Path) -> list[str]:
-    """One report line per difference between two run directories."""
+def compare(a_dir: Path, b_dir: Path, tolerant: bool = False) -> list[str]:
+    """One report line per difference between two run directories, floats
+    that agree (tolerant) aside."""
     def files(root):
         return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
@@ -126,7 +150,7 @@ def compare(a_dir: Path, b_dir: Path) -> list[str]:
     lines += [f"{p}: only in {b_dir}" for p in sorted(fb - fa)]
     for p in sorted(fa & fb):
         diffs = compare_file((a_dir / p).read_text(encoding="utf-8"),
-                             (b_dir / p).read_text(encoding="utf-8"))
+                             (b_dir / p).read_text(encoding="utf-8"), tolerant)
         lines += [f"{p}: {d}" for d in diffs]
     return lines
 
@@ -143,9 +167,15 @@ def main(argv=None) -> int:
     p_cmp = sub.add_parser("compare", help="print differences of two runs")
     p_cmp.add_argument("a_dir", type=Path)
     p_cmp.add_argument("b_dir", type=Path)
+    sub.add_parser("bless", help=f"rewrite {GOLDEN.relative_to(REPO)}/ "
+                                 "from this repository")
     args = parser.parse_args(argv)
     if args.action == "run":
         run(args.out_dir, args.checkout, args.config)
+        return 0
+    if args.action == "bless":
+        shutil.rmtree(GOLDEN, ignore_errors=True)
+        run(GOLDEN)
         return 0
     lines = compare(args.a_dir, args.b_dir)
     print("\n".join(lines) if lines else "no differences")

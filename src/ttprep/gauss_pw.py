@@ -97,12 +97,6 @@ class PrimitiveGaussian:
                 raise ValueError(
                     f"angular momentum {a} outside [0, {MAX_ANGULAR_MOMENTUM}]")
 
-    def axis_norm_const(self, axis: int) -> float:
-        l = self.ang[axis]
-        return (2.0 ** l * (2.0 * self.gamma) ** (l / 2 + 0.25)
-                * math.sqrt(math.factorial(l))
-                / (math.pi ** 0.25 * math.sqrt(math.factorial(2 * l))))
-
 
 @dataclass(frozen=True)
 class PlaneWaveGrid:

@@ -1,13 +1,13 @@
 """Molecular orbitals as compressed trains over the plane-wave basis.
 
 An orbital is a weighted sum of unit primitive trains, summed by the width
-rule of build_orbitals and renormalized, then rounded once per cutoff
-(truncate_mo; truncate_mo_each rounds at several cutoffs in one shared
-sweep).  Each orbital records what that rule decided for it (min_cutoff,
-build_error), so no caller needs the rule.  overlap_matrix is the
-primitives' Gram matrix S; canonical_orthogonalize (drop eigenvalues of S
-below sigma, whiten the rest) is the paper's whitening guarantee, which
-the tests check.
+rule of build_orbitals and renormalized, then rounded once per cutoff at
+max(cutoff, EPS_SUM), whatever its primitive count (truncate_mo;
+truncate_mo_each rounds at several cutoffs in one shared sweep).  Each
+orbital records what its build discarded (build_error), so no caller needs
+the rule.  overlap_matrix is the primitives' Gram matrix S;
+canonical_orthogonalize (drop eigenvalues of S below sigma, whiten the
+rest) is the paper's whitening guarantee, which the tests check.
 The squared norm of the summed train, recorded before renormalization,
 drives all error reporting: truncations only remove weight, so
 1 - raw_norm_sq tracks the discarded probability and
@@ -42,7 +42,7 @@ __all__ = [
 
 DEGENERATE_NORM_SQ = 1e-10
 
-# Floor of a summed orbital's one rounding; the cutoff of a wide list's halves.
+# Floor of every orbital's one rounding; the cutoff of a wide list's halves.
 EPS_SUM = 1e-9
 
 # The widest direct sum summed exactly in one piece.  A wider list is halved
@@ -85,14 +85,12 @@ class OrbitalMPS:
 
     raw_norm_sq is the squared norm of the summed train immediately
     before renormalization; every later truncation multiplies it by the
-    squared norm the truncation retained.  min_cutoff is the least cutoff
-    truncate_mo rounds at (EPS_SUM for a sum, 0 for one primitive), and
-    build_error bounds the summed train's distance from the exact sum.
+    squared norm the truncation retained.  build_error bounds the summed
+    train's distance from the exact sum.
     """
 
     tt: TensorTrain
     raw_norm_sq: float
-    min_cutoff: float = 0.0
     build_error: float = 0.0
 
     @property
@@ -160,16 +158,16 @@ def build_orbitals(tts, orbitals) -> list[OrbitalMPS]:
     summing coeffs[k] * tts[indices[k]].
 
     The orbitals are grouped by primitive list, and each list is summed by
-    one rule.  A single train is only scaled (min_cutoff 0).  A list whose
-    direct sum (the largest, over sites, of the trains' summed bonds) is at
-    most MAX_SUM_WIDTH wide is one tt_core.canonical_sum for all the list's
+    one rule.  A single train is only scaled.  A list whose direct sum (the
+    largest, over sites, of the trains' summed bonds) is at most
+    MAX_SUM_WIDTH wide is one tt_core.canonical_sum for all the list's
     orbitals: one QR sweep shared by them, no bond wider than the sites to
     its right, and an exact "left" sum per orbital, which truncate_mo rounds
     with no QR sweep.  A wider list is split at G // 2, each half is summed
     by this same rule for all the orbitals at once (so split again while it
     is too wide), and each orbital's halves are added, each rounded at
-    EPS_SUM unless a single train, into its build_error.  A sum's
-    min_cutoff is EPS_SUM.  build_mo_mps finishes each sum.
+    EPS_SUM unless a single train, into its build_error.  build_mo_mps
+    finishes each sum.
     """
     by_list = {}
     for i, (indices, _) in enumerate(orbitals):
@@ -179,8 +177,7 @@ def build_orbitals(tts, orbitals) -> list[OrbitalMPS]:
         sums = _sums([tts[j] for j in indices],
                      [orbitals[i][1] for i in members])
         for i, (summed, error) in zip(members, sums):
-            mos[i] = replace(build_mo_mps(summed), build_error=error,
-                             min_cutoff=EPS_SUM if len(indices) > 1 else 0.0)
+            mos[i] = replace(build_mo_mps(summed), build_error=error)
     return [mos[i] for i in range(len(orbitals))]
 
 
@@ -203,33 +200,30 @@ def build_mo_mps(summed: TensorTrain) -> OrbitalMPS:
 
 
 def truncate_mo(o: OrbitalMPS, eps: float) -> OrbitalMPS:
-    """Round an orbital train once at max(eps, o.min_cutoff), scaling its
-    norm record.
+    """Round an orbital train once at max(eps, EPS_SUM), scaling its norm
+    record.
 
     The retained squared norm multiplies raw_norm_sq, so infidelity grows
-    monotonically with eps; a cutoff of 0 returns the input unchanged.  On
-    the "left" train of build_mo_mps the rounding is a single right-to-left
-    SVD sweep, and the "right" result reads its norm off its first core.
+    monotonically with eps.  On the "left" train of build_mo_mps the
+    rounding is a single right-to-left SVD sweep, and the "right" result
+    reads its norm off its first core.
     """
-    eps = _cutoff(o, eps)
-    if eps == 0.0:
-        return replace(o)
+    eps = _cutoff(eps)
     return _rounded_mo(o, tt_core.round(o.tt, eps), eps)
 
 
 def truncate_mo_each(o: OrbitalMPS, eps_values) -> list[OrbitalMPS]:
-    """[truncate_mo(o, eps) for eps in eps_values], bit for bit; the nonzero
+    """[truncate_mo(o, eps) for eps in eps_values], bit for bit; the
     cutoffs share one tt_core.round_each sweep."""
-    eps_values = [_cutoff(o, eps) for eps in eps_values]
-    rounded = iter(tt_core.round_each(o.tt, [e for e in eps_values if e]))
-    return [_rounded_mo(o, next(rounded), eps) if eps else replace(o)
-            for eps in eps_values]
+    eps_values = [_cutoff(eps) for eps in eps_values]
+    return [_rounded_mo(o, rounded, eps) for rounded, eps in
+            zip(tt_core.round_each(o.tt, eps_values), eps_values)]
 
 
-def _cutoff(o: OrbitalMPS, eps: float) -> float:
+def _cutoff(eps: float) -> float:
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    return max(float(eps), o.min_cutoff)
+    return max(float(eps), EPS_SUM)
 
 
 def _rounded_mo(o: OrbitalMPS, rounded: TensorTrain, eps: float) -> OrbitalMPS:

@@ -311,8 +311,8 @@ def grid_stage(cfg: dict, fx: Fixture) -> GridStage:
 
 
 def cutoff_stage(stage: GridStage, svd_cutoff: float) -> PipelineResult:
-    """Round each orbital once, by truncate_mo at svd_cutoff (or at the
-    orbital's own min_cutoff, if larger), then price them."""
+    """Round each orbital once, by truncate_mo at svd_cutoff (raised to
+    orbital_builder's floor where it is below), then price them."""
     svd = float(svd_cutoff)
     return _priced(stage, svd, [orbital_builder.truncate_mo(mps, svd)
                                 for mps in stage.mos])

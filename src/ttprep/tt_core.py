@@ -33,7 +33,6 @@ __all__ = [
     "scale",
     "tensor_product",
     "to_debug_json",
-    "to_dense",
 ]
 
 _EPS = np.finfo(float).eps
@@ -130,7 +129,8 @@ def from_dense(v, tol: float = 0.0) -> TensorTrain:
         ``tol * ||v|| / sqrt(n_bonds)`` so the total reconstruction error
         stays below ``tol * ||v||``.  With ``tol = 0`` only singular values
         at the machine-noise floor are dropped, which yields the exact
-        numerical ranks.
+        numerical ranks.  The floor is eps times the larger of
+        ``max(shape) * s_0`` and ``n * ||v||``, the earlier SVDs' round-off.
 
     Returns
     -------
@@ -159,7 +159,7 @@ def from_dense(v, tol: float = 0.0) -> TensorTrain:
     for _ in range(n - 1):
         C = C.reshape(r_prev * 2, -1)
         U, S, Vt = _svd(C)
-        floor = _EPS * max(C.shape) * (S[0] if S.size else 0.0)
+        floor = _EPS * max(max(C.shape) * (S[0] if S.size else 0.0), n * nrm)
         r = int(np.count_nonzero(S > max(delta, floor)))
         r = max(r, 1)
         discarded += float(np.sum(S[r:] ** 2))
@@ -185,22 +185,6 @@ def _svd(M: np.ndarray):
         U, S, Vh = np.linalg.svd(M.T, full_matrices=False)
         return Vh.T, S, U.T
     return np.linalg.svd(M, full_matrices=False)
-
-
-def to_dense(t: TensorTrain, cap: int = 24) -> np.ndarray:
-    """Contract a train into its explicit dense vector.
-
-    Refuses trains with more than ``cap`` sites (2^cap entries) so a typo
-    cannot silently allocate petabytes.
-    """
-    if t.n_sites > cap:
-        raise CapacityError(
-            f"dense expansion of {t.n_sites} sites exceeds the cap of {cap}")
-    vec = t.cores[0].reshape(2, -1)
-    for core in t.cores[1:]:
-        vec = np.tensordot(vec, core, axes=([-1], [0]))
-        vec = vec.reshape(-1, core.shape[2])
-    return vec.reshape(-1)
 
 
 def add(a: TensorTrain, b: TensorTrain) -> TensorTrain:

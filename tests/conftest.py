@@ -10,8 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from ttprep import tt_core
-from ttprep.tt_core import TensorTrain
+from ttprep.tt_core import CapacityError, TensorTrain
 
 
 def random_tt(rng: np.random.Generator, n_sites: int, max_bond: int = 4,
@@ -45,8 +44,20 @@ def isometry_residuals(a: TensorTrain) -> list[float]:
     return out
 
 
-def dense(t: TensorTrain) -> np.ndarray:
-    return np.asarray(tt_core.to_dense(t))
+def dense(t: TensorTrain, cap: int = 24) -> np.ndarray:
+    """Contract a train into its explicit dense vector.
+
+    Refuses trains with more than ``cap`` sites (2^cap entries) so a typo
+    cannot silently allocate petabytes.
+    """
+    if t.n_sites > cap:
+        raise CapacityError(
+            f"dense expansion of {t.n_sites} sites exceeds the cap of {cap}")
+    vec = t.cores[0].reshape(2, -1)
+    for core in t.cores[1:]:
+        vec = np.tensordot(vec, core, axes=([-1], [0]))
+        vec = vec.reshape(-1, core.shape[2])
+    return vec.reshape(-1)
 
 
 def tt_entry(t: TensorTrain, index: int) -> complex:

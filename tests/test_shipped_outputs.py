@@ -32,23 +32,23 @@ def test_h_like_1s_against_itself(tmp_path):
     oracle.write_text(text.replace("CHECK gram_vs_dense: PASS",
                                    "CHECK gram_vs_dense: FAIL"),
                       encoding="utf-8")
-    report = b / "h_like_1s" / "estimate" / "h_like_1s_report.json"
-    text = report.read_text(encoding="utf-8")
-    # a round-off value that drops to zero changes most in relative terms;
-    # eps1 with a digit 2 prefixed changes most in absolute terms
-    [tiny] = re.findall(r'"infidelity": (\S+?),', text)
-    [x] = re.findall(r'"eps1": (\S+?),', text)
-    y = "2" + x
-    report.write_text(text.replace(f'"infidelity": {tiny},',
-                                   '"infidelity": 0.0,')
-                      .replace(f'"eps1": {x},', f'"eps1": {y},'),
-                      encoding="utf-8")
+    # planted values, so the messages do not hang on the library's own
+    # round-off: a float that drops to zero changes most in relative terms,
+    # eps1 most in absolute terms
+    for run, tiny, eps1 in ((a, "1.5e-16", "0.125"), (b, "0.0", "2.125")):
+        report = run / "h_like_1s" / "estimate" / "h_like_1s_report.json"
+        text = report.read_text(encoding="utf-8")
+        text, n_tiny = re.subn(r'"infidelity": \S+?,',
+                               f'"infidelity": {tiny},', text)
+        text, n_eps1 = re.subn(r'"eps1": \S+?,', f'"eps1": {eps1},', text)
+        assert (n_tiny, n_eps1) == (1, 1)
+        report.write_text(text, encoding="utf-8")
     lines = tool.compare(a, b)
     assert any(line.startswith("h_like_1s/oracle.txt: text")
                and "FAIL" in line for line in lines)
-    assert (f"h_like_1s/estimate/h_like_1s_report.json: largest relative "
-            f"float change 1.000e+00 ({tiny} -> 0.0); largest absolute "
-            f"change {float(y) - float(x):.3e} ({x} -> {y})") in lines
+    assert ("h_like_1s/estimate/h_like_1s_report.json: largest relative "
+            "float change 1.000e+00 (1.5e-16 -> 0.0); largest absolute "
+            "change 2.000e+00 (0.125 -> 2.125)") in lines
     assert len(lines) == 2
 
 

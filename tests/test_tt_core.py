@@ -1,5 +1,6 @@
 """Tensor-train engine checks against dense brute force."""
 
+import functools
 import json
 import math
 
@@ -272,12 +273,19 @@ def test_svd_factors_either_side(shape):
     assert np.abs(Vh @ Vh.conj().T - np.eye(k)).max() <= 1e-13
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_from_dense_finds_planted_ranks(n):
     """A vector built from random cores with bonds min(2^k, 2^(n-k), r) has
-    exactly those TT ranks.  The first unfoldings are wide and the last tall,
-    so both sides of the SVD helper are used."""
+    exactly those TT ranks, at tol 0.  The first unfoldings are wide and the
+    last tall, so both sides of the SVD helper are used.  A Kronecker
+    product of n random 2-vectors has rank 1 at every bond, though its last
+    (2, 2) unfolding can show a second singular value of about 5e-16 times
+    the norm, above 2 eps times its largest."""
     rng = _rng(400 + n)
+    for seed in range(400):
+        factors = np.random.default_rng(seed).standard_normal((n, 2, 2))
+        v = functools.reduce(np.kron, factors[:, 0] + 1j * factors[:, 1])
+        assert tt_core.from_dense(v).bond_dims == (1,) * (n - 1), seed
     for r_max in (1, 3, 6):
         ranks = [min(2 ** k, 2 ** (n - k), r_max) for k in range(1, n)]
         bonds = [1, *ranks, 1]
@@ -286,9 +294,7 @@ def test_from_dense_finds_planted_ranks(n):
             + 1j * rng.standard_normal((bonds[j], 2, bonds[j + 1]))
             for j in range(n)])
         v = dense(planted)
-        # at tol 0 the floor eps * max(shape) * s_0 of a small last
-        # unfolding can sit below the round-off the earlier SVDs left there
-        t = tt_core.from_dense(v, tol=1e-12)
+        t = tt_core.from_dense(v)
         assert t.bond_dims == tuple(ranks), r_max
         assert np.linalg.norm(dense(t) - v) <= 1e-12 * np.linalg.norm(v)
         assert max(isometry_residuals(t)) <= 1e-12
@@ -542,13 +548,14 @@ def test_round_of_a_canonical_sum_skips_the_qr_sweep(rng, monkeypatch):
 
 
 def test_dense_cap_enforced():
+    """The tests' dense referee refuses more than 24 sites by default."""
     with pytest.raises(CapacityError):
-        tt_core.to_dense(TensorTrain([np.ones((1, 2, 1))] * 25))
+        dense(TensorTrain([np.ones((1, 2, 1))] * 25))
     # an explicit cap overrides the default in both directions
     t = TensorTrain([np.ones((1, 2, 1))] * 3)
     with pytest.raises(CapacityError):
-        tt_core.to_dense(t, cap=2)
-    assert len(tt_core.to_dense(t, cap=3)) == 8
+        dense(t, cap=2)
+    assert len(dense(t, cap=3)) == 8
 
 
 def test_entry_contraction_matches_dense(rng):

@@ -8,12 +8,14 @@ Four subcommands run ``ttprep.pipeline`` and write what it returns:
   oracle    cross-checks of trains against exact per-axis k-space sums
 
 Grid cutoffs may be given as K (inverse Bohr) or as a kinetic-energy
-cutoff E_cut (Hartree) with K = sqrt(2 E_cut).  Every float is serialized
-with 17 significant digits, keys are sorted, and nothing timestamps the
-output, so reruns are byte-identical.  The naive-baseline mode count is
-the padded register size 2^(3 qubits_per_axis) that the qubit encoding
-addresses (the odd per-plane-wave count is also reported); this is what
-makes the baseline scale exactly with L^3 across doublings.
+cutoff E_cut (Hartree) with K = sqrt(2 E_cut).  Every JSON file, CSV
+number and printed total is json.dumps text (sorted keys, shortest
+round-trip floats; a NaN or inf is an error), lines end in LF, and
+nothing timestamps the output, so reruns are byte-identical.  The
+naive-baseline mode count is the padded register size 2^(3
+qubits_per_axis) that the qubit encoding addresses (the odd
+per-plane-wave count is also reported); this is what makes the baseline
+scale exactly with L^3 across doublings.
 """
 
 from __future__ import annotations
@@ -39,43 +41,15 @@ SWEEP_AXES = ("L_bohr", "K_inv_bohr", "E_cut_hartree", "svd_cutoff")
 
 
 # ---------------------------------------------------------------------------
-# serialization: 17-significant-digit floats, sorted keys, LF endings
+# serialization: one json.dumps for every value written (sorted keys,
+# two-space indent, shortest round-trip floats, no NaN or inf), LF endings
 
-def _f17(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x} in report")
-    return "%.17g" % x
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _json_text(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _f17(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = (f'{pad}  {json.dumps(str(k))}: {_json_text(obj[k], indent + 1)}'
-                for k in sorted(obj))
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = (f"{pad}  {_json_text(v, indent + 1)}" for v in obj)
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _write_json(path: Path, obj) -> None:
-    path.write_text(_json_text(obj) + "\n", encoding="utf-8", newline="\n")
+def _write(path: Path, text: str) -> None:
+    path.write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
 def _cell(v) -> str:
@@ -83,9 +57,8 @@ def _cell(v) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write(path, "\n".join([",".join(header)] + [
+        ",".join(_cell(v) for v in row) for row in rows]))
 
 
 def _gram_max_offdiag(result: PipelineResult) -> float:
@@ -195,16 +168,15 @@ def _emit_project(result: PipelineResult, out_dir: Path) -> None:
         _write_csv(out_dir / f"{name}_orbital_{i}_bonds.csv",
                    ["bond_index", "bond_dim", "log2_bond_dim"], bond_rows)
         if result.config["oracle"]["dump_tt"]:
-            (out_dir / f"{name}_orbital_{i}_tt.json").write_text(
-                json.dumps(tt_core.to_debug_json(mps.tt), sort_keys=True),
-                encoding="utf-8", newline="\n")
-    _write_json(out_dir / f"{name}_project.json", {
+            _write(out_dir / f"{name}_orbital_{i}_tt.json",
+                   _json_text(tt_core.to_debug_json(mps.tt)))
+    _write(out_dir / f"{name}_project.json", _json_text({
         "fixture": name,
         "grid": _grid_summary(result),
         "svd_cutoff": result.svd_cutoff,
         "orbitals": orbitals,
         "gram_max_offdiag": _gram_max_offdiag(result),
-    })
+    }))
 
 
 @main.command("estimate")
@@ -214,8 +186,9 @@ def cmd_estimate(config_path, fixture_path, out):
     cfg, fx, out_dir = _load_all(config_path, fixture_path, out)
     result = run_pipeline(cfg, fx)
     report_obj = _report_dict(result)
-    validated(json.loads(_json_text(report_obj)), "report", "report")
-    _write_json(out_dir / f"{fx.name}_report.json", report_obj)
+    text = _json_text(report_obj)
+    validated(json.loads(text), "report", "report")
+    _write(out_dir / f"{fx.name}_report.json", text)
     rows = []
     for section in ("toffoli", "toffoli_floor", "qubits", "totals"):
         for key, val in sorted(report_obj[section].items()):
@@ -230,8 +203,8 @@ def cmd_estimate(config_path, fixture_path, out):
     _write_csv(out_dir / f"{fx.name}_estimate.csv",
                ["section", "name", "value"], rows)
     click.echo(f"estimate: mps_total="
-               f"{_f17(report_obj['totals']['mps_method'])} "
-               f"naive={_f17(report_obj['totals']['naive_method'])} "
+               f"{_json_text(report_obj['totals']['mps_method'])} "
+               f"naive={_json_text(report_obj['totals']['naive_method'])} "
                f"-> {out_dir}")
 
 
@@ -331,11 +304,11 @@ def cmd_oracle(config_path, fixture_path, out):
     checks = oracle.run_checks(result, out_dir)
     for c in checks:
         click.echo(f"CHECK {c['name']}: {c['status']} - {c['detail']}")
-    _write_json(out_dir / f"{fx.name}_oracle.json", {
+    _write(out_dir / f"{fx.name}_oracle.json", _json_text({
         "fixture": fx.name,
         "grid": _grid_summary(result),
         "checks": checks,
-    })
+    }))
     n_fail = sum(1 for c in checks if c["status"] == "FAIL")
     click.echo(f"oracle: {len(checks)} checks, {n_fail} failures")
     if n_fail:

@@ -356,6 +356,30 @@ class TestValidation:
         assert f"invalid at {path}: " in out
         assert "not a finite number" in out
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("command", ["estimate", "sweep"])
+    def test_non_finite_output_rejected(self, tmp_path, monkeypatch,
+                                        command, value):
+        """A NaN or inf that reaches a report figure (estimate's eps1) or a
+        sweep cell (the error column) is one Error: line and exit 1, and
+        nothing is written."""
+        report_dict, sweep_errors = cli._report_dict, oracle.sweep_errors
+        monkeypatch.setattr(cli, "_report_dict", lambda result: {
+            **report_dict(result), "eps1": value})
+        monkeypatch.setattr(oracle, "sweep_errors", lambda results: [
+            [(value, kind) for _, kind in point]
+            for point in sweep_errors(results)])
+        cfg_p = write_json(tmp_path / "cfg.json",
+                           base_config(sweep={"K_inv_bohr": [10.0]}))
+        fx_p = write_json(tmp_path / "fx.json", base_fixture())
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [
+            command, "--config", cfg_p, "--fixture", fx_p, "--out", str(out)])
+        assert result.exit_code == 1
+        (line,) = result.output.splitlines()
+        assert line.startswith("Error: ")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("cfg_over,fx_over,message", [
         ({"resources": {"b": 10, "eta": 3}}, {},
          "resources.eta = 3 does not match the fixture's summed "
@@ -655,7 +679,7 @@ class TestSweepCommand:
                  "--out", str(tmp_path)])
         _, rows = read_csv(tmp_path / "synthetic_diatomic_sweep.csv")
         rows = [r for r in rows if r["orbital"] == "0"]
-        assert [r["value"] for r in rows] == ["30", "60", "120", "240"]
+        assert [float(r["value"]) for r in rows] == [30, 60, 120, 240]
         naive = [float(r["toffoli_naive"]) for r in rows]
         mps = [float(r["toffoli_mps_total"]) for r in rows]
         ratio = [float(r["ratio_naive_over_mps"]) for r in rows]

@@ -95,15 +95,32 @@ def test_overlaps_match_dense_path(config, tmp_path):
 
     # every shipped list is narrow: its build discarded nothing, so the
     # orbital check allows the config's tolerance or sqrt(2) estimates
+    # plus the round-off floor of 8 sqrt(eps)
     tol = 1e-12
     cfg["oracle"].update(enabled=True, max_points_per_axis=128, tolerance=tol)
     details = {c["name"]: c["detail"]
                for c in oracle.run_checks(result, tmp_path)}
     for i, mps in enumerate(result.mos):
         assert mps.build_error == 0.0
-        bound = max(tol, 2 ** 0.5 * orbital_builder.infidelity_estimate(mps))
+        bound = max(tol, 2 ** 0.5 * orbital_builder.infidelity_estimate(mps)
+                    + 8 * math.sqrt(np.finfo(float).eps))
         assert details[f"tt_vs_dense_orbital[{i}]"].endswith(
             f"(tol {bound:.1e})")
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+def test_honest_trains_pass_at_a_tight_tolerance(config, tmp_path):
+    """At oracle.tolerance 1e-12 no check of a shipped pair FAILs.  An
+    untruncated orbital differs from its dense sum only by round-off, but
+    2 - 2 Re <t, T> cancels, so that round-off reads as a few sqrt(eps)
+    (up to 3.9e-8 here), which the orbital check's floor must allow."""
+    cfg = cli.load_config(CONFIG_DIR / f"{config}.json")
+    cfg["oracle"].update(enabled=True, max_points_per_axis=128,
+                         tolerance=1e-12)
+    result = cli.run_pipeline(cfg, cli.load_fixture(_fixture_for(config)))
+    checks = oracle.run_checks(result, tmp_path)
+    assert any(c["name"].startswith("tt_vs_dense_orbital") for c in checks)
+    assert [c for c in checks if c["status"] == "FAIL"] == []
 
 
 def test_helpers_match_dense_on_random_trains(rng):

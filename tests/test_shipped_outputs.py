@@ -76,3 +76,21 @@ def test_golden_tolerance_forgives_only_float_round_off():
                      ("PASS", "FAIL")):
         assert tool.compare_file(base, base.replace(old, new),
                                  tolerant=True) != [], new
+
+
+def test_format_only_float_change_is_named():
+    """Floats that are the same double written differently (36 -> 36.0,
+    17 digits -> shortest) are reported as equal in value, apart from any
+    float whose value moved; the tolerant check forgives them."""
+    tool = _load_tool()
+    base = "toffoli 36, fidelity 0.99999999999999889, bond 7, D 2e-08\n"
+    spelled = "toffoli 36.0, fidelity 0.9999999999999989, bond 7, D 2e-08\n"
+    assert tool.compare_file(base, spelled) == [
+        "2 floats differ only in format, equal in value (first: 36 -> 36.0)"]
+    assert tool.compare_file(base, spelled, tolerant=True) == []
+    moved = spelled.replace("2e-08", "3e-08")
+    assert tool.compare_file(base, moved) == [
+        "largest relative float change 3.333e-01 (2e-08 -> 3e-08); "
+        "largest absolute change 1.000e-08 (2e-08 -> 3e-08)",
+        "2 floats differ only in format, equal in value (first: 36 -> 36.0)"]
+    assert tool.compare_file(base, base.replace("36", "-36.0")) != []

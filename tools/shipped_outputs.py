@@ -19,10 +19,12 @@ the output directory replaced by ``<out>``.
 ``compare`` prints every file that differs between two run directories.
 Files are split into number and text tokens.  For a differing file it
 prints, on one line, the largest relative and the largest absolute change
-of any float (a value at the round-off floor that goes 0 -> 2e-16 changes
-by 1.0 relative but by 2e-16 absolute), and every changed integer or text
-token (bond dimensions, qubit counts, PASS/FAIL/SKIP).  It exits 1
-when anything differs, 0 otherwise.
+of any float whose value changed (a value at the round-off floor that
+goes 0 -> 2e-16 changes by 1.0 relative but by 2e-16 absolute); on
+another, how many floats are only written differently and are equal in
+value (36 -> 36.0); and every changed integer or text token (bond
+dimensions, qubit counts, PASS/FAIL/SKIP).  It exits 1 when anything
+differs, 0 otherwise.
 
 ``bless`` reruns this repository into ``tests/golden/``, the committed
 outputs that ``tests/test_shipped_outputs.py`` checks each run against.
@@ -116,6 +118,7 @@ def compare_file(a: str, b: str, tolerant: bool = False) -> list[str]:
     out = [f"text {x!r} -> {y!r}"
            for x, y in zip(text_a, text_b) if x != y]
     worst_rel = worst_abs = None
+    same_value = []
     for x, y in zip(nums_a, nums_b):
         if x == y:
             continue
@@ -123,6 +126,9 @@ def compare_file(a: str, b: str, tolerant: bool = False) -> list[str]:
             out.append(f"integer {x} -> {y}")
             continue
         fx, fy = float(x), float(y)
+        if repr(fx) == repr(fy):  # one double, two spellings
+            same_value.append((x, y))
+            continue
         if tolerant and agree(fx, fy):
             continue
         change = abs(fx - fy)
@@ -132,6 +138,10 @@ def compare_file(a: str, b: str, tolerant: bool = False) -> list[str]:
             worst_rel = (rel, x, y)
         if worst_abs is None or change > worst_abs[0]:
             worst_abs = (change, x, y)
+    if same_value and not tolerant:
+        out.insert(0, "{} floats differ only in format, equal in value "
+                      "(first: {} -> {})".format(len(same_value),
+                                                 *same_value[0]))
     if worst_rel is not None:
         out.insert(0, "largest relative float change {:.3e} ({} -> {}); "
                       "largest absolute change {:.3e} ({} -> {})".format(

@@ -53,7 +53,16 @@ def _write(path: Path, text: str) -> None:
 
 
 def _cell(v) -> str:
-    return _json_text(v) if isinstance(v, (bool, int, float)) else str(v)
+    """A CSV cell: a number or bool as json.dumps writes it, without a
+    json.dumps call per cell; a NaN or inf goes to _json_text, which
+    refuses it."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float) and math.isfinite(v):
+        return float.__repr__(v)
+    return _json_text(v) if isinstance(v, float) else str(v)
 
 
 def _write_csv(path: Path, header, rows) -> None:

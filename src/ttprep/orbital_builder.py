@@ -45,13 +45,15 @@ DEGENERATE_NORM_SQ = 1e-10
 # Floor of every orbital's one rounding; the cutoff of a wide list's halves.
 EPS_SUM = 1e-9
 
-# The widest direct sum summed exactly in one piece.  A wider list is halved
-# until every piece fits.  The cap is set by time: on random l <= 2
-# primitives over 7 qubits per axis, one piece was as fast as one halving
-# up to a width of about 250-300 for one orbital and 400-500 for two or
-# four, because each orbital's halves must be rounded and added.  The price
-# is memory: the QR sweep holds O(width^2) entries per site, and each
-# orbital's exact sum is held until it is rounded.
+# The widest direct sum of primitives summed exactly in one piece.  A wider
+# list is halved until every piece fits, and each orbital's rounded halves
+# are joined by one exact canonical_sum, whose width is the halves' bonds
+# added (the cap does not bound it).  The cap is set by time: on random
+# l <= 2 primitives over 7 qubits per axis, one piece was as fast as one
+# halving up to a width of about 250-300 for one orbital and 400-500 for
+# two or four, because each orbital's halves must be rounded and joined.
+# The price is memory: the QR sweep holds O(width^2) entries per site, and
+# each orbital's exact sum is held until it is rounded.
 MAX_SUM_WIDTH = 256
 
 
@@ -144,9 +146,10 @@ def _sums(tts, rows, exact: bool = True) -> list[tuple[TensorTrain, float]]:
     else:
         h = len(tts) // 2
         rows = np.asarray(rows)
-        sums = [(tt_core.add(a, b), ea + eb) for (a, ea), (b, eb) in zip(
-            _sums(tts[:h], rows[:, :h], False),
-            _sums(tts[h:], rows[:, h:], False))]
+        sums = [(tt_core.canonical_sum([a, b], [1.0, 1.0]), ea + eb)
+                for (a, ea), (b, eb) in zip(
+                    _sums(tts[:h], rows[:, :h], False),
+                    _sums(tts[h:], rows[:, h:], False))]
     if exact:
         return sums
     rounded = [(tt_core.round(s, EPS_SUM), e) for s, e in sums]
@@ -165,9 +168,10 @@ def build_orbitals(tts, orbitals) -> list[OrbitalMPS]:
     its right, and an exact "left" sum per orbital, which truncate_mo rounds
     with no QR sweep.  A wider list is split at G // 2, each half is summed
     by this same rule for all the orbitals at once (so split again while it
-    is too wide), and each orbital's halves are added, each rounded at
-    EPS_SUM unless a single train, into its build_error.  build_mo_mps
-    finishes each sum.
+    is too wide), each half is rounded at EPS_SUM unless a single train,
+    into its build_error, and each orbital's halves are joined by one exact
+    canonical_sum, so every sum of two or more trains is "left".
+    build_mo_mps finishes each sum.
     """
     by_list = {}
     for i, (indices, _) in enumerate(orbitals):
@@ -184,11 +188,13 @@ def build_orbitals(tts, orbitals) -> list[OrbitalMPS]:
 def build_mo_mps(summed: TensorTrain) -> OrbitalMPS:
     """The unit orbital of one summed train, with its squared norm.
 
-    The train is left-canonicalized (free on a canonical_sum), its squared
-    norm read off its last core, and the last core renormalized, so the
-    unit train is "left" and a later truncate_mo needs no orthogonalization
-    sweep.  The pre-normalization squared norm is kept on the result; a
-    (numerically) vanishing norm is an error rather than a silent zero state.
+    The train is left-canonicalized, its squared norm read off its last
+    core, and the last core renormalized, so the unit train is "left" and a
+    later truncate_mo needs no orthogonalization sweep.  Every train from
+    build_orbitals is already "left", so the call is free there (perfbench's
+    tracer counts it in left_canonicalize.redundant).  The pre-normalization
+    squared norm is kept on the result; a (numerically) vanishing norm is
+    an error rather than a silent zero state.
     """
     acc = tt_core.left_canonicalize(summed)
     raw = float(tt_core.norm(acc)) ** 2

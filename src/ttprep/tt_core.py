@@ -19,7 +19,6 @@ __all__ = [
     "CapacityError",
     "ShapeError",
     "TensorTrain",
-    "add",
     "canonical_sum",
     "from_debug_json",
     "from_dense",
@@ -185,30 +184,6 @@ def _svd(M: np.ndarray):
         U, S, Vh = np.linalg.svd(M.T, full_matrices=False)
         return Vh.T, S, U.T
     return np.linalg.svd(M, full_matrices=False)
-
-
-def add(a: TensorTrain, b: TensorTrain) -> TensorTrain:
-    """Sum of two trains; internal bonds add (block-diagonal cores)."""
-    if a.n_sites != b.n_sites:
-        raise ShapeError(f"site mismatch: {a.n_sites} vs {b.n_sites}")
-    n = a.n_sites
-    if n == 1:
-        return TensorTrain([a.cores[0] + b.cores[0]])
-    cores = []
-    for j in range(n):
-        ca, cb = a.cores[j], b.cores[j]
-        if j == 0:
-            cores.append(np.concatenate([ca, cb], axis=2))
-        elif j == n - 1:
-            cores.append(np.concatenate([ca, cb], axis=0))
-        else:
-            la, _, ra = ca.shape
-            lb, _, rb = cb.shape
-            c = np.zeros((la + lb, 2, ra + rb), dtype=complex)
-            c[:la, :, :ra] = ca
-            c[la:, :, ra:] = cb
-            cores.append(c)
-    return TensorTrain(cores)
 
 
 def canonical_sum(trains, coeffs) -> TensorTrain | list[TensorTrain]:

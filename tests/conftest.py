@@ -1,4 +1,5 @@
-"""Shared helpers: random train generators and brute-force dense oracles.
+"""Shared helpers: random train generators, brute-force dense oracles and
+checks of build_orbitals' wide-list joins.
 
 Every oracle here recomputes its answer from first principles (dense numpy
 arrays, quadrature, explicit k-sums) so the library under test never
@@ -10,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from ttprep import tt_core
 from ttprep.tt_core import CapacityError, TensorTrain
 
 
@@ -84,3 +86,37 @@ def trace_distance_nonunit(reference: np.ndarray, state: np.ndarray) -> float:
     """
     ov = np.vdot(reference, state)
     return math.sqrt(max(0.0, 1.0 - abs(ov) ** 2))
+
+
+def recording_sums(monkeypatch):
+    """Record every tt_core.canonical_sum as (kind, width): a "join" of two
+    rounded halves, which passes one row of ones, or a "sum" of primitives,
+    which passes a coefficient row per orbital; width is the largest, over
+    sites, of the trains' summed bonds."""
+    calls, original = [], tt_core.canonical_sum
+
+    def recording(trains, coeffs):
+        calls.append(("sum" if np.ndim(coeffs) == 2 else "join",
+                      max(map(sum, zip(*(t.bond_dims for t in trains))))))
+        return original(trains, coeffs)
+
+    monkeypatch.setattr(tt_core, "canonical_sum", recording)
+    return calls
+
+
+def assert_joined(o, halves, want):
+    """o is the unit train of canonical_sum(halves, [1, 1]) bit for bit,
+    no bond of the join is wider than the halves' summed bonds, and the
+    state o carries is the dense want to 1e-12."""
+    acc = tt_core.canonical_sum(halves, [1, 1])
+    assert acc.canonical_form == "left"
+    assert all(j <= a + b for j, a, b in zip(
+        acc.bond_dims, halves[0].bond_dims, halves[1].bond_dims))
+    raw = float(np.linalg.norm(acc.cores[-1])) ** 2
+    assert o.raw_norm_sq == raw
+    want_tt = tt_core.scale(acc, 1.0 / math.sqrt(raw))
+    assert len(o.tt.cores) == len(want_tt.cores)
+    for got, ref in zip(o.tt.cores, want_tt.cores):
+        assert np.array_equal(got, ref)
+    got = dense(o.tt) * math.sqrt(o.raw_norm_sq)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

@@ -257,10 +257,11 @@ def test_criterion_06_tt_engine_randomized_suite():
                 assert r <= min(2 ** (i + 1), 2 ** (n - i - 1))
 
             alpha = complex(rng.normal(), rng.normal())
-            lin = tt_core.add(A, tt_core.scale(B, alpha))
+            lin = tt_core.canonical_sum([A, B], [1.0, alpha])
             assert np.abs(dense(lin) - (va + alpha * vb)).max() <= 1e-10
-            assert lin.bond_dims == tuple(
-                x + y for x, y in zip(A.bond_dims, B.bond_dims))
+            for i, (r, x, y) in enumerate(
+                    zip(lin.bond_dims, A.bond_dims, B.bond_dims)):
+                assert r <= min(x + y, 2 ** (i + 1), 2 ** (n - i - 1))
             ip = tt_core.gram([A, B])[0, 1]
             assert abs(ip - complex(np.vdot(va, vb))) <= 1e-10
 

@@ -173,11 +173,11 @@ def _pair_result(tmp_path, primitives=S_PAIR):
 
 def test_non_product_primitive_fails_by_name(tmp_path):
     result = _pair_result(tmp_path)
+    pair = tt_core.canonical_sum(result.prim_tts, [1.0, 1.0])
     with pytest.raises(tt_core.ShapeError):
-        oracle.axis_vectors(tt_core.add(*result.prim_tts),
-                            result.grid.qubits_per_axis)
+        oracle.axis_vectors(pair, result.grid.qubits_per_axis)
 
-    result.prim_tts[1] = tt_core.add(*result.prim_tts)
+    result.prim_tts[1] = pair
     checks = oracle.run_checks(result, tmp_path)
     assert checks[0]["name"] == "dense_oracle"
     assert checks[0]["status"] == "FAIL"

@@ -14,7 +14,7 @@ from ttprep.orbital_builder import (DegenerateOrbitalError, EmptyBasisError,
                                     overlap_matrix, truncate_mo,
                                     truncate_mo_each)
 
-from conftest import dense, random_tt
+from conftest import assert_joined, dense, random_tt, recording_sums
 
 
 def s_prim(center, gamma=1.0):
@@ -170,10 +170,10 @@ class TestBuildMoMps:
 
 
 def chain_sum(coeffs, tts, eps_sum):
-    """The add-then-round chain in coefficient order, for comparison."""
+    """The sum-then-round chain in coefficient order, for comparison."""
     acc = tt_core.scale(tts[0], complex(coeffs[0]))
     for c, tt in zip(coeffs[1:], tts[1:]):
-        acc = tt_core.round(tt_core.add(acc, tt_core.scale(tt, complex(c))),
+        acc = tt_core.round(tt_core.canonical_sum([acc, tt], [1.0, c]),
                             eps_sum)
     return acc
 
@@ -232,41 +232,39 @@ class TestMergeOrder:
     @pytest.mark.parametrize("n_prims", [1, 2, 3, 4, 5, 8, 9])
     def test_rounds_once_per_merge(self, rng, monkeypatch, n_prims):
         """A list at most MAX_SUM_WIDTH wide is one exact canonical_sum,
-        with no round and no add; its one rounding is truncate_mo's, on the
-        "left" unit orbital.  One column wider, each half of two or more
-        primitives is one exact "left" sum, rounded once, and a single-train
-        half is only scaled (at G = 2 neither half is rounded, at G = 3 only
-        the second); the halves are added once, unrounded, before that one
-        truncation.  Every rounding gets a "left" train: none sweeps QR."""
+        with no round and no join; its one rounding is truncate_mo's, on
+        the "left" unit orbital.  One column wider, each half of two or
+        more primitives is one exact "left" sum, rounded once, and a
+        single-train half is only scaled (at G = 2 neither half is rounded,
+        at G = 3 only the second); the halves are joined by one more
+        canonical_sum, unrounded, before that one truncation.  Every
+        rounding gets a "left" train: none sweeps QR."""
         leaves = [random_tt(rng, 6, max_bond=3) for _ in range(n_prims)]
         c = random_coeffs(rng, n_prims)
         width = max(sum(t.cores[j].shape[2] for t in leaves)
                     for j in range(5))
         want = sum(ci * dense(t) for ci, t in zip(c, leaves))
-        original_round, original_add = tt_core.round, tt_core.add
+        original_round = tt_core.round
 
         def counting_round(a, svd_cutoff):
-            calls["round"].append(a.canonical_form)
+            rounds.append(a.canonical_form)
             return original_round(a, svd_cutoff)
 
-        def counting_add(a, b):
-            calls["add"] += 1
-            return original_add(a, b)
-
         monkeypatch.setattr(tt_core, "round", counting_round)
-        monkeypatch.setattr(tt_core, "add", counting_add)
+        sums = recording_sums(monkeypatch)
         halves = (n_prims // 2, n_prims - n_prims // 2)
-        for cap, rounds, adds in (
+        for cap, n_rounds, joins in (
                 (width, 0, 0),
                 (width - 1, sum(h > 1 for h in halves), min(n_prims - 1, 1))):
             monkeypatch.setattr(orbital_builder, "MAX_SUM_WIDTH", cap)
-            calls = {"round": [], "add": 0}
+            rounds = []
+            sums.clear()
             o = orbital(leaves, c)
-            assert calls["round"] == ["left"] * rounds, cap
-            assert calls["add"] == adds, cap
+            assert rounds == ["left"] * n_rounds, cap
+            assert [k for k, _ in sums].count("join") == joins, cap
             assert o.tt.canonical_form == "left"
             t = truncate_mo(o, 1e-12)
-            assert calls["round"] == ["left"] * (rounds + 1), cap
+            assert rounds == ["left"] * (n_rounds + 1), cap
             assert o.raw_norm_sq == pytest.approx(
                 float(np.vdot(want, want).real), rel=1e-10)
             for mo in (o, t):
@@ -276,9 +274,9 @@ class TestMergeOrder:
 
     def test_wide_list_keeps_the_halves_bit_for_bit(self, rng, monkeypatch):
         """40 bond-3 trains are 120 wide, over a cap of 106: each half of 20
-        is one exact sum, rounded at EPS_SUM, and the halves are added,
-        unrounded.  The orbital records the halves' truncation errors as
-        its build_error."""
+        is one exact sum, rounded at EPS_SUM, and the halves are joined by
+        one exact canonical_sum, unrounded.  The orbital records the
+        halves' truncation errors as its build_error."""
         n_prims, eps = 40, orbital_builder.EPS_SUM
         bonds = [1, 3, 3, 3, 3, 3, 1]
         leaves = [tt_core.TensorTrain(
@@ -292,20 +290,15 @@ class TestMergeOrder:
         halves = [tt_core.round(tt_core.canonical_sum(leaves[s], c[s]), eps)
                   for s in (slice(0, 20), slice(20, None))]
         assert o.build_error == sum(h.truncation_error for h in halves)
-        acc = tt_core.left_canonicalize(tt_core.add(*halves))
-        raw = float(np.linalg.norm(acc.cores[-1])) ** 2
-        assert o.raw_norm_sq == raw
-        want = tt_core.scale(acc, 1.0 / math.sqrt(raw))
-        assert len(o.tt.cores) == len(want.cores)
-        for got, ref in zip(o.tt.cores, want.cores):
-            assert np.array_equal(got, ref)
+        assert_joined(o, halves, dense(halves[0]) + dense(halves[1]))
 
     def test_no_exact_sum_wider_than_the_cap(self, rng, monkeypatch):
         """At a cap of 106, 36 random l <= 2 primitives on a 7-qubit grid
         are too wide to sum at once, and each half fits under the cap.
         80 bond-3 trains are 240 wide, over twice the cap: each half is
         halved again, into four exact sums of 60, and the orbital is still
-        the dense sum."""
+        the dense sum.  The joins of rounded halves are not capped: one
+        per halving, three for 80 trains."""
         monkeypatch.setattr(orbital_builder, "MAX_SUM_WIDTH", 106)
         grid = PlaneWaveGrid(L=10.0, K=20.5)
         assert grid.qubits_per_axis == 7
@@ -315,23 +308,17 @@ class TestMergeOrder:
             [rng.standard_normal((l, 2, r)) + 1j * rng.standard_normal(
                 (l, 2, r)) for l, r in zip(bonds, bonds[1:])])
             for _ in range(80)]
-        widths = []
-        original = tt_core.canonical_sum
-
-        def recording(trains, coeffs):
-            widths.append(max(sum(t.cores[j].shape[2] for t in trains)
-                              for j in range(len(trains[0].cores) - 1)))
-            return original(trains, coeffs)
-
-        monkeypatch.setattr(tt_core, "canonical_sum", recording)
+        sums = recording_sums(monkeypatch)
         orbital(tts, random_coeffs(rng, 36))
-        assert len(widths) == 2
+        widths = [w for k, w in sums if k == "sum"]
+        assert len(widths) == 2 and len(sums) == 3
         assert max(widths) <= orbital_builder.MAX_SUM_WIDTH
-        widths.clear()
+        sums.clear()
         c = random_coeffs(rng, 80)
         o = orbital(leaves, c)
         assert 3 * len(leaves) > 2 * orbital_builder.MAX_SUM_WIDTH
-        assert widths == [60] * 4
+        assert [w for k, w in sums if k == "sum"] == [60] * 4
+        assert [k for k, _ in sums].count("join") == 3
         want = sum(ci * dense(t) for ci, t in zip(c, leaves))
         got = dense(o.tt) * math.sqrt(o.raw_norm_sq)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)

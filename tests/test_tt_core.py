@@ -89,21 +89,11 @@ def test_linearity(n, seed_a, seed_b):
     b = random_tt(rng_b, n)
     alpha = complex(rng_a.standard_normal(), rng_a.standard_normal())
     beta = complex(rng_b.standard_normal(), rng_b.standard_normal())
-    combo = tt_core.add(tt_core.scale(a, alpha), tt_core.scale(b, beta))
+    combo = tt_core.canonical_sum(
+        [tt_core.scale(a, alpha), tt_core.scale(b, beta)], [1.0, 1.0])
     want = alpha * dense(a) + beta * dense(b)
     norm = max(np.linalg.norm(want), 1.0)
     assert np.linalg.norm(dense(combo) - want) < 1e-10 * norm
-
-
-@settings(deadline=None, max_examples=30)
-@given(st.integers(min_value=2, max_value=8), seeds)
-def test_add_bond_rule(n, seed):
-    rng = _rng(seed)
-    a = random_tt(rng, n)
-    b = random_tt(rng, n)
-    got = tt_core.add(a, b).bond_dims
-    want = tuple(x + y for x, y in zip(a.bond_dims, b.bond_dims))
-    assert got == want
 
 
 @settings(deadline=None, max_examples=30)
@@ -182,8 +172,7 @@ def _tagged_trains(rng, n):
         out.append((f"round_left({cut})", tt_core.round(left, cut)))
     out += [(f"scale({label})", tt_core.scale(t, alpha))
             for label, t in list(out)]
-    out += [("add", tt_core.add(left, right)),
-            ("canonical_sum",
+    out += [("canonical_sum",
              tt_core.canonical_sum([none, left, right], [alpha, 1.0, -2.0])),
             ("tensor_product", tt_core.tensor_product(left, right)),
             ("tensor_product_unit_left", tt_core.tensor_product(
@@ -218,7 +207,7 @@ def test_canonical_tags_by_operation(rng):
     assert tt_core.round(left, 1e-3).canonical_form == "right"
     for t in (left, none, right):
         assert tt_core.scale(t, 2.0).canonical_form == t.canonical_form
-    for t in (tt_core.add(left, left), tt_core.tensor_product(left, left),
+    for t in (tt_core.tensor_product(left, left),
               tt_core.from_debug_json(tt_core.to_debug_json(left))):
         assert t.canonical_form == "none"
     unit = tt_core.scale(left, 1.0 / tt_core.norm(left))
@@ -433,9 +422,8 @@ def test_round_zero_keeps_vector(rng):
 def test_site_mismatch_rejected(rng):
     a = random_tt(rng, 3)
     b = random_tt(rng, 4)
-    for op in (tt_core.add, tt_core.inner_product):
-        with pytest.raises(ShapeError):
-            op(a, b)
+    with pytest.raises(ShapeError):
+        tt_core.inner_product(a, b)
     with pytest.raises(ShapeError):
         tt_core.gram([a, a, b])
     with pytest.raises(ShapeError):
